@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import boxes, dataset_io, retrieval, synth
 from .boxes import SmoothingConfig
-from .geometry import NSOConfig, backproject, nso_from_clouds
+from .geometry import NSOConfig, OracleMismatchError, all_pairs_nso, pairs_nso
 from .training import (
     PairDataset,
     TrainConfig,
@@ -80,35 +80,18 @@ def cmd_synth(args) -> int:
 
 def cmd_nso(args) -> int:
     views = _load_views(args.dataset)
-    by_id = {v.id: v for v in views}
     cfg = _nso_config(args)
     if args.pairs:
-        wanted = []
-        with open(args.pairs, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0] == "id_x":
-                    continue
-                wanted.append((row[0], row[1]))
-        for id_x, id_y in wanted:
-            for img_id in (id_x, id_y):
-                if img_id not in by_id:
-                    raise UsageError(f"unknown image id: {img_id}")
-        clouds = {}
-        records = []
-        for id_x, id_y in wanted:
-            for img_id in (id_x, id_y):
-                if img_id not in clouds:
-                    clouds[img_id] = backproject(by_id[img_id])
-            rec = nso_from_clouds(clouds[id_x], clouds[id_y], id_x, id_y, cfg)
-            if args.oracle:
-                ref = nso_from_clouds(clouds[id_x], clouds[id_y], id_x, id_y, cfg,
-                                      brute_force=True)
-                if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):
-                    raise DataError(f"oracle mismatch on pair ({id_x}, {id_y})")
-            records.append(rec)
+        wanted = dataset_io.read_id_pairs(args.pairs)
+        known = {v.id for v in views}
+        for img_id in (i for pair in wanted for i in pair):
+            if img_id not in known:
+                raise UsageError(f"unknown image id: {img_id}")
+        records = pairs_nso(views, wanted, cfg, oracle=args.oracle,
+                            threads=args.threads)
     else:
-        records = synth.all_pairs_nso(views, cfg, oracle=args.oracle,
-                                      threads=args.threads)
+        records = all_pairs_nso(views, cfg, oracle=args.oracle,
+                                threads=args.threads)
     dataset_io.write_overlaps(args.output, records)
     return EXIT_OK
 
@@ -207,11 +190,7 @@ def cmd_scale(args) -> int:
     if table.kind != "box":
         raise UsageError("scale requires a box-kind checkpoint")
     smoothing = SmoothingConfig(cfg.rho)
-    with open(args.pairs, newline="") as fh:
-        pairs = [
-            (row[0], row[1]) for row in csv.reader(fh)
-            if row and row[0] != "id_x"
-        ]
+    pairs = dataset_io.read_id_pairs(args.pairs)
     ids = sorted({i for p in pairs for i in p})
     for img_id in ids:
         if img_id not in table.row:
@@ -234,6 +213,16 @@ def cmd_scale(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxoverlap",
@@ -243,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="k-d tree query workers for NSO")
 
     def add_geometry(p):
         p.add_argument("--radius", type=float, default=0.1)
@@ -315,7 +305,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (dataset_io.DatasetFormatError, DataError, OSError) as exc:
+    except (dataset_io.DatasetFormatError, DataError, OracleMismatchError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError) as exc:

@@ -130,3 +130,23 @@ def read_overlaps(path) -> list[OverlapRecord]:
                 raise DatasetFormatError(f"bad overlap CSV row in {path}: {row}")
             records.append(OverlapRecord(row[0], row[1], float(row[2]), float(row[3])))
     return records
+
+
+def read_id_pairs(path) -> list[tuple[str, str]]:
+    """(id_x, id_y) from the first two columns of each row of a CSV.
+
+    Blank rows and an `id_x` header row are skipped; further columns, such
+    as the overlap values of a pairs.csv, are ignored.
+    """
+    pairs = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0] == "id_x":
+                continue
+            if len(row) < 2 or not row[0] or not row[1]:
+                raise DatasetFormatError(
+                    f"bad id-pair CSV row {reader.line_num} in {path}: {row}"
+                )
+            pairs.append((row[0], row[1]))
+    return pairs

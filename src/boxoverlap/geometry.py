@@ -218,9 +218,12 @@ def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
     return SurfelCloud(cloud.points[idx], cloud.normals[idx], cloud.source_pixel[idx])
 
 
-def _match_tree(src_points, dst_points, radius):
-    tree = cKDTree(dst_points)
-    dist, idx = tree.query(src_points, k=1)
+def _match_tree(tree, src_points, radius, workers=1):
+    # The search stops at the radius; nextafter keeps a neighbour at exactly
+    # `radius` in reach, as the brute-force `<=` test counts it.
+    dist, idx = tree.query(src_points, k=1,
+                           distance_upper_bound=np.nextafter(radius, np.inf),
+                           workers=workers)
     within = dist <= radius
     return within, np.where(within, idx, 0)
 
@@ -254,7 +257,7 @@ def overlap_count(
         raise ValueError("radius must be positive")
     if len(src) == 0 or len(dst) == 0:
         return 0.0
-    within, idx = _match_tree(src.points, dst.points, radius)
+    within, idx = _match_tree(cKDTree(dst.points), src.points, radius)
     return _weighted_sum(src, dst, within, idx, weighted)
 
 
@@ -270,6 +273,58 @@ def overlap_count_brute(
     return _weighted_sum(src, dst, within, idx, weighted)
 
 
+class OracleMismatchError(Exception):
+    """The k-d tree overlap of a pair differs from the brute-force oracle."""
+
+
+# A pair is culled only when its bounds are apart by more than the radius
+# with this relative margin, far above the round-off of any distance the
+# search computes, so a culled pair can never hold a match.
+_CULL_SLACK = 1e-6
+
+
+@dataclass(frozen=True)
+class _IndexedCloud:
+    """One view's surfels, prepared once for every pair it takes part in."""
+
+    cloud: SurfelCloud
+    sub: SurfelCloud  # source subsample
+    tree: cKDTree  # over the full cloud, the destination of every match
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig) -> _IndexedCloud:
+    return _IndexedCloud(
+        cloud=cloud,
+        sub=subsample(cloud, cfg.n_sub, cfg.seed),
+        tree=cKDTree(cloud.points),
+        lo=cloud.points.min(axis=0),
+        hi=cloud.points.max(axis=0),
+    )
+
+
+def _disjoint(a: _IndexedCloud, b: _IndexedCloud, radius: float) -> bool:
+    """True when the bounds of a and b are apart by more than radius on an axis."""
+    gap = np.maximum(a.lo - b.hi, b.lo - a.hi)
+    return bool(np.any(gap > radius * (1.0 + _CULL_SLACK)))
+
+
+def _directed_nso(src: _IndexedCloud, dst: _IndexedCloud, cfg: NSOConfig,
+                  workers: int) -> float:
+    within, idx = _match_tree(dst.tree, src.sub.points, cfg.radius, workers)
+    count = _weighted_sum(src.sub, dst.cloud, within, idx, cfg.weighted)
+    return count / len(src.sub)
+
+
+def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, id_x: str, id_y: str,
+              cfg: NSOConfig, workers: int = 1) -> OverlapRecord:
+    if _disjoint(a, b, cfg.radius):
+        return OverlapRecord(id_x, id_y, 0.0, 0.0)
+    return OverlapRecord(id_x, id_y, _directed_nso(a, b, cfg, workers),
+                         _directed_nso(b, a, cfg, workers))
+
+
 def nso_from_clouds(
     cloud_x: SurfelCloud,
     cloud_y: SurfelCloud,
@@ -282,14 +337,63 @@ def nso_from_clouds(
 
     The source cloud is subsampled to cfg.n_sub points; matches are searched
     in the full destination cloud. The denominator is the subsampled source
-    size, so a view always fully overlaps itself.
+    size, so a view always fully overlaps itself. The brute-force route
+    compares every point pair and never culls.
     """
-    count = overlap_count_brute if brute_force else overlap_count
+    if not brute_force:
+        return _pair_nso(_index_cloud(cloud_x, cfg), _index_cloud(cloud_y, cfg),
+                         id_x, id_y, cfg)
     sub_x = subsample(cloud_x, cfg.n_sub, cfg.seed)
     sub_y = subsample(cloud_y, cfg.n_sub, cfg.seed)
-    nso_xy = count(sub_x, cloud_y, cfg.radius, cfg.weighted) / len(sub_x)
-    nso_yx = count(sub_y, cloud_x, cfg.radius, cfg.weighted) / len(sub_y)
+    nso_xy = overlap_count_brute(sub_x, cloud_y, cfg.radius, cfg.weighted) / len(sub_x)
+    nso_yx = overlap_count_brute(sub_y, cloud_x, cfg.radius, cfg.weighted) / len(sub_y)
     return OverlapRecord(id_x, id_y, nso_xy, nso_yx)
+
+
+def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
+              threads: int = 1) -> list[OverlapRecord]:
+    """Directed NSO for the given (id_x, id_y) pairs, in their order.
+
+    Only the views the pairs name are backprojected. Each gets one k-d tree
+    and one bounding box, shared by all its pairs and freed on return. A
+    pair whose bounds, padded by the radius, are disjoint is recorded as
+    (0.0, 0.0) without a search. `threads` query workers split each search
+    by point, so the result does not depend on it. With oracle=True every
+    pair, culled ones included, is recomputed brute-force and must match
+    exactly, else OracleMismatchError.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    by_id = {view.id: view for view in views}
+    indexed = {}
+    for pair in pairs:
+        for img_id in pair:
+            if img_id not in indexed:
+                indexed[img_id] = _index_cloud(backproject(by_id[img_id]), cfg)
+    records = []
+    for id_x, id_y in pairs:
+        a, b = indexed[id_x], indexed[id_y]
+        rec = _pair_nso(a, b, id_x, id_y, cfg, threads)
+        if oracle:
+            ref = nso_from_clouds(a.cloud, b.cloud, id_x, id_y, cfg, brute_force=True)
+            if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):
+                raise OracleMismatchError(
+                    f"accelerated overlap diverges from brute force on "
+                    f"pair ({id_x}, {id_y})"
+                )
+        records.append(rec)
+    return records
+
+
+def all_pairs_nso(views, cfg: NSOConfig, oracle: bool = False,
+                  threads: int = 1) -> list[OverlapRecord]:
+    """Directed NSO for every unordered view pair, in deterministic order."""
+    pairs = [
+        (views[i].id, views[j].id)
+        for i in range(len(views))
+        for j in range(i + 1, len(views))
+    ]
+    return pairs_nso(views, pairs, cfg, oracle=oracle, threads=threads)
 
 
 def compute_nso(

@@ -10,7 +10,6 @@ scene extent.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,8 +21,7 @@ from .geometry import (
     CameraView,
     NSOConfig,
     Pose,
-    backproject,
-    nso_from_clouds,
+    all_pairs_nso,
 )
 
 GENERATOR_VERSION = "1"
@@ -373,37 +371,6 @@ def _quantize(view: CameraView) -> CameraView:
         depth=np.where(mask, depth, np.nan),
         valid_mask=mask,
     )
-
-
-def all_pairs_nso(views, cfg: NSOConfig, oracle: bool = False, threads: int = 1):
-    """Directed NSO for every unordered view pair, in deterministic order.
-
-    With oracle=True every pair is recomputed brute-force and must match
-    the accelerated result exactly.
-    """
-    clouds = {view.id: backproject(view) for view in views}
-    pairs = [
-        (views[i].id, views[j].id)
-        for i in range(len(views))
-        for j in range(i + 1, len(views))
-    ]
-
-    def one(pair):
-        id_x, id_y = pair
-        rec = nso_from_clouds(clouds[id_x], clouds[id_y], id_x, id_y, cfg)
-        if oracle:
-            ref = nso_from_clouds(clouds[id_x], clouds[id_y], id_x, id_y, cfg,
-                                  brute_force=True)
-            if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):
-                raise AssertionError(
-                    f"accelerated overlap diverges from brute force on {pair}"
-                )
-        return rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, pairs))
-    return [one(p) for p in pairs]
 
 
 def generate_dataset(surface, script: CameraScript, out_dir, seed: int,

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boxoverlap import geometry
 from boxoverlap.cli import main
 from boxoverlap.training import EmbeddingTable, TrainConfig, save_checkpoint
 
@@ -87,6 +88,46 @@ def test_nso_unknown_id(dataset, tmp_path, capsys):
                  "--output", str(tmp_path / "o.csv")])
     assert code == 2
     assert "ghost" in capsys.readouterr().err
+
+
+def test_nso_pairs_short_row(dataset, tmp_path, capsys):
+    pairs = tmp_path / "req.csv"
+    pairs.write_text("id_x,id_y\ng000\n")
+    code = main(["nso", "--dataset", str(dataset), "--pairs", str(pairs),
+                 "--output", str(tmp_path / "o.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "row 2" in err and "req.csv" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "nso", "nso-pairs"])
+def test_oracle_mismatch_exits_3(command, dataset, tmp_path, monkeypatch, capsys):
+    def disagreeing(src_points, dst_points, radius):
+        return np.zeros(len(src_points), bool), np.zeros(len(src_points), int)
+
+    monkeypatch.setattr(geometry, "_match_brute", disagreeing)
+    out = tmp_path / "o.csv"
+    if command == "synth":
+        argv = ["synth", "--out", str(tmp_path / "ds"), "--pattern", "grid:2"]
+    else:
+        argv = ["nso", "--dataset", str(dataset), "--output", str(out)]
+    if command == "nso-pairs":
+        pairs = tmp_path / "req.csv"
+        pairs.write_text("id_x,id_y\ng000,g001\n")
+        argv += ["--pairs", str(pairs)]
+    assert main(argv + ["--oracle", "--seed", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "brute force" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(threads, dataset, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["nso", "--dataset", str(dataset), "--output", str(tmp_path / "o.csv"),
+              "--threads", threads])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_nso_missing_dataset(tmp_path, capsys):
@@ -193,6 +234,16 @@ def test_scale_pairs(run_dir, dataset, tmp_path):
     row = json.loads(out.read_text().splitlines()[0])
     assert set(row) == {"id_x", "id_y", "nbo_xy", "nbo_yx", "scale"}
     assert row["scale"] > 0
+
+
+def test_scale_pairs_empty_id(run_dir, tmp_path, capsys):
+    pairs = tmp_path / "req.csv"
+    pairs.write_text("id_x,id_y\ng000,\n")
+    code = main(["scale", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                 "--pairs", str(pairs)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "row 2" in err and "req.csv" in err
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

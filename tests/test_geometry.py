@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from boxoverlap import dataset_io, geometry
 from boxoverlap.geometry import (
     CameraIntrinsics,
     CameraView,
@@ -8,6 +11,7 @@ from boxoverlap.geometry import (
     OverlapRecord,
     Pose,
     SurfelCloud,
+    all_pairs_nso,
     backproject,
     compute_nso,
     estimate_normals,
@@ -16,7 +20,15 @@ from boxoverlap.geometry import (
     overlap_count_brute,
     subsample,
 )
-from boxoverlap.synth import PlaneSurface, Placement, SphereSurface, render_depth
+from boxoverlap.synth import (
+    PlaneSurface,
+    Placement,
+    SphereSurface,
+    default_surface,
+    grid_script,
+    render_depth,
+    render_script,
+)
 
 IDENTITY = Pose(np.eye(3), np.zeros(3))
 
@@ -295,3 +307,100 @@ def test_nso_values_in_unit_interval():
     rec = compute_nso(wide, narrow, NSOConfig(seed=0, weighted=False))
     assert 0.0 <= rec.nso_xy <= 1.0
     assert 0.0 <= rec.nso_yx <= 1.0
+
+
+# -- all-pairs NSO -------------------------------------------------------------
+
+
+def grid_views(n, seed, spacing):
+    return render_script(default_surface(seed), grid_script(n, seed, spacing=spacing),
+                         seed).views
+
+
+def test_all_pairs_oracle_on_sparse_grid(monkeypatch):
+    # At spacing 6 most footprints are apart, so most pairs are culled.
+    views = grid_views(4, seed=2, spacing=6.0)
+    cfg = NSOConfig(seed=2, n_sub=400)
+    disjoint = geometry._disjoint
+    culled = []
+
+    def counting(a, b, radius):
+        culled.append(disjoint(a, b, radius))
+        return culled[-1]
+
+    monkeypatch.setattr(geometry, "_disjoint", counting)
+    records = all_pairs_nso(views, cfg, oracle=True)
+    assert len(records) == len(culled) == 120
+    assert sum(culled) >= 80
+    clouds = {v.id: backproject(v) for v in views}
+    for rec in records:
+        for brute_force in (False, True):
+            ref = nso_from_clouds(clouds[rec.id_x], clouds[rec.id_y],
+                                  rec.id_x, rec.id_y, cfg, brute_force=brute_force)
+            assert ref == rec
+
+
+def test_oracle_checks_culled_pairs(monkeypatch):
+    # A cull that drops overlapping pairs must be caught by the oracle.
+    monkeypatch.setattr(geometry, "_disjoint", lambda a, b, radius: True)
+    views = grid_views(2, seed=3, spacing=1.0)
+    with pytest.raises(geometry.OracleMismatchError, match="brute force"):
+        all_pairs_nso(views, NSOConfig(seed=3, n_sub=300), oracle=True)
+
+
+def slab_cloud(x, n=8, spacing=0.25):
+    ys, zs = np.meshgrid(np.arange(n) * spacing, np.arange(n) * spacing)
+    points = np.stack([np.full(n * n, x), ys.ravel(), zs.ravel()], axis=1)
+    normals = np.tile([0.0, 0.0, 1.0], (n * n, 1))
+    return SurfelCloud(points, normals, np.zeros((n * n, 2), int))
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_cull_keeps_pair_exactly_radius_apart(weighted):
+    # Nearest points are exactly `radius` apart along x: a match, not a cull.
+    cfg = NSOConfig(radius=0.5, seed=0, weighted=weighted)
+    a, b = slab_cloud(0.0), slab_cloud(0.5)
+    ia, ib = geometry._index_cloud(a, cfg), geometry._index_cloud(b, cfg)
+    assert not geometry._disjoint(ia, ib, cfg.radius)
+    rec = nso_from_clouds(a, b, "a", "b", cfg)
+    assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
+    assert (rec.nso_xy, rec.nso_yx) == (1.0, 1.0)
+
+
+def test_cull_drops_pair_just_beyond_radius():
+    cfg = NSOConfig(radius=0.5, seed=0)
+    a, b = slab_cloud(0.0), slab_cloud(0.5 * (1 + 1e-5))
+    ia, ib = geometry._index_cloud(a, cfg), geometry._index_cloud(b, cfg)
+    assert geometry._disjoint(ia, ib, cfg.radius)
+    rec = nso_from_clouds(a, b, "a", "b", cfg)
+    assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
+    assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
+
+
+def test_all_pairs_threads_do_not_change_records():
+    views = grid_views(3, seed=4, spacing=2.0)
+    cfg = NSOConfig(seed=4, n_sub=600)
+    assert all_pairs_nso(views, cfg, threads=2) == all_pairs_nso(views, cfg, threads=1)
+
+
+def test_all_pairs_rejects_zero_threads():
+    views = grid_views(2, seed=4, spacing=2.0)
+    with pytest.raises(ValueError, match="threads"):
+        all_pairs_nso(views, NSOConfig(), threads=0)
+
+
+# sha256 of pairs.csv for a 3x3 grid at spacing 4 (17 of 36 pairs disjoint),
+# as written before NSO built one tree per view and culled disjoint pairs.
+PINNED_PAIRS_SHA256 = {
+    True: "07aecd094430eff8cea5190e12ea69d82b93b0d2867fd0491c59562655d528c4",
+    False: "cd8baffe122941a11f6b3fb20a99a96d395ec5dacc27dcc6f5cd9fb2af9a3751",
+}
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_all_pairs_bytes_pinned(tmp_path, weighted):
+    views = grid_views(3, seed=5, spacing=4.0)
+    records = all_pairs_nso(views, NSOConfig(seed=5, weighted=weighted))
+    dataset_io.write_overlaps(tmp_path / "pairs.csv", records)
+    digest = hashlib.sha256((tmp_path / "pairs.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_PAIRS_SHA256[weighted]

@@ -135,3 +135,20 @@ def test_overlaps_bad_row(tmp_path):
     path.write_text("id_x,id_y,nso_xy,nso_yx\na,b,0.5\n")
     with pytest.raises(DatasetFormatError, match="row"):
         dataset_io.read_overlaps(path)
+
+
+# -- id-pair CSVs --------------------------------------------------------------
+
+
+def test_id_pairs_skip_header_and_extra_columns(tmp_path):
+    path = tmp_path / "req.csv"
+    path.write_text("id_x,id_y,nso_xy,nso_yx\na,b,0.5,0.25\n\nc,d\n")
+    assert dataset_io.read_id_pairs(path) == [("a", "b"), ("c", "d")]
+
+
+@pytest.mark.parametrize("row", ["a", "a,", ",b"])
+def test_id_pairs_bad_row_named(tmp_path, row):
+    path = tmp_path / "req.csv"
+    path.write_text(f"id_x,id_y\na,b\n{row}\n")
+    with pytest.raises(DatasetFormatError, match=r"row 3 in .*req\.csv"):
+        dataset_io.read_id_pairs(path)

@@ -199,7 +199,7 @@ def test_generate_dataset_deterministic(tmp_path):
 
 
 def test_generate_dataset_reproducible_from_disk(tmp_path):
-    from boxoverlap.synth import all_pairs_nso
+    from boxoverlap.geometry import all_pairs_nso
 
     out = generate_dataset(PlaneSurface(0.0), grid_script(2, seed=9),
                            tmp_path / "ds", seed=9)
