@@ -8,6 +8,7 @@ from .boxes import (
     intersection_volume,
     nbo,
     nbo_gradient,
+    overlap,
     params_to_box,
     sigma,
     volume,
@@ -34,8 +35,8 @@ from .training import (
     evaluate,
     loss_box,
     loss_vector,
-    nso_min,
     nso_symmetric,
+    predict,
     train,
 )
 

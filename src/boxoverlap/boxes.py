@@ -9,7 +9,6 @@ parameterized by an unconstrained center and a pre-softplus size vector.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,39 +106,56 @@ def sigma_grad(v, cfg: SmoothingConfig):
     return expit(v / cfg.rho)
 
 
-def intersection_volume(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
+def overlap(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):
+    """Intersection volume and both box volumes, from bounds broadcast over (..., D).
+
+    Returns (inter, vol_x, vol_y) with the last axis reduced, so the two
+    directed overlaps nbo(x -> y) = inter / vol_x and nbo(y -> x) =
+    inter / vol_y share one intersection.
+    """
+    v = np.minimum(upper_x, upper_y) - np.maximum(lower_x, lower_y)
+    inter = np.prod(sigma(v, cfg), axis=-1)
+    vol_x = np.prod(sigma(np.subtract(upper_x, lower_x), cfg), axis=-1)
+    vol_y = np.prod(sigma(np.subtract(upper_y, lower_y), cfg), axis=-1)
+    return inter, vol_x, vol_y
+
+
+def _overlap_boxes(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig):
     if bx.dim != by.dim:
         raise ValueError(f"dimension mismatch: {bx.dim} vs {by.dim}")
-    v = np.minimum(bx.upper, by.upper) - np.maximum(bx.lower, by.lower)
-    return float(np.prod(sigma(v, cfg)))
+    return overlap(bx.lower, bx.upper, by.lower, by.upper, cfg)
+
+
+def intersection_volume(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
+    return float(_overlap_boxes(bx, by, cfg)[0])
 
 
 def volume(b: BoxEmbedding, cfg: SmoothingConfig) -> float:
-    return float(np.prod(sigma(b.upper - b.lower, cfg)))
+    return float(_overlap_boxes(b, b, cfg)[1])
 
 
 def nbo(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
     """Normalized box overlap: intersection volume over the source box volume."""
-    vol = volume(bx, cfg)
+    inter, vol, _ = _overlap_boxes(bx, by, cfg)
     if vol == 0.0:
         raise DegenerateBoxError("degenerate box: zero source volume")
-    return intersection_volume(bx, by, cfg) / vol
+    return float(inter / vol)
+
+
+def params_to_bounds(center, size_raw):
+    """(lower, upper) of boxes given by center and pre-softplus size arrays."""
+    size = softplus(size_raw)
+    return center - size / 2.0, center + size / 2.0
 
 
 def params_to_box(p: BoxParams) -> BoxEmbedding:
-    size = softplus(p.size_raw)
-    return BoxEmbedding(p.center - size / 2.0, p.center + size / 2.0)
+    return BoxEmbedding(*params_to_bounds(p.center, p.size_raw))
 
 
 def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
     """Vectorized nbo(params_to_box(x) -> params_to_box(y)) for (B, D) params."""
-    sx = softplus(sx_raw)
-    sy = softplus(sy_raw)
-    ux, lx = cx + sx / 2.0, cx - sx / 2.0
-    uy, ly = cy + sy / 2.0, cy - sy / 2.0
-    v = np.minimum(ux, uy) - np.maximum(lx, ly)
-    inter = np.prod(sigma(v, cfg), axis=-1)
-    vol = np.prod(sigma(sx, cfg), axis=-1)
+    inter, vol, _ = overlap(*params_to_bounds(cx, sx_raw),
+                            *params_to_bounds(cy, sy_raw), cfg)
     return inter / vol
 
 
@@ -186,52 +202,6 @@ def nbo_gradient(px: BoxParams, py: BoxParams, cfg: SmoothingConfig):
         px.center[None], px.size_raw[None], py.center[None], py.size_raw[None], cfg
     )
     return BoxParams(d_cx[0], d_sx[0]), BoxParams(d_cy[0], d_sy[0])
-
-
-# -- serialization ------------------------------------------------------------
-
-_MAGIC = b"BOXT"
-
-
-def save_box_table(path, ids, lowers, uppers, centers, size_raws):
-    """Binary box table: per-image bounds plus raw params for resuming."""
-    lowers = np.asarray(lowers, dtype="<f8")
-    uppers = np.asarray(uppers, dtype="<f8")
-    centers = np.asarray(centers, dtype="<f8")
-    size_raws = np.asarray(size_raws, dtype="<f8")
-    n, d = lowers.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<I", n))
-        for i, img_id in enumerate(ids):
-            raw = img_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)) + raw)
-            fh.write(struct.pack("<I", d))
-            fh.write(lowers[i].tobytes())
-            fh.write(uppers[i].tobytes())
-            fh.write(centers[i].tobytes())
-            fh.write(size_raws[i].tobytes())
-
-
-def load_box_table(path):
-    """Returns (ids, lowers, uppers, centers, size_raws)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise ValueError(f"not a box table file: {path}")
-    (n,) = struct.unpack_from("<I", data, 4)
-    off = 8
-    ids, lowers, uppers, centers, size_raws = [], [], [], [], []
-    for _ in range(n):
-        (idlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        ids.append(data[off : off + idlen].decode("utf-8"))
-        off += idlen
-        (d,) = struct.unpack_from("<I", data, off)
-        off += 4
-        for dest in (lowers, uppers, centers, size_raws):
-            dest.append(np.frombuffer(data, dtype="<f8", count=d, offset=off).copy())
-            off += 8 * d
-    return ids, np.array(lowers), np.array(uppers), np.array(centers), np.array(size_raws)
 
 
 def box_table_to_json(ids, lowers, uppers) -> str:

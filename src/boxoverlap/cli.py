@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 from . import boxes, dataset_io, retrieval, synth
@@ -22,8 +23,10 @@ from .geometry import NSOConfig, OracleMismatchError, all_pairs_nso, pairs_nso
 from .training import (
     PairDataset,
     TrainConfig,
+    TrainingDivergedError,
     evaluate,
     load_checkpoint,
+    predict,
     save_checkpoint,
     train,
 )
@@ -113,9 +116,6 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "checkpoint.npz", table, cfg, step=cfg.steps)
     if table.kind == "box":
         lowers, uppers = table.bounds()
-        centers, size_raws = table.centers_sizes()
-        boxes.save_box_table(out / "boxes.bin", table.ids, lowers, uppers,
-                             centers, size_raws)
         (out / "boxes.json").write_text(
             boxes.box_table_to_json(table.ids, lowers, uppers))
     with open(out / "loss_trace.csv", "w", newline="") as fh:
@@ -126,8 +126,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_checkpoint(path):
+    """load_checkpoint; a file that is not a readable checkpoint is a data error."""
+    try:
+        return load_checkpoint(path)
+    except (ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError) as exc:
+        raise DataError(f"not a valid checkpoint {path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
-    table, cfg, _ = load_checkpoint(args.checkpoint)
+    table, cfg, _ = _load_checkpoint(args.checkpoint)
     records = dataset_io.read_overlaps(args.pairs)
     metrics = evaluate(table, records, cfg)
     payload = json.dumps(metrics, indent=2, sort_keys=True)
@@ -151,7 +159,7 @@ def _pixel_counts(args, ids):
 
 
 def cmd_query(args) -> int:
-    table, cfg, _ = load_checkpoint(args.checkpoint)
+    table, cfg, _ = _load_checkpoint(args.checkpoint)
     if table.kind != "box":
         raise UsageError("query requires a box-kind checkpoint")
     if args.query_id not in table.row:
@@ -186,7 +194,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    table, cfg, _ = load_checkpoint(args.checkpoint)
+    table, cfg, _ = _load_checkpoint(args.checkpoint)
     if table.kind != "box":
         raise UsageError("scale requires a box-kind checkpoint")
     smoothing = SmoothingConfig(cfg.rho)
@@ -196,11 +204,10 @@ def cmd_scale(args) -> int:
         if img_id not in table.row:
             raise UsageError(f"unknown image id: {img_id}")
     counts = _pixel_counts(args, ids)
+    preds = predict(table, pairs, smoothing).tolist()
     out = sys.stdout if not args.output else open(args.output, "w")
     try:
-        for id_x, id_y in pairs:
-            qr = boxes.nbo(table.box(id_x), table.box(id_y), smoothing)
-            rq = boxes.nbo(table.box(id_y), table.box(id_x), smoothing)
+        for (id_x, id_y), (qr, rq) in zip(pairs, preds):
             scale = (retrieval.estimate_scale(qr, rq, counts[id_x], counts[id_y])
                      if qr > 0 else None)
             out.write(json.dumps({
@@ -232,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="k-d tree query workers for NSO")
 
     def add_geometry(p):
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="k-d tree query workers for NSO")
         p.add_argument("--radius", type=float, default=0.1)
         p.add_argument("--n-sub", type=int, default=5000)
         p.add_argument("--unweighted", action="store_true")
@@ -302,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (dataset_io.DatasetFormatError, DataError, OracleMismatchError,

@@ -126,9 +126,14 @@ def read_overlaps(path) -> list[OverlapRecord]:
         if header != ["id_x", "id_y", "nso_xy", "nso_yx"]:
             raise DatasetFormatError(f"bad overlap CSV header in {path}: {header}")
         for row in reader:
-            if len(row) != 4:
-                raise DatasetFormatError(f"bad overlap CSV row in {path}: {row}")
-            records.append(OverlapRecord(row[0], row[1], float(row[2]), float(row[3])))
+            try:
+                id_x, id_y, nso_xy, nso_yx = row
+                # OverlapRecord rejects NaN and values outside [0, 1].
+                records.append(OverlapRecord(id_x, id_y, float(nso_xy), float(nso_yx)))
+            except ValueError as exc:
+                raise DatasetFormatError(
+                    f"bad overlap CSV row {reader.line_num} in {path}: {row} ({exc})"
+                ) from None
     return records
 
 

@@ -72,21 +72,6 @@ def estimate_scale(nbo_qr: float, nbo_rq: float, n_q: int, n_r: int) -> float:
     return math.sqrt((n_r / n_q) * (nbo_rq / nbo_qr))
 
 
-def _interval_scores(q: BoxEmbedding, lowers, uppers, cfg: SmoothingConfig):
-    """Exact (enclosure, concentration) of the query against (n, D) gallery bounds."""
-    inter_lo = np.maximum(lowers, q.lower)
-    inter_hi = np.minimum(uppers, q.upper)
-    inter = np.prod(boxes.sigma(inter_hi - inter_lo, cfg), axis=1)
-    vol_q = boxes.volume(q, cfg)
-    if vol_q == 0.0:
-        raise boxes.DegenerateBoxError("degenerate query box")
-    vol_r = np.prod(boxes.sigma(uppers - lowers, cfg), axis=1)
-    enclosure = inter / vol_q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        concentration = np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
-    return enclosure, concentration
-
-
 class BoxIndex:
     """Immutable packed R-tree over box embeddings.
 
@@ -157,18 +142,25 @@ class BoxIndex:
         keep = np.all((lo <= q_hi) & (hi >= q_lo), axis=1)
         return members[keep]
 
+    def _exact_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, rows=slice(None)):
+        """Exact (enclosure, concentration) of the query against the given rows."""
+        inter, vol_q, vol_r = boxes.overlap(q.lower, q.upper,
+                                            self.lowers[rows], self.uppers[rows], cfg)
+        if vol_q == 0.0:
+            raise boxes.DegenerateBoxError("degenerate query box")
+        concentration = np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
+        return inter / vol_q, concentration
+
     def _scores(self, q: BoxEmbedding, cfg: SmoothingConfig):
-        n = len(self.ids)
-        if cfg.hard:
-            enclosure = np.zeros(n)
-            concentration = np.zeros(n)
-            cand = self._candidates(q)
-            if len(cand):
-                e, c = _interval_scores(q, self.lowers[cand], self.uppers[cand], cfg)
-                enclosure[cand] = e
-                concentration[cand] = c
-            return enclosure, concentration
-        return _interval_scores(q, self.lowers, self.uppers, cfg)
+        """Scores of every entry; hard queries score only the R-tree candidates."""
+        if not cfg.hard:
+            return self._exact_scores(q, cfg)
+        enclosure = np.zeros(len(self.ids))
+        concentration = np.zeros(len(self.ids))
+        cand = self._candidates(q)
+        if len(cand):
+            enclosure[cand], concentration[cand] = self._exact_scores(q, cfg, cand)
+        return enclosure, concentration
 
     def query_topk(self, q: BoxEmbedding, k: int,
                    cfg: SmoothingConfig = HARD) -> list[QueryResult]:
@@ -190,7 +182,7 @@ class BoxIndex:
             raise ValueError("k must be >= 1")
         if len(self.ids) == 0:
             return []
-        enclosure, concentration = _interval_scores(q, self.lowers, self.uppers, cfg)
+        enclosure, concentration = self._exact_scores(q, cfg)
         return self._rank(enclosure, concentration, k)
 
     def _rank(self, enclosure, concentration, k):
@@ -213,7 +205,7 @@ class BoxIndex:
         for lo, hi in (enclosure_range, concentration_range):
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"invalid range: ({lo}, {hi})")
-        enclosure, concentration = _interval_scores(q, self.lowers, self.uppers, cfg)
+        enclosure, concentration = self._exact_scores(q, cfg)
 
         def inside(v, rng):
             lo, hi = rng
@@ -225,7 +217,3 @@ class BoxIndex:
                         float(0.5 * (enclosure[i] + concentration[i])))
             for i in np.nonzero(keep)[0]
         ]
-
-
-def build(table) -> BoxIndex:
-    return BoxIndex.build(table)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import boxes
-from .boxes import BoxEmbedding, BoxParams, SmoothingConfig, params_to_box, softplus
+from .boxes import BoxEmbedding, BoxParams, SmoothingConfig, params_to_bounds, params_to_box
 from .geometry import OverlapRecord
 
 
@@ -80,10 +80,6 @@ def nso_symmetric(record: OverlapRecord) -> float:
     return 0.5 * (record.nso_xy + record.nso_yx)
 
 
-def nso_min(record: OverlapRecord) -> float:
-    return min(record.nso_xy, record.nso_yx)
-
-
 class EmbeddingTable:
     """Image id -> trainable embedding parameters (box or vector kind)."""
 
@@ -129,19 +125,33 @@ class EmbeddingTable:
         return self.params[:, : self.dim], self.params[:, self.dim :]
 
     def bounds(self):
-        centers, size_raws = self.centers_sizes()
-        size = softplus(size_raws)
-        return centers - size / 2.0, centers + size / 2.0
+        return params_to_bounds(*self.centers_sizes())
+
+
+def predict(table: EmbeddingTable, pairs, smoothing: SmoothingConfig) -> np.ndarray:
+    """Predicted directed overlaps, one (pred_xy, pred_yx) row per (id_x, id_y).
+
+    A box table predicts both normalized box overlaps; a vector table
+    predicts 1 - distance, clipped to [0, 1], in both directions.
+    """
+    xi = np.array([table._index(id_x) for id_x, _ in pairs], dtype=np.intp)
+    yi = np.array([table._index(id_y) for _, id_y in pairs], dtype=np.intp)
+    if table.kind == "box":
+        lowers, uppers = table.bounds()
+        inter, vol_x, vol_y = boxes.overlap(lowers[xi], uppers[xi],
+                                            lowers[yi], uppers[yi], smoothing)
+        if not (vol_x.all() and vol_y.all()):
+            raise boxes.DegenerateBoxError("degenerate box: zero source volume")
+        return np.stack([inter / vol_x, inter / vol_y], axis=1)
+    dist = np.linalg.norm(table.params[xi] - table.params[yi], axis=1)
+    pred = np.clip(1.0 - dist, 0.0, 1.0)
+    return np.stack([pred, pred], axis=1)
 
 
 def loss_box(table: EmbeddingTable, pair: OverlapRecord, cfg: TrainConfig) -> float:
     """Squared error of both directed box overlaps against the targets."""
-    bx = table.box(pair.id_x)
-    by = table.box(pair.id_y)
-    smoothing = cfg.smoothing
-    e_xy = pair.nso_xy - boxes.nbo(bx, by, smoothing)
-    e_yx = pair.nso_yx - boxes.nbo(by, bx, smoothing)
-    return e_xy**2 + e_yx**2
+    pred_xy, pred_yx = predict_pair(table, pair, cfg.smoothing)
+    return (pair.nso_xy - pred_xy) ** 2 + (pair.nso_yx - pred_yx) ** 2
 
 
 def loss_vector(table: EmbeddingTable, pair: OverlapRecord) -> float:
@@ -202,6 +212,9 @@ def _vector_batch_grad(table, xi, yi, t_sym, cfg: TrainConfig):
     return loss, grad
 
 
+# A diverging run is reported once, as TrainingDivergedError; numpy's
+# per-operation warnings on the way there would only add noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     dataset: PairDataset,
     cfg: TrainConfig,
@@ -253,13 +266,7 @@ def train(
 
 def predict_pair(table: EmbeddingTable, pair: OverlapRecord, smoothing: SmoothingConfig):
     """Predicted directed overlaps (pred_xy, pred_yx) for one pair."""
-    if table.kind == "box":
-        bx = table.box(pair.id_x)
-        by = table.box(pair.id_y)
-        return boxes.nbo(bx, by, smoothing), boxes.nbo(by, bx, smoothing)
-    dist = float(np.linalg.norm(table.vector(pair.id_x) - table.vector(pair.id_y)))
-    pred = min(1.0, max(0.0, 1.0 - dist))
-    return pred, pred
+    return tuple(predict(table, [(pair.id_x, pair.id_y)], smoothing)[0].tolist())
 
 
 def evaluate(table: EmbeddingTable, test_pairs, cfg: TrainConfig) -> dict:
@@ -271,12 +278,8 @@ def evaluate(table: EmbeddingTable, test_pairs, cfg: TrainConfig) -> dict:
     test_pairs = list(test_pairs)
     if not test_pairs:
         raise ValueError("empty test set")
-    smoothing = SmoothingConfig(cfg.rho)
-    errs = []
-    for pair in test_pairs:
-        pred_xy, pred_yx = predict_pair(table, pair, smoothing)
-        errs.append((pair.nso_xy - pred_xy, pair.nso_yx - pred_yx))
-    errs = np.array(errs)
+    pred = predict(table, [(p.id_x, p.id_y) for p in test_pairs], cfg.smoothing)
+    errs = np.array([(p.nso_xy, p.nso_yx) for p in test_pairs]) - pred
     return {
         "l1_norm": float(np.mean(np.abs(errs).sum(axis=1))),
         "rmse": float(np.sqrt(np.mean((errs**2).sum(axis=1)))),

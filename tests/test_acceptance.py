@@ -294,11 +294,12 @@ def test_acceptance_10_end_to_end_determinism(capfd, tmp_path):
             root = tmp_path / name
             ds = root / "ds"
             run = root / "run"
-            common = ["--seed", "7", "--threads", "1"]
+            common = ["--seed", "7"]
+            nso_common = [*common, "--threads", "1"]
             assert cli_main(["synth", "--out", str(ds),
-                             "--pattern", "grid:3", *common]) == 0
+                             "--pattern", "grid:3", *nso_common]) == 0
             assert cli_main(["nso", "--dataset", str(ds),
-                             "--output", str(root / "pairs.csv"), *common]) == 0
+                             "--output", str(root / "pairs.csv"), *nso_common]) == 0
             assert cli_main(["train", "--pairs", str(root / "pairs.csv"),
                              "--out", str(run), "--steps", "1500", *common]) == 0
             assert cli_main(["eval", "--checkpoint", str(run / "checkpoint.npz"),

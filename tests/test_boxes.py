@@ -13,11 +13,11 @@ from boxoverlap.boxes import (
     SmoothingConfig,
     box_table_to_json,
     intersection_volume,
-    load_box_table,
+    nbo_batch,
+    overlap,
     nbo,
     nbo_gradient,
     params_to_box,
-    save_box_table,
     sigma,
     softplus,
     volume,
@@ -272,29 +272,45 @@ def test_gradient_requires_smoothing():
         nbo_gradient(p, p, HARD)
 
 
-# -- serialization -------------------------------------------------------------
+# -- batched kernel ------------------------------------------------------------
 
 
-def test_box_table_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    ids = ["img-a", "img-b", "img-c"]
-    centers = rng.normal(size=(3, 5))
-    size_raws = rng.normal(size=(3, 5))
-    size = softplus(size_raws)
-    lowers, uppers = centers - size / 2, centers + size / 2
-    path = tmp_path / "boxes.bin"
-    save_box_table(path, ids, lowers, uppers, centers, size_raws)
-    r_ids, r_lo, r_hi, r_c, r_s = load_box_table(path)
-    assert r_ids == ids
-    for got, want in ((r_lo, lowers), (r_hi, uppers), (r_c, centers), (r_s, size_raws)):
-        assert np.array_equal(got, want)
+def reference_nbo(bx, by, cfg):
+    """Per-pair nbo written out on its own, as the kernel must reproduce it."""
+    inter = np.prod(sigma(np.minimum(bx.upper, by.upper) - np.maximum(bx.lower, by.lower), cfg))
+    return float(inter) / float(np.prod(sigma(bx.upper - bx.lower, cfg)))
 
 
-def test_box_table_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_box_table(path)
+@pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
+def test_overlap_batch_equals_per_pair(rho):
+    cfg = SmoothingConfig(rho)
+    rng = np.random.default_rng(5)
+    xs = [random_box(rng, 6) for _ in range(40)]
+    ys = [random_box(rng, 6) for _ in range(40)]
+    inter, vol_x, vol_y = overlap(np.array([b.lower for b in xs]), np.array([b.upper for b in xs]),
+                                  np.array([b.lower for b in ys]), np.array([b.upper for b in ys]),
+                                  cfg)
+    assert inter.shape == vol_x.shape == vol_y.shape == (40,)
+    for i, (bx, by) in enumerate(zip(xs, ys)):
+        assert inter[i] / vol_x[i] == nbo(bx, by, cfg) == reference_nbo(bx, by, cfg)
+        assert inter[i] / vol_y[i] == nbo(by, bx, cfg) == reference_nbo(by, bx, cfg)
+    # One query box broadcast against the whole batch.
+    q_inter, q_vol, _ = overlap(xs[0].lower, xs[0].upper, np.array([b.lower for b in ys]),
+                                np.array([b.upper for b in ys]), cfg)
+    assert q_vol.shape == ()
+    assert [e for e in q_inter / q_vol] == [nbo(xs[0], by, cfg) for by in ys]
+
+
+def test_nbo_batch_equals_nbo_of_params():
+    rng = np.random.default_rng(6)
+    cx, sx, cy, sy = (rng.normal(size=(8, 5)) for _ in range(4))
+    got = nbo_batch(cx, sx, cy, sy, RHO5)
+    want = [nbo(params_to_box(BoxParams(cx[i], sx[i])),
+                params_to_box(BoxParams(cy[i], sy[i])), RHO5) for i in range(8)]
+    assert got.tolist() == want
+
+
+# -- JSON export ---------------------------------------------------------------
 
 
 def test_box_table_json():

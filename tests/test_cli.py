@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,14 @@ def test_oracle_mismatch_exits_3(command, dataset, tmp_path, monkeypatch, capsys
     assert "brute force" in err
 
 
+def test_threads_only_for_nso_commands(run_dir, dataset, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
+              "--pairs", str(dataset / "pairs.csv"), "--threads", "2"])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_usage_error(threads, dataset, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
@@ -151,11 +160,49 @@ def test_nso_malformed_scene(tmp_path, capsys):
 
 
 def test_train_artifacts(run_dir):
-    for name in ("checkpoint.npz", "boxes.bin", "boxes.json", "loss_trace.csv"):
+    for name in ("checkpoint.npz", "boxes.json", "loss_trace.csv"):
         assert (run_dir / name).exists()
+    assert not (run_dir / "boxes.bin").exists()
     trace = (run_dir / "loss_trace.csv").read_text().splitlines()
     assert trace[0] == "step,loss"
     assert len(trace) == 401
+
+
+def test_train_divergence_is_usage_error(dataset, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code = main(["train", "--pairs", str(dataset / "pairs.csv"),
+                     "--out", str(tmp_path / "run"), "--steps", "50", "--lr", "1e9"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("values", ["nan,0.5", "0.5,x", "1.5,0.5", "0.5,-0.1"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_overlap_value_is_data_error(command, values, run_dir, tmp_path, capsys):
+    pairs = tmp_path / "bad.csv"
+    pairs.write_text(f"id_x,id_y,nso_xy,nso_yx\ng000,g001,0.5,0.5\ng000,g002,{values}\n")
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "run"), "--steps", "10"]
+    else:
+        argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.npz")]
+    assert main(argv + ["--pairs", str(pairs)]) == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "bad.csv" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ["not-npz", "no-params"])
+def test_bad_checkpoint_is_data_error(content, dataset, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.npz"
+    if content == "not-npz":
+        ckpt.write_text("id_x,id_y\n")
+    else:
+        np.savez(ckpt, kind="box", ids=np.array(["g000"]))
+    code = main(["eval", "--checkpoint", str(ckpt), "--pairs", str(dataset / "pairs.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "ckpt.npz" in err and err.count("\n") == 1
 
 
 def test_eval_metrics_json(run_dir, dataset, tmp_path):
@@ -254,3 +301,42 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["synth", "--out", str(tmp_path / "flag"),
                  "--pattern", "grid:2", "--seed", "3"]) == 0
     assert tree_digest(tmp_path / "env") == tree_digest(tmp_path / "flag")
+
+
+# -- pinned bytes --------------------------------------------------------------
+
+# sha256 of each output on a 3x3 grid at seed 5, taken from the code before
+# the box-overlap forward pass became one batched kernel; they must not move.
+PINNED = {
+    "loss_trace.csv": "85190bd75099f6a80631edea095ebb60d1909187e71e37eb6568df4880e817f9",
+    "boxes.json": "0b7f539b4bc962103f6ac68a6ff663fd35ee789f45170b56c1b2b1014ff5cb5d",
+    "metrics.json": "d6377530685f61bce8858146f86c1257a374d6d7b93c40704af9b45d4b412764",
+    "scale": "c9f57219031775e5cef2c482efb736fba5808e3b4692b0d7bb7a453d512f5bfa",
+    "query": "ec89651444aa32d9bcee90f639e8ad99708a50cb10112b9a2124d0fa819d047d",
+    "query_hard": "374f431e2c286338c4da547dbae5705174f808fd6eee998ec31f375646e38b58",
+}
+
+
+def test_box_outputs_pinned(tmp_path, capsys):
+    ds, run = tmp_path / "ds", tmp_path / "run"
+    assert main(["synth", "--out", str(ds), "--pattern", "grid:3", "--seed", "5"]) == 0
+    assert main(["train", "--pairs", str(ds / "pairs.csv"), "--out", str(run),
+                 "--steps", "300", "--seed", "5"]) == 0
+    ckpt = str(run / "checkpoint.npz")
+    assert main(["eval", "--checkpoint", ckpt, "--pairs", str(ds / "pairs.csv"),
+                 "--output", str(tmp_path / "metrics.json")]) == 0
+    got = {name: (root / name).read_bytes()
+           for root, name in ((run, "loss_trace.csv"), (run, "boxes.json"),
+                              (tmp_path, "metrics.json"))}
+    capsys.readouterr()
+    query = ["query", "--checkpoint", ckpt, "--query-id", "g004", "--k", "9",
+             "--dataset", str(ds)]
+    for name, argv in (
+        ("scale", ["scale", "--checkpoint", ckpt, "--pairs", str(ds / "pairs.csv"),
+                   "--dataset", str(ds)]),
+        ("query", query),
+        ("query_hard", query + ["--hard"]),
+    ):
+        assert main(argv) == 0
+        got[name] = capsys.readouterr().out.encode()
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == PINNED

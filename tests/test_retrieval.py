@@ -11,7 +11,6 @@ from boxoverlap.retrieval import (
     ZOOM_IN,
     ZOOM_OUT,
     BoxIndex,
-    build,
     classify_relation,
     estimate_scale,
 )
@@ -105,20 +104,20 @@ def test_scale_reciprocal_symmetry(qr, rq, nq, nr):
 
 def test_empty_index():
     table = EmbeddingTable("box", [], np.zeros((0, 8)))
-    index = build(table)
+    index = BoxIndex.build(table)
     assert len(index) == 0
     assert index.query_topk(box([0, 0, 0, 0], [1, 1, 1, 1]), 5) == []
 
 
 def test_build_rejects_vector_table():
     with pytest.raises(ValueError, match="box-kind"):
-        build(EmbeddingTable("vector", ["a"], np.zeros((1, 4))))
+        BoxIndex.build(EmbeddingTable("vector", ["a"], np.zeros((1, 4))))
 
 
 def test_query_self_ranks_first():
     rng = np.random.default_rng(0)
     table = random_table(rng, 50, 6)
-    index = build(table)
+    index = BoxIndex.build(table)
     target = table.ids[7]
     results = index.query_topk(table.box(target), 3, HARD)
     assert results[0].id == target
@@ -129,7 +128,7 @@ def test_query_self_ranks_first():
 def test_k_exceeds_size_returns_all():
     rng = np.random.default_rng(1)
     table = random_table(rng, 7, 4)
-    index = build(table)
+    index = BoxIndex.build(table)
     results = index.query_topk(random_query(rng, 4), 100, HARD)
     assert len(results) == 7
 
@@ -137,7 +136,7 @@ def test_k_exceeds_size_returns_all():
 def test_duplicate_boxes_both_returned():
     row = np.concatenate([np.zeros(3), np.ones(3)])
     table = EmbeddingTable("box", ["dup-a", "dup-b"], np.vstack([row, row]))
-    index = build(table)
+    index = BoxIndex.build(table)
     results = index.query_topk(table.box("dup-a"), 2, HARD)
     assert [r.id for r in results] == ["dup-a", "dup-b"]  # tie broken by id
     assert results[0].score == results[1].score == 1.0
@@ -163,7 +162,7 @@ def test_hand_placed_ordering():
 def test_index_equals_exhaustive_scan(rho):
     rng = np.random.default_rng(42)
     table = random_table(rng, 1000, 16)
-    index = build(table)
+    index = BoxIndex.build(table)
     cfg = SmoothingConfig(rho)
     for _ in range(50):
         q = random_query(rng, 16)
@@ -175,7 +174,7 @@ def test_index_equals_exhaustive_scan(rho):
 def test_query_k_validation():
     table = random_table(np.random.default_rng(0), 5, 3)
     with pytest.raises(ValueError):
-        build(table).query_topk(random_query(np.random.default_rng(1), 3), 0)
+        BoxIndex.build(table).query_topk(random_query(np.random.default_rng(1), 3), 0)
 
 
 # -- quadrant queries ----------------------------------------------------------
@@ -184,7 +183,7 @@ def test_query_k_validation():
 def test_quadrant_full_range_returns_all():
     rng = np.random.default_rng(3)
     table = random_table(rng, 60, 5)
-    index = build(table)
+    index = BoxIndex.build(table)
     q = random_query(rng, 5)
     hits = index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), HARD)
     assert len(hits) == 60
@@ -193,7 +192,7 @@ def test_quadrant_full_range_returns_all():
 def test_quadrant_partition_counts_each_entry_once():
     rng = np.random.default_rng(4)
     table = random_table(rng, 80, 4)
-    index = build(table)
+    index = BoxIndex.build(table)
     q = random_query(rng, 4)
     bands = [(0.0, 0.3), (0.3, 0.7), (0.7, 1.0)]
     total = 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boxoverlap.boxes import SmoothingConfig
+from boxoverlap.boxes import HARD, DegenerateBoxError, SmoothingConfig, nbo
 from boxoverlap.geometry import OverlapRecord
 from boxoverlap.training import (
     EmbeddingTable,
@@ -15,8 +15,8 @@ from boxoverlap.training import (
     load_checkpoint,
     loss_box,
     loss_vector,
-    nso_min,
     nso_symmetric,
+    predict,
     predict_pair,
     save_checkpoint,
     train,
@@ -48,14 +48,11 @@ def test_pair_dataset_rejects_unknown_id():
         PairDataset([OverlapRecord("a", "b", 0.5, 0.5)], ids=["a"])
 
 
-def test_nso_symmetric_and_min():
+def test_nso_symmetric():
     rec = OverlapRecord("x", "y", 0.71, 0.04)
     assert nso_symmetric(rec) == pytest.approx(0.375)
-    assert nso_min(rec) == pytest.approx(0.04)
     assert nso_symmetric(OverlapRecord("x", "y", 1.0, 1.0)) == 1.0
-    assert nso_min(OverlapRecord("x", "y", 1.0, 1.0)) == 1.0
     assert nso_symmetric(OverlapRecord("x", "y", 0.8, 0.2)) == pytest.approx(0.5)
-    assert nso_min(OverlapRecord("x", "y", 0.8, 0.2)) == pytest.approx(0.2)
 
 
 # -- losses --------------------------------------------------------------------
@@ -212,6 +209,47 @@ def test_evaluate_constant_error():
     assert metrics["l1_norm"] == pytest.approx(0.4)
     assert metrics["rmse"] == pytest.approx(0.2 * math.sqrt(2.0))
     assert metrics["acc_at_0.1"] == 0.0
+
+
+def test_predict_box_equals_scalar_nbo():
+    rng = np.random.default_rng(4)
+    ids = list("abcdef")
+    table = box_table(ids, rng.normal(0.0, 2.0, (6, 5)), rng.normal(1.0, 1.0, (6, 5)))
+    pairs = [(x, y) for x in ids for y in ids]
+    for rho in (0.0, 5.0):
+        cfg = SmoothingConfig(rho)
+        want = [[nbo(table.box(x), table.box(y), cfg), nbo(table.box(y), table.box(x), cfg)]
+                for x, y in pairs]
+        assert predict(table, pairs, cfg).tolist() == want
+
+
+def test_predict_vector_matches_per_pair_norm():
+    rng = np.random.default_rng(4)
+    ids = list("abcdef")
+    table = EmbeddingTable("vector", ids, rng.normal(0.0, 0.3, (6, 8)))
+    pairs = [(x, y) for x in ids for y in ids]
+    got = predict(table, pairs, SmoothingConfig())
+    want = [min(1.0, max(0.0, 1.0 - float(np.linalg.norm(table.vector(x) - table.vector(y)))))
+            for x, y in pairs]
+    # Only the summation order of the norm differs from the per-pair loop.
+    assert np.allclose(got[:, 0], want, rtol=0, atol=8 * np.finfo(np.float64).eps)
+    assert np.array_equal(got[:, 0], got[:, 1])
+
+
+def test_predict_degenerate_box():
+    # softplus(-1000) underflows to a zero width: a zero hard volume, which
+    # is the denominator of one of the pair's two directed overlaps.
+    table = box_table(["a", "b", "c"], np.zeros((3, 2)),
+                      [[0.0, -1000.0], [0.0, 0.0], [1.0, 1.0]])
+    assert predict(table, [("b", "c")], HARD).shape == (1, 2)
+    for pair in (("a", "b"), ("b", "a")):
+        with pytest.raises(DegenerateBoxError):
+            predict(table, [("b", "c"), pair], HARD)
+
+
+def test_predict_unknown_id():
+    with pytest.raises(KeyError, match="unknown image id: zzz"):
+        predict(identical_pair_table(), [("a", "b"), ("zzz", "a")], SmoothingConfig())
 
 
 def test_evaluate_empty():
