@@ -147,6 +147,7 @@ def cmd_eval(args) -> int:
 
 
 def _pixel_counts(args, ids):
+    """Valid-pixel count per id from --dataset; None without one (no scale)."""
     if args.dataset:
         views = {v.id: v for v in _load_views(args.dataset)}
         counts = {}
@@ -155,7 +156,7 @@ def _pixel_counts(args, ids):
                 raise UsageError(f"unknown image id: {img_id}")
             counts[img_id] = views[img_id].n_valid
         return counts
-    return {img_id: 1 for img_id in ids}
+    return None
 
 
 def cmd_query(args) -> int:
@@ -176,7 +177,7 @@ def cmd_query(args) -> int:
             scale = (
                 retrieval.estimate_scale(res.enclosure, res.concentration,
                                          counts[args.query_id], counts[res.id])
-                if res.enclosure > 0 else None
+                if counts is not None and res.enclosure > 0 else None
             )
             out.write(json.dumps({
                 "query_id": args.query_id,
@@ -209,7 +210,7 @@ def cmd_scale(args) -> int:
     try:
         for (id_x, id_y), (qr, rq) in zip(pairs, preds):
             scale = (retrieval.estimate_scale(qr, rq, counts[id_x], counts[id_y])
-                     if qr > 0 else None)
+                     if counts is not None and qr > 0 else None)
             out.write(json.dumps({
                 "id_x": id_x, "id_y": id_y,
                 "nbo_xy": qr, "nbo_yx": rq, "scale": scale,
@@ -280,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--output")
-    add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("query", help="top-k retrieval from a box checkpoint")
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank with hard (rho = 0) overlaps")
     p.add_argument("--dataset", help="dataset dir for true pixel counts")
     p.add_argument("--output")
-    add_common(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("scale", help="relative scale estimates for id pairs")
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--dataset", help="dataset dir for true pixel counts")
     p.add_argument("--output")
-    add_common(p)
     p.set_defaults(func=cmd_scale)
     return parser
 

@@ -84,12 +84,18 @@ def read_scene(dataset_dir) -> list[CameraView]:
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {scene_path}: {exc}")
     views = []
+    seen = set()
     for i, entry in enumerate(doc.get("views", [])):
         for name in _VIEW_FIELDS:
             if name not in entry:
                 raise DatasetFormatError(
                     f"view #{i} in {scene_path}: missing field {name!r}"
                 )
+        if not isinstance(entry["id"], str):
+            raise DatasetFormatError(f"view #{i} in {scene_path}: id must be a string")
+        if entry["id"] in seen:
+            raise DatasetFormatError(f"duplicate view id {entry['id']!r} in {scene_path}")
+        seen.add(entry["id"])
         rotation = np.asarray(entry["rotation"], dtype=np.float64)
         if rotation.size != 9:
             raise DatasetFormatError(

@@ -1,9 +1,9 @@
 """Retrieval over box embeddings: ranking, relation labels, relative scale.
 
-The index is a packed (bulk-loaded) R-tree keyed on a low-dimensional
-projection of the boxes; candidates are re-scored exactly in full
-dimension, and smoothed-overlap queries fall back to an exhaustive scan,
-so results are always identical to a full scan.
+Hard-overlap queries keep only the boxes that meet the query in a few key
+dimensions, tested in one vectorised pass over the gallery, and score them
+exactly in full dimension; smoothed-overlap queries score the whole
+gallery, so results are always identical to a full scan.
 """
 
 from __future__ import annotations
@@ -73,14 +73,12 @@ def estimate_scale(nbo_qr: float, nbo_rq: float, n_q: int, n_r: int) -> float:
 
 
 class BoxIndex:
-    """Immutable packed R-tree over box embeddings.
+    """Immutable index over box embeddings.
 
-    Tree keys use the 3 dimensions with the widest endpoint spread across
-    the gallery; leaf rectangles prune hard-overlap queries and surviving
-    candidates are scored exactly in full dimension.
+    Hard-overlap queries are filtered on the (up to) 3 dimensions with the
+    widest endpoint spread across the gallery; surviving candidates are
+    scored exactly in full dimension.
     """
-
-    LEAF_CAPACITY = 64
 
     def __init__(self, ids, lowers, uppers):
         order = np.argsort(np.asarray(ids, dtype=object))
@@ -89,12 +87,11 @@ class BoxIndex:
         self.uppers = np.asarray(uppers, dtype=np.float64)[order]
         if len(self.ids) == 0:
             self.key_dims = np.arange(0)
-            self._leaves = []
             return
         spread = self.lowers.var(axis=0) + self.uppers.var(axis=0)
-        n_keys = min(3, self.lowers.shape[1])
-        self.key_dims = np.argsort(-spread, kind="stable")[:n_keys]
-        self._build_leaves()
+        self.key_dims = np.argsort(-spread, kind="stable")[:3]
+        self._key_lo = self.lowers[:, self.key_dims]
+        self._key_hi = self.uppers[:, self.key_dims]
 
     @classmethod
     def build(cls, table) -> "BoxIndex":
@@ -107,40 +104,12 @@ class BoxIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _build_leaves(self):
-        # Sort-Tile-Recursive packing on the key dimensions.
-        keys = 0.5 * (self.lowers + self.uppers)[:, self.key_dims]
-        n = len(self.ids)
-        cap = self.LEAF_CAPACITY
-        groups = [np.arange(n)]
-        for d in range(len(self.key_dims)):
-            remaining = len(self.key_dims) - d
-            new_groups = []
-            for g in groups:
-                slices = max(1, round((len(g) / cap) ** (1.0 / remaining)))
-                g = g[np.argsort(keys[g, d], kind="stable")]
-                size = math.ceil(len(g) / slices)
-                new_groups.extend(g[i : i + size] for i in range(0, len(g), size))
-            groups = new_groups
-
-        self._leaves = [g for g in groups if len(g)]
-        self._leaf_lo = np.array([self.lowers[g][:, self.key_dims].min(axis=0)
-                                  for g in self._leaves])
-        self._leaf_hi = np.array([self.uppers[g][:, self.key_dims].max(axis=0)
-                                  for g in self._leaves])
-
     def _candidates(self, q: BoxEmbedding) -> np.ndarray:
         """Indices that may intersect the query in the key dimensions."""
         q_lo = q.lower[self.key_dims]
         q_hi = q.upper[self.key_dims]
-        hit = np.all((self._leaf_lo <= q_hi) & (self._leaf_hi >= q_lo), axis=1)
-        if not hit.any():
-            return np.arange(0)
-        members = np.concatenate([g for g, h in zip(self._leaves, hit) if h])
-        lo = self.lowers[members][:, self.key_dims]
-        hi = self.uppers[members][:, self.key_dims]
-        keep = np.all((lo <= q_hi) & (hi >= q_lo), axis=1)
-        return members[keep]
+        hit = (self._key_lo <= q_hi) & (self._key_hi >= q_lo)
+        return np.flatnonzero(hit.all(axis=1))
 
     def _exact_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, rows=slice(None)):
         """Exact (enclosure, concentration) of the query against the given rows."""
@@ -152,7 +121,7 @@ class BoxIndex:
         return inter / vol_q, concentration
 
     def _scores(self, q: BoxEmbedding, cfg: SmoothingConfig):
-        """Scores of every entry; hard queries score only the R-tree candidates."""
+        """Scores of every entry; hard queries score only the key-dimension candidates."""
         if not cfg.hard:
             return self._exact_scores(q, cfg)
         enclosure = np.zeros(len(self.ids))

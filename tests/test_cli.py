@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -130,6 +131,20 @@ def test_threads_only_for_nso_commands(run_dir, dataset, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "query", "scale"])
+def test_seed_only_for_commands_that_read_it(command, run_dir, dataset, capsys):
+    argv = {
+        "eval": ["--pairs", str(dataset / "pairs.csv")],
+        "query": ["--query-id", "g000"],
+        "scale": ["--pairs", str(dataset / "pairs.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main([command, "--checkpoint", str(run_dir / "checkpoint.npz"), *argv,
+              "--seed", "9"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_usage_error(threads, dataset, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
@@ -154,6 +169,19 @@ def test_nso_malformed_scene(tmp_path, capsys):
                  "--output", str(tmp_path / "o.csv")])
     assert code == 3
     assert "missing field" in capsys.readouterr().err
+
+
+def test_nso_duplicate_view_id(dataset, tmp_path, capsys):
+    dup = tmp_path / "dup"
+    shutil.copytree(dataset, dup)
+    doc = json.loads((dup / "scene.json").read_text())
+    doc["views"][1]["id"] = doc["views"][0]["id"]
+    (dup / "scene.json").write_text(json.dumps(doc))
+    code = main(["nso", "--dataset", str(dup), "--output", str(tmp_path / "o.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "duplicate view id 'g000'" in err and "scene.json" in err
 
 
 # -- train / eval --------------------------------------------------------------
@@ -281,6 +309,18 @@ def test_scale_pairs(run_dir, dataset, tmp_path):
     row = json.loads(out.read_text().splitlines()[0])
     assert set(row) == {"id_x", "id_y", "nbo_xy", "nbo_yx", "scale"}
     assert row["scale"] > 0
+
+
+def test_scale_is_null_without_dataset(run_dir, tmp_path, capsys):
+    pairs = tmp_path / "req.csv"
+    pairs.write_text("id_x,id_y\ng000,g001\n")
+    ckpt = str(run_dir / "checkpoint.npz")
+    assert main(["scale", "--checkpoint", ckpt, "--pairs", str(pairs)]) == 0
+    assert main(["query", "--checkpoint", ckpt, "--query-id", "g000", "--k", "4"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 5
+    assert rows[0]["nbo_xy"] > 0 and rows[1]["enclosure"] > 0
+    assert all(row["scale"] is None for row in rows)
 
 
 def test_scale_pairs_empty_id(run_dir, tmp_path, capsys):

@@ -92,6 +92,19 @@ def test_scene_missing_field_named(tmp_path):
         dataset_io.read_scene(tmp_path)
 
 
+@pytest.mark.parametrize("view_id, message", [
+    ("v0", r"duplicate view id 'v0' in .*scene\.json"),
+    (["v0"], r"view #2 in .*scene\.json: id must be a string"),
+], ids=["duplicate", "not-a-string"])
+def test_scene_bad_id_named(view_id, message, tmp_path):
+    dataset_io.write_scene(tmp_path, sample_views())
+    doc = json.loads((tmp_path / "scene.json").read_text())
+    doc["views"][2]["id"] = view_id
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match=message):
+        dataset_io.read_scene(tmp_path)
+
+
 def test_scene_bad_rotation_length(tmp_path):
     dataset_io.write_scene(tmp_path, sample_views())
     doc = json.loads((tmp_path / "scene.json").read_text())

@@ -158,16 +158,62 @@ def test_hand_placed_ordering():
     assert results[2].score == pytest.approx(0.5 * (0.1 / 2.0 + 0.1 / 0.2))
 
 
-@pytest.mark.parametrize("rho", [0.0, 5.0])
-def test_index_equals_exhaustive_scan(rho):
-    rng = np.random.default_rng(42)
-    table = random_table(rng, 1000, 16)
+def random_gallery(rng):
+    index = BoxIndex.build(random_table(rng, 1000, 16))
+    return index, [random_query(rng, 16) for _ in range(50)]
+
+
+def low_dim_gallery(dim):
+    def make(rng):
+        index = BoxIndex.build(random_table(rng, 300, dim))
+        return index, [random_query(rng, dim) for _ in range(50)]
+    return make
+
+
+def overlapping_gallery(rng):
+    # As in trained tables: wide boxes that all meet one another in every
+    # dimension, so the key-dimension test keeps the whole gallery.
+    n, dim = 200, 8
+    params = np.hstack([rng.normal(0.0, 0.3, size=(n, dim)),
+                        rng.normal(4.0, 0.3, size=(n, dim))])
+    table = EmbeddingTable("box", [f"b{i:04d}" for i in range(n)], params)
     index = BoxIndex.build(table)
+    queries = [table.box(table.ids[i]) for i in range(0, n, 10)]
+    assert all(len(index._candidates(q)) == n for q in queries)
+    return index, queries
+
+
+def off_key_disjoint_gallery(rng):
+    # Every box meets the query in dimensions 0-2, which their wide endpoint
+    # spread makes the key dimensions; every other box is disjoint from the
+    # query in dimension 3.
+    n = 100
+    lowers = np.hstack([rng.uniform(-20.0, -1.0, size=(n, 3)), np.full((n, 2), -0.5)])
+    uppers = np.hstack([rng.uniform(1.0, 20.0, size=(n, 3)), np.full((n, 2), 0.5)])
+    lowers[::2, 3] += 5.0
+    uppers[::2, 3] += 5.0
+    index = BoxIndex([f"b{i:04d}" for i in range(n)], lowers, uppers)
+    q = box([-0.5] * 5, [0.5] * 5)
+    assert sorted(index.key_dims) == [0, 1, 2]
+    assert len(index._candidates(q)) == n
+    assert sum(r.score == 0.0 for r in index.query_topk_exhaustive(q, n)) == n // 2
+    return index, [q]
+
+
+@pytest.mark.parametrize("rho", [0.0, 5.0])
+@pytest.mark.parametrize("gallery, k", [
+    (random_gallery, 10),
+    (overlapping_gallery, 10),
+    (low_dim_gallery(1), 10),
+    (low_dim_gallery(2), 10),
+    (off_key_disjoint_gallery, 100),
+], ids=["random", "overlapping", "d1", "d2", "off-key-disjoint"])
+def test_index_equals_exhaustive_scan(gallery, k, rho):
+    index, queries = gallery(np.random.default_rng(42))
     cfg = SmoothingConfig(rho)
-    for _ in range(50):
-        q = random_query(rng, 16)
-        via_index = index.query_topk(q, 10, cfg)
-        via_scan = index.query_topk_exhaustive(q, 10, cfg)
+    for q in queries:
+        via_index = index.query_topk(q, k, cfg)
+        via_scan = index.query_topk_exhaustive(q, k, cfg)
         assert via_index == via_scan
 
 
