@@ -106,6 +106,17 @@ def sigma_grad(v, cfg: SmoothingConfig):
     return expit(v / cfg.rho)
 
 
+def intersection(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):
+    """Intersection volume of boxes given by bounds broadcast over (..., D)."""
+    v = np.minimum(upper_x, upper_y) - np.maximum(lower_x, lower_y)
+    return np.prod(sigma(v, cfg), axis=-1)
+
+
+def volumes(lower, upper, cfg: SmoothingConfig):
+    """Volume of boxes given by bounds over (..., D), last axis reduced."""
+    return np.prod(sigma(np.subtract(upper, lower), cfg), axis=-1)
+
+
 def overlap(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):
     """Intersection volume and both box volumes, from bounds broadcast over (..., D).
 
@@ -113,11 +124,8 @@ def overlap(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):
     directed overlaps nbo(x -> y) = inter / vol_x and nbo(y -> x) =
     inter / vol_y share one intersection.
     """
-    v = np.minimum(upper_x, upper_y) - np.maximum(lower_x, lower_y)
-    inter = np.prod(sigma(v, cfg), axis=-1)
-    vol_x = np.prod(sigma(np.subtract(upper_x, lower_x), cfg), axis=-1)
-    vol_y = np.prod(sigma(np.subtract(upper_y, lower_y), cfg), axis=-1)
-    return inter, vol_x, vol_y
+    return (intersection(lower_x, upper_x, lower_y, upper_y, cfg),
+            volumes(lower_x, upper_x, cfg), volumes(lower_y, upper_y, cfg))
 
 
 def _overlap_boxes(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig):

@@ -83,9 +83,14 @@ def read_scene(dataset_dir) -> list[CameraView]:
         raise DatasetFormatError(f"missing scene.json in {dataset_dir}")
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {scene_path}: {exc}")
+    entries = doc.get("views", []) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise DatasetFormatError(f"{scene_path} must be an object with a list of views")
     views = []
     seen = set()
-    for i, entry in enumerate(doc.get("views", [])):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DatasetFormatError(f"view #{i} in {scene_path}: not an object")
         for name in _VIEW_FIELDS:
             if name not in entry:
                 raise DatasetFormatError(
@@ -96,24 +101,31 @@ def read_scene(dataset_dir) -> list[CameraView]:
         if entry["id"] in seen:
             raise DatasetFormatError(f"duplicate view id {entry['id']!r} in {scene_path}")
         seen.add(entry["id"])
-        rotation = np.asarray(entry["rotation"], dtype=np.float64)
-        if rotation.size != 9:
+        try:
+            views.append(_read_view(dataset_dir, entry))
+        except (ValueError, TypeError) as exc:
             raise DatasetFormatError(
-                f"view {entry['id']!r}: rotation must hold 9 floats"
-            )
-        depth = read_depth(dataset_dir / entry["depth_file"])
-        mask = np.isfinite(depth) & (depth > 0)
-        views.append(CameraView(
-            id=entry["id"],
-            intrinsics=CameraIntrinsics(
-                fx=entry["fx"], fy=entry["fy"], cx=entry["cx"], cy=entry["cy"],
-                width=int(entry["width"]), height=int(entry["height"]),
-            ),
-            pose=Pose(rotation.reshape(3, 3), np.asarray(entry["translation"])),
-            depth=np.where(mask, depth, np.nan),
-            valid_mask=mask,
-        ))
+                f"view {entry['id']!r} in {scene_path}: {exc}"
+            ) from None
     return views
+
+
+def _read_view(dataset_dir, entry) -> CameraView:
+    """The view of one scene.json entry; a bad value raises ValueError or TypeError."""
+    rotation = np.asarray(entry["rotation"], dtype=np.float64)
+    if rotation.size != 9:
+        raise ValueError("rotation must hold 9 floats")
+    intrinsics = CameraIntrinsics(
+        fx=entry["fx"], fy=entry["fy"], cx=entry["cx"], cy=entry["cy"],
+        width=int(entry["width"]), height=int(entry["height"]),
+    )
+    pose = Pose(rotation.reshape(3, 3), np.asarray(entry["translation"]))
+    depth = read_depth(dataset_dir / entry["depth_file"])
+    mask = np.isfinite(depth) & (depth > 0)
+    return CameraView(
+        id=entry["id"], intrinsics=intrinsics, pose=pose,
+        depth=np.where(mask, depth, np.nan), valid_mask=mask,
+    )
 
 
 def write_overlaps(path, records) -> None:
@@ -125,7 +137,9 @@ def write_overlaps(path, records) -> None:
 
 
 def read_overlaps(path) -> list[OverlapRecord]:
+    """Overlap records of a pairs CSV; each unordered id pair may appear on one row."""
     records = []
+    first_row = {}  # unordered id pair -> row number
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -140,6 +154,13 @@ def read_overlaps(path) -> list[OverlapRecord]:
                 raise DatasetFormatError(
                     f"bad overlap CSV row {reader.line_num} in {path}: {row} ({exc})"
                 ) from None
+            pair = (id_x, id_y) if id_x <= id_y else (id_y, id_x)
+            if pair in first_row:
+                raise DatasetFormatError(
+                    f"overlap CSV row {reader.line_num} in {path} repeats the pair "
+                    f"({id_x}, {id_y}) of row {first_row[pair]}"
+                )
+            first_row[pair] = reader.line_num
     return records
 
 

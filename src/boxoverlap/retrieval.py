@@ -3,7 +3,9 @@
 Hard-overlap queries keep only the boxes that meet the query in a few key
 dimensions, tested in one vectorised pass over the gallery, and score them
 exactly in full dimension; smoothed-overlap queries score the whole
-gallery, so results are always identical to a full scan.
+gallery against its box volumes, computed once per index and smoothing.
+The top k are selected without sorting the whole gallery, so results are
+always identical to a full scan.
 """
 
 from __future__ import annotations
@@ -72,12 +74,39 @@ def estimate_scale(nbo_qr: float, nbo_rq: float, n_q: int, n_r: int) -> float:
     return math.sqrt((n_r / n_q) * (nbo_rq / nbo_qr))
 
 
+def _directed(inter, vol_q, vol_r):
+    """(enclosure, concentration): the intersection over each box's volume."""
+    if vol_q == 0.0:
+        raise boxes.DegenerateBoxError("degenerate query box")
+    concentration = np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
+    return inter / vol_q, concentration
+
+
+def _top(score, k):
+    """The first k of np.argsort(-score, kind="stable"), without sorting every row.
+
+    Only the rows scoring at least the k-th highest score are sorted, so
+    ties across the k-th place are still broken by ascending row. A NaN
+    score sorts last, as in the full sort: NaN rows are kept (NaN > kth is
+    false) and sort after the k rows scoring at least kth; if kth is NaN,
+    every row is kept.
+    """
+    neg = -score
+    if k >= len(neg):
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, k - 1)[k - 1]
+    rows = np.flatnonzero(~(neg > kth))
+    return rows[np.argsort(neg[rows], kind="stable")[:k]]
+
+
 class BoxIndex:
     """Immutable index over box embeddings.
 
     Hard-overlap queries are filtered on the (up to) 3 dimensions with the
     widest endpoint spread across the gallery; surviving candidates are
-    scored exactly in full dimension.
+    scored exactly in full dimension. Full-gallery scans reuse the gallery's
+    box volumes, kept per smoothing; the bounds are read-only, so the kept
+    volumes cannot go stale.
     """
 
     def __init__(self, ids, lowers, uppers):
@@ -85,6 +114,9 @@ class BoxIndex:
         self.ids = [ids[i] for i in order]
         self.lowers = np.asarray(lowers, dtype=np.float64)[order]
         self.uppers = np.asarray(uppers, dtype=np.float64)[order]
+        self.lowers.setflags(write=False)
+        self.uppers.setflags(write=False)
+        self._volumes = {}  # SmoothingConfig -> (n,) gallery box volumes
         if len(self.ids) == 0:
             self.key_dims = np.arange(0)
             return
@@ -113,17 +145,21 @@ class BoxIndex:
 
     def _exact_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, rows=slice(None)):
         """Exact (enclosure, concentration) of the query against the given rows."""
-        inter, vol_q, vol_r = boxes.overlap(q.lower, q.upper,
-                                            self.lowers[rows], self.uppers[rows], cfg)
-        if vol_q == 0.0:
-            raise boxes.DegenerateBoxError("degenerate query box")
-        concentration = np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
-        return inter / vol_q, concentration
+        return _directed(*boxes.overlap(q.lower, q.upper,
+                                        self.lowers[rows], self.uppers[rows], cfg))
+
+    def _scan_scores(self, q: BoxEmbedding, cfg: SmoothingConfig):
+        """_exact_scores of the whole gallery, with its volumes computed once per cfg."""
+        vol_r = self._volumes.get(cfg)
+        if vol_r is None:
+            vol_r = self._volumes[cfg] = boxes.volumes(self.lowers, self.uppers, cfg)
+        inter = boxes.intersection(q.lower, q.upper, self.lowers, self.uppers, cfg)
+        return _directed(inter, boxes.volumes(q.lower, q.upper, cfg), vol_r)
 
     def _scores(self, q: BoxEmbedding, cfg: SmoothingConfig):
         """Scores of every entry; hard queries score only the key-dimension candidates."""
         if not cfg.hard:
-            return self._exact_scores(q, cfg)
+            return self._scan_scores(q, cfg)
         enclosure = np.zeros(len(self.ids))
         concentration = np.zeros(len(self.ids))
         cand = self._candidates(q)
@@ -142,25 +178,26 @@ class BoxIndex:
         if len(self.ids) == 0:
             return []
         enclosure, concentration = self._scores(q, cfg)
-        return self._rank(enclosure, concentration, k)
+        score = 0.5 * (enclosure + concentration)
+        return self._results(enclosure, concentration, score, _top(score, k))
 
     def query_topk_exhaustive(self, q: BoxEmbedding, k: int,
                               cfg: SmoothingConfig = HARD) -> list[QueryResult]:
-        """Oracle path: full scan with no pruning."""
+        """Oracle path: full scan with fresh volumes, no pruning and a full sort."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if len(self.ids) == 0:
             return []
         enclosure, concentration = self._exact_scores(q, cfg)
-        return self._rank(enclosure, concentration, k)
-
-    def _rank(self, enclosure, concentration, k):
         score = 0.5 * (enclosure + concentration)
         order = np.argsort(-score, kind="stable")[:k]
+        return self._results(enclosure, concentration, score, order)
+
+    def _results(self, enclosure, concentration, score, order):
         return [
-            QueryResult(self.ids[i], float(enclosure[i]),
-                        float(concentration[i]), float(score[i]))
-            for i in order
+            QueryResult(self.ids[i], e, c, s)
+            for i, e, c, s in zip(order.tolist(), enclosure[order].tolist(),
+                                  concentration[order].tolist(), score[order].tolist())
         ]
 
     def query_quadrant(self, q: BoxEmbedding, enclosure_range, concentration_range,
@@ -174,7 +211,7 @@ class BoxIndex:
         for lo, hi in (enclosure_range, concentration_range):
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"invalid range: ({lo}, {hi})")
-        enclosure, concentration = self._exact_scores(q, cfg)
+        enclosure, concentration = self._scan_scores(q, cfg)
 
         def inside(v, rng):
             lo, hi = rng

@@ -184,6 +184,19 @@ def test_nso_duplicate_view_id(dataset, tmp_path, capsys):
     assert "duplicate view id 'g000'" in err and "scene.json" in err
 
 
+def test_nso_malformed_scene_is_data_error(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    doc = json.loads((bad / "scene.json").read_text())
+    doc["views"][1]["width"] = "abc"
+    (bad / "scene.json").write_text(json.dumps(doc))
+    code = main(["nso", "--dataset", str(bad), "--output", str(tmp_path / "o.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "view 'g001'" in err and "scene.json" in err
+
+
 # -- train / eval --------------------------------------------------------------
 
 
@@ -218,6 +231,19 @@ def test_bad_overlap_value_is_data_error(command, values, run_dir, tmp_path, cap
     assert main(argv + ["--pairs", str(pairs)]) == 3
     err = capsys.readouterr().err
     assert "row 3" in err and "bad.csv" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_repeated_pair_is_data_error(command, run_dir, tmp_path, capsys):
+    pairs = tmp_path / "rep.csv"
+    pairs.write_text("id_x,id_y,nso_xy,nso_yx\ng000,g001,0.5,0.5\ng001,g000,0.5,0.5\n")
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "run"), "--steps", "10"]
+    else:
+        argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.npz")]
+    assert main(argv + ["--pairs", str(pairs)]) == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "row 2" in err and "rep.csv" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", ["not-npz", "no-params"])

@@ -105,6 +105,31 @@ def test_scene_bad_id_named(view_id, message, tmp_path):
         dataset_io.read_scene(tmp_path)
 
 
+def _edit_view(field, value):
+    def edit(doc):
+        doc["views"][1][field] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [1, 2], "must be an object with a list of views"),
+    (lambda doc: {"views": 5}, "must be an object with a list of views"),
+    (lambda doc: {"views": [doc["views"][0], 7]}, "view #1 in .*scene.json: not an object"),
+    (_edit_view("rotation", "abc"), r"view 'v1' in .*scene\.json: "),
+    (_edit_view("width", "abc"), r"view 'v1' in .*scene\.json: "),
+    (_edit_view("translation", [1.0]), r"view 'v1' in .*scene\.json: .*translation a 3-vector"),
+    (_edit_view("fx", "abc"), r"view 'v1' in .*scene\.json: "),
+], ids=["root-list", "views-int", "view-int", "rotation-str", "width-str", "translation-1",
+        "fx-str"])
+def test_scene_bad_shape_named(edit, message, tmp_path):
+    dataset_io.write_scene(tmp_path, sample_views())
+    doc = json.loads((tmp_path / "scene.json").read_text())
+    (tmp_path / "scene.json").write_text(json.dumps(edit(doc)))
+    with pytest.raises(DatasetFormatError, match=message):
+        dataset_io.read_scene(tmp_path)
+
+
 def test_scene_bad_rotation_length(tmp_path):
     dataset_io.write_scene(tmp_path, sample_views())
     doc = json.loads((tmp_path / "scene.json").read_text())
@@ -148,6 +173,24 @@ def test_overlaps_bad_row(tmp_path):
     path.write_text("id_x,id_y,nso_xy,nso_yx\na,b,0.5\n")
     with pytest.raises(DatasetFormatError, match="row"):
         dataset_io.read_overlaps(path)
+
+
+@pytest.mark.parametrize("repeat", ["a,b,0.5,0.25", "b,a,0.25,0.5"],
+                         ids=["duplicate", "reversed"])
+def test_overlaps_repeated_pair_named(repeat, tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text(f"id_x,id_y,nso_xy,nso_yx\na,b,0.5,0.25\na,c,0.1,0.1\n{repeat}\n")
+    with pytest.raises(DatasetFormatError,
+                       match=r"row 4 in .*pairs\.csv repeats the pair .* of row 2"):
+        dataset_io.read_overlaps(path)
+
+
+def test_overlaps_distinct_pairs_sharing_ids(tmp_path):
+    records = [OverlapRecord("a", "b", 0.5, 0.5), OverlapRecord("a", "a", 1.0, 1.0),
+               OverlapRecord("b", "c", 0.2, 0.1), OverlapRecord("c", "a", 0.0, 0.0)]
+    path = tmp_path / "pairs.csv"
+    dataset_io.write_overlaps(path, records)
+    assert dataset_io.read_overlaps(path) == records
 
 
 # -- id-pair CSVs --------------------------------------------------------------

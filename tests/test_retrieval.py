@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxoverlap import boxes
 from boxoverlap.boxes import HARD, BoxEmbedding, SmoothingConfig, softplus
 from boxoverlap.retrieval import (
     CLONE_LIKE,
@@ -200,14 +201,43 @@ def off_key_disjoint_gallery(rng):
     return index, [q]
 
 
-@pytest.mark.parametrize("rho", [0.0, 5.0])
+def quantised_gallery(rng):
+    # Integer corners from a few choices: 300 boxes take 64 distinct shapes,
+    # so equal boxes, and equal scores, straddle the 10th place.
+    n, dim = 300, 3
+    lowers = rng.integers(-1, 1, size=(n, dim)).astype(float)
+    uppers = lowers + rng.integers(1, 3, size=(n, dim))
+    index = BoxIndex([f"b{i:04d}" for i in range(n)], lowers, uppers)
+    queries = [box(lo, lo + 1.0) for lo in rng.integers(-1, 2, size=(20, dim))]
+    for cfg in (HARD, RHO5):
+        full = [index.query_topk_exhaustive(q, 11, cfg) for q in queries]
+        assert any(r[9].score == r[10].score for r in full)
+    return index, queries
+
+
+def far_gallery(rng):
+    # Queries disjoint from every box: every hard score is 0, so the top k
+    # are the k smallest ids.
+    index = BoxIndex.build(random_table(rng, 500, 8))
+    queries = [random_query(rng, 8).translate(np.full(8, 100.0)) for _ in range(10)]
+    assert all(r.score == 0.0 for r in index.query_topk_exhaustive(queries[0], 500))
+    return index, queries
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
 @pytest.mark.parametrize("gallery, k", [
     (random_gallery, 10),
     (overlapping_gallery, 10),
     (low_dim_gallery(1), 10),
     (low_dim_gallery(2), 10),
     (off_key_disjoint_gallery, 100),
-], ids=["random", "overlapping", "d1", "d2", "off-key-disjoint"])
+    (quantised_gallery, 10),
+    (quantised_gallery, 299),
+    (quantised_gallery, 300),
+    (quantised_gallery, 301),
+    (far_gallery, 10),
+], ids=["random", "overlapping", "d1", "d2", "off-key-disjoint", "quantised",
+        "quantised-k-n-minus-1", "quantised-k-n", "quantised-k-n-plus-1", "far"])
 def test_index_equals_exhaustive_scan(gallery, k, rho):
     index, queries = gallery(np.random.default_rng(42))
     cfg = SmoothingConfig(rho)
@@ -215,6 +245,94 @@ def test_index_equals_exhaustive_scan(gallery, k, rho):
         via_index = index.query_topk(q, k, cfg)
         via_scan = index.query_topk_exhaustive(q, k, cfg)
         assert via_index == via_scan
+
+
+corner = st.integers(-2, 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_index_equals_exhaustive_scan_property(data):
+    # Small integer galleries, zero-width boxes included, tie often.
+    n = data.draw(st.integers(1, 30))
+    dim = data.draw(st.integers(1, 4))
+    rows = st.lists(corner, min_size=dim, max_size=dim)
+    lowers = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), float)
+    widths = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=dim, max_size=dim), min_size=n, max_size=n)))
+    index = BoxIndex([f"b{i:02d}" for i in range(n)], lowers, lowers + widths)
+    q_lo = np.array(data.draw(rows), float)
+    q = box(q_lo, q_lo + data.draw(st.integers(1, 2)))
+    k = data.draw(st.integers(1, n + 1))
+    cfg = SmoothingConfig(data.draw(st.sampled_from([0.0, 0.5, 5.0])))
+    assert index.query_topk(q, k, cfg) == index.query_topk_exhaustive(q, k, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_nan_scores_rank_last_as_in_exhaustive_scan():
+    # Volumes overflow to inf for the wide boxes, so their scores are
+    # inf / inf = NaN; the full sort puts NaN last.
+    big = 1e200
+    lowers = np.array([[-big, -big], [0.0, 0.0], [-big, -big], [0.5, 0.5], [1.0, 0.0]])
+    uppers = np.array([[big, big], [1.0, 1.0], [big, big], [1.5, 1.5], [2.0, 1.0]])
+    index = BoxIndex([f"b{i}" for i in range(5)], lowers, uppers)
+    q = box([-big, -big], [big, big])
+
+    def spelled(results):
+        return [(r.id, repr(r.enclosure), repr(r.concentration), repr(r.score))
+                for r in results]
+
+    for cfg in (HARD, RHO5):
+        full = index.query_topk_exhaustive(q, 5, cfg)
+        assert sum(np.isnan(r.score) for r in full) == 2
+        for k in range(1, 7):
+            assert spelled(index.query_topk(q, k, cfg)) == spelled(
+                index.query_topk_exhaustive(q, k, cfg))
+
+
+def test_one_index_across_smoothings():
+    index, queries = random_gallery(np.random.default_rng(44))
+    for rho in (5.0, 0.0, 0.5, 5.0):
+        cfg = SmoothingConfig(rho)
+        for q in queries[:10]:
+            assert index.query_topk(q, 10, cfg) == index.query_topk_exhaustive(q, 10, cfg)
+            everything = index.query_topk_exhaustive(q, len(index), cfg)
+            assert (sorted(index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), cfg),
+                           key=lambda r: r.id)
+                    == sorted(everything, key=lambda r: r.id))
+
+
+def test_gallery_volumes_computed_once_per_smoothing(monkeypatch):
+    rng = np.random.default_rng(45)
+    table = random_table(rng, 200, 6)
+    indexes = [BoxIndex.build(table), BoxIndex.build(table)]
+    fills = []
+    real = boxes.volumes
+
+    def spy(lower, upper, cfg):
+        fills.extend((i, cfg.rho) for i, ix in enumerate(indexes) if lower is ix.lowers)
+        return real(lower, upper, cfg)
+
+    monkeypatch.setattr(boxes, "volumes", spy)
+    q = random_query(rng, 6)
+    for index in indexes:
+        for rho in (5.0, 5.0, 0.5, 0.0, 5.0, 0.5):
+            index.query_topk(q, 10, SmoothingConfig(rho))
+            index.query_topk_exhaustive(q, 10, SmoothingConfig(rho))
+        index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), RHO5)
+    # Hard top-k scores only the key-dimension candidates, with fresh volumes.
+    assert fills == [(0, 5.0), (0, 0.5), (1, 5.0), (1, 0.5)]
+
+
+def test_index_bounds_read_only():
+    table = random_table(np.random.default_rng(46), 10, 3)
+    lowers, uppers = table.bounds()
+    index = BoxIndex(table.ids, lowers, uppers)
+    for bounds in (index.lowers, index.uppers):
+        with pytest.raises(ValueError, match="read-only"):
+            bounds[0, 0] = 0.0
+    lowers[0, 0] = 0.0  # the caller's arrays stay writable
 
 
 def test_query_k_validation():
