@@ -85,7 +85,8 @@ def cmd_nso(args) -> int:
     views = _load_views(args.dataset)
     cfg = _nso_config(args)
     if args.pairs:
-        wanted = dataset_io.read_id_pairs(args.pairs)
+        # One output row per pair: train rejects a pairs.csv that repeats one.
+        wanted = dataset_io.read_id_pairs(args.pairs, distinct=True)
         known = {v.id for v in views}
         for img_id in (i for pair in wanted for i in pair):
             if img_id not in known:

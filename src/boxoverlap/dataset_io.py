@@ -154,23 +154,30 @@ def read_overlaps(path) -> list[OverlapRecord]:
                 raise DatasetFormatError(
                     f"bad overlap CSV row {reader.line_num} in {path}: {row} ({exc})"
                 ) from None
-            pair = (id_x, id_y) if id_x <= id_y else (id_y, id_x)
-            if pair in first_row:
-                raise DatasetFormatError(
-                    f"overlap CSV row {reader.line_num} in {path} repeats the pair "
-                    f"({id_x}, {id_y}) of row {first_row[pair]}"
-                )
-            first_row[pair] = reader.line_num
+            _note_pair(first_row, id_x, id_y, reader.line_num, path, "overlap")
     return records
 
 
-def read_id_pairs(path) -> list[tuple[str, str]]:
+def _note_pair(first_row, id_x, id_y, row, path, what):
+    """Record the row of an unordered id pair; a pair seen before is a format error."""
+    pair = (id_x, id_y) if id_x <= id_y else (id_y, id_x)
+    if pair in first_row:
+        raise DatasetFormatError(
+            f"{what} CSV row {row} in {path} repeats the pair "
+            f"({id_x}, {id_y}) of row {first_row[pair]}"
+        )
+    first_row[pair] = row
+
+
+def read_id_pairs(path, distinct: bool = False) -> list[tuple[str, str]]:
     """(id_x, id_y) from the first two columns of each row of a CSV.
 
     Blank rows and an `id_x` header row are skipped; further columns, such
-    as the overlap values of a pairs.csv, are ignored.
+    as the overlap values of a pairs.csv, are ignored. With distinct=True a
+    row naming an earlier row's pair, in either order, is a format error.
     """
     pairs = []
+    first_row = {}  # unordered id pair -> row number
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -180,5 +187,7 @@ def read_id_pairs(path) -> list[tuple[str, str]]:
                 raise DatasetFormatError(
                     f"bad id-pair CSV row {reader.line_num} in {path}: {row}"
                 )
+            if distinct:
+                _note_pair(first_row, row[0], row[1], reader.line_num, path, "id-pair")
             pairs.append((row[0], row[1]))
     return pairs

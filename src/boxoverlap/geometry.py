@@ -8,6 +8,7 @@ between the matched surface normals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,8 @@ class NSOConfig:
     weighted: bool = True
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.n_sub < 1:
             raise ValueError("n_sub must be >= 1")
 

@@ -160,9 +160,11 @@ class BoxIndex:
         """Scores of every entry; hard queries score only the key-dimension candidates."""
         if not cfg.hard:
             return self._scan_scores(q, cfg)
+        cand = self._candidates(q)
+        if len(cand) == len(self.ids):
+            return self._exact_scores(q, cfg)
         enclosure = np.zeros(len(self.ids))
         concentration = np.zeros(len(self.ids))
-        cand = self._candidates(q)
         if len(cand):
             enclosure[cand], concentration[cand] = self._exact_scores(q, cfg, cand)
         return enclosure, concentration

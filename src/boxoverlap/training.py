@@ -47,8 +47,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.dim, self.steps, self.batch_size) < 1:
             raise ValueError("dim, steps and batch_size must be >= 1")
-        if self.lr <= 0 or self.rho <= 0:
-            raise ValueError("lr and rho must be positive")
+        if not (math.isfinite(self.lr) and math.isfinite(self.rho)
+                and self.lr > 0 and self.rho > 0):
+            raise ValueError(
+                f"lr and rho must be positive and finite, got {self.lr} and {self.rho}")
 
     @property
     def smoothing(self) -> SmoothingConfig:
@@ -172,28 +174,63 @@ def _init_table(dataset: PairDataset, cfg: TrainConfig, kind: str, rng) -> Embed
     return EmbeddingTable("vector", dataset.ids, vectors)
 
 
-def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
-    """Mean loss over a batch of pairs plus gradient w.r.t. the full table."""
-    d = cfg.dim
-    centers, size_raws = table.params[:, :d], table.params[:, d:]
-    cx, sx = centers[xi], size_raws[xi]
-    cy, sy = centers[yi], size_raws[yi]
-    smoothing = cfg.smoothing
+def _scatter_rows(rows, values, n_rows):
+    """Sum row i of `values` into row rows[i] of an (n_rows, k) zero table.
 
-    grad = np.zeros_like(table.params)
-    total = 0.0
-    for (ca, sa, cb, sb, ia, ib, target) in (
-        (cx, sx, cy, sy, xi, yi, t_xy),
-        (cy, sy, cx, sx, yi, xi, t_yx),
-    ):
-        pred, d_ca, d_sa, d_cb, d_sb = boxes.nbo_grad_batch(ca, sa, cb, sb, smoothing)
-        err = target - pred
-        total += float(np.mean(err**2))
-        coef = (-2.0 * err / len(err))[:, None]
-        np.add.at(grad[:, :d], ia, coef * d_ca)
-        np.add.at(grad[:, d:], ia, coef * d_sa)
-        np.add.at(grad[:, :d], ib, coef * d_cb)
-        np.add.at(grad[:, d:], ib, coef * d_sb)
+    One np.bincount over flat indices. Each table element receives its
+    additions in the order of `rows`, as one np.add.at call per block of
+    rows, made in that order, would add them.
+    """
+    k = values.shape[1]
+    flat = (rows[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+
+
+def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
+    """Mean loss over a batch of pairs plus gradient w.r.t. the full table.
+
+    Both directions share one forward pass: the intersection and the
+    softplus, sigma and sigma_grad terms are computed once. Only the output,
+    the tie masks (a tie counts as the source's in both directions) and the
+    partials differ per direction. Loss and gradient equal, bit for bit, one
+    boxes.nbo_grad_batch call per direction with its partials scattered
+    x -> y first, source rows before target rows.
+    """
+    d, b = cfg.dim, len(xi)
+    smoothing = cfg.smoothing
+    rows = table.params[np.concatenate([xi, yi])]  # x rows, then y rows
+    centers, size_raws = rows[:, :d], rows[:, d:]
+    sizes = boxes.softplus(size_raws)
+    half = sizes / 2.0
+    upper = (centers + half).reshape(2, b, d)
+    lower = (centers - half).reshape(2, b, d)
+    v = np.minimum(upper[0], upper[1]) - np.maximum(lower[0], lower[1])
+
+    f = boxes.sigma(v, smoothing)
+    g = boxes.sigma(sizes, smoothing)
+    vol = np.prod(g, axis=-1).reshape(2, b)
+    out = np.prod(f, axis=-1) / vol  # (2, B): x -> y, then y -> x
+
+    # Axis 0 is the direction; its source box is x, then y.
+    dv = out[..., None] * boxes.sigma_grad(v, smoothing) / f
+    d_direct = (-out[..., None] * boxes.sigma_grad(sizes, smoothing).reshape(2, b, d)
+                / g.reshape(2, b, d))
+    a_u = (upper <= upper[::-1]).astype(np.float64)  # min tie -> source
+    a_l = (lower >= lower[::-1]).astype(np.float64)  # max tie -> source
+    spg = boxes.softplus_grad(size_raws).reshape(2, b, d)
+
+    err = np.stack([t_xy, t_yx]) - out
+    sq = np.mean(err**2, axis=1)
+    total = float(sq[0]) + float(sq[1])
+    coef = (-2.0 * err / b)[..., None]
+    # Source then target partials per direction: rows xi, yi, yi, xi.
+    parts = np.empty((2, 2, b, 2 * d))
+    np.multiply(coef, dv * (a_u - a_l), out=parts[:, 0, :, :d])
+    np.multiply(coef, (dv * (a_u + a_l) / 2.0 + d_direct) * spg, out=parts[:, 0, :, d:])
+    np.multiply(coef, dv * ((1.0 - a_u) - (1.0 - a_l)), out=parts[:, 1, :, :d])
+    np.multiply(coef, dv * ((2.0 - a_u - a_l) / 2.0) * spg[::-1], out=parts[:, 1, :, d:])
+    grad = _scatter_rows(np.concatenate([xi, yi, yi, xi]), parts.reshape(4 * b, 2 * d),
+                         len(table.params))
     return total, grad
 
 
@@ -204,11 +241,10 @@ def _vector_batch_grad(table, xi, yi, t_sym, cfg: TrainConfig):
     dist = np.linalg.norm(diff, axis=1)
     err = (1.0 - t_sym) - dist
     loss = float(np.mean(err**2))
-    grad = np.zeros_like(table.params)
     safe = np.where(dist > 0, dist, 1.0)
     coef = (-2.0 * err / len(err) / safe * (dist > 0))[:, None]
-    np.add.at(grad, xi, coef * diff)
-    np.add.at(grad, yi, -coef * diff)
+    grad = _scatter_rows(np.concatenate([xi, yi]),
+                         np.concatenate([coef * diff, -coef * diff]), len(table.params))
     return loss, grad
 
 
@@ -238,6 +274,7 @@ def train(
 
     m = np.zeros_like(table.params)
     v = np.zeros_like(table.params)
+    buf = np.empty_like(table.params)
     trace = np.empty(cfg.steps)
     for step in range(cfg.steps):
         batch = rng.integers(0, len(dataset), size=cfg.batch_size)
@@ -252,15 +289,28 @@ def train(
             raise TrainingDivergedError(step, ids)
         trace[step] = loss
 
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad**2
-        m_hat = m / (1.0 - cfg.beta1 ** (step + 1))
-        v_hat = v / (1.0 - cfg.beta2 ** (step + 1))
+        # Adam in place, in the operation order of m = beta1 * m + (1 - beta1)
+        # * grad, v = beta2 * v + (1 - beta2) * grad**2 and params -= lr_t *
+        # m_hat / (sqrt(v_hat) + eps). Once v is updated, grad's buffer holds
+        # the denominator.
+        m *= cfg.beta1
+        np.multiply(grad, 1.0 - cfg.beta1, out=buf)
+        m += buf
+        np.square(grad, out=grad)
+        grad *= 1.0 - cfg.beta2
+        v *= cfg.beta2
+        v += grad
         # Cosine decay from lr down to lr * lr_final_scale.
         frac = step / max(1, cfg.steps - 1)
         lr_t = cfg.lr * (cfg.lr_final_scale
                          + (1.0 - cfg.lr_final_scale) * 0.5 * (1.0 + math.cos(math.pi * frac)))
-        table.params -= lr_t * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        np.divide(v, 1.0 - cfg.beta2 ** (step + 1), out=grad)
+        np.sqrt(grad, out=grad)
+        grad += cfg.eps
+        np.divide(m, 1.0 - cfg.beta1 ** (step + 1), out=buf)
+        buf *= lr_t
+        buf /= grad
+        table.params -= buf
     return table, trace
 
 
@@ -290,24 +340,25 @@ def evaluate(table: EmbeddingTable, test_pairs, cfg: TrainConfig) -> dict:
 # -- checkpoints --------------------------------------------------------------
 
 
-def save_checkpoint(path, table: EmbeddingTable, cfg: TrainConfig, step: int,
-                    m: np.ndarray | None = None, v: np.ndarray | None = None):
+def save_checkpoint(path, table: EmbeddingTable, cfg: TrainConfig, step: int):
+    """Write the table, its training config and the step count it reached."""
     np.savez(
         path,
         kind=table.kind,
         ids=np.array(table.ids),
         params=table.params,
-        adam_m=m if m is not None else np.zeros_like(table.params),
-        adam_v=v if v is not None else np.zeros_like(table.params),
         step=step,
         config=json.dumps(asdict(cfg), sort_keys=True),
     )
 
 
 def load_checkpoint(path):
+    """(table, cfg, step) of a checkpoint; fields it does not read are ignored."""
     with np.load(path, allow_pickle=False) as data:
         table = EmbeddingTable(str(data["kind"]), [str(s) for s in data["ids"]],
                                data["params"])
         cfg = TrainConfig(**json.loads(str(data["config"])))
         step = int(data["step"])
+    if not np.isfinite(table.params).all():
+        raise ValueError("params hold non-finite values")
     return table, cfg, step

@@ -102,6 +102,23 @@ def test_nso_pairs_short_row(dataset, tmp_path, capsys):
     assert "row 2" in err and "req.csv" in err
 
 
+@pytest.mark.parametrize("repeat", ["g000,g001", "g001,g000"])
+def test_nso_pairs_repeated_pair_is_data_error(repeat, dataset, run_dir, tmp_path, capsys):
+    pairs = tmp_path / "req.csv"
+    pairs.write_text(f"id_x,id_y\ng000,g001\ng000,g002\n{repeat}\n")
+    out = tmp_path / "o.csv"
+    code = main(["nso", "--dataset", str(dataset), "--pairs", str(pairs),
+                 "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "row 4" in err and "row 2" in err and "req.csv" in err and err.count("\n") == 1
+    assert not out.exists()
+    # scale answers each requested row, repeats included.
+    assert main(["scale", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                 "--pairs", str(pairs)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 @pytest.mark.parametrize("command", ["synth", "nso", "nso-pairs"])
 def test_oracle_mismatch_exits_3(command, dataset, tmp_path, monkeypatch, capsys):
     def disagreeing(src_points, dst_points, radius):
@@ -219,6 +236,24 @@ def test_train_divergence_is_usage_error(dataset, tmp_path, capsys):
     assert err.startswith("error: non-finite loss") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", [["train", "--rho", "nan"], ["train", "--lr", "inf"],
+                                    ["nso", "--radius", "nan"]],
+                         ids=["train-rho-nan", "train-lr-inf", "nso-radius-nan"])
+def test_non_finite_option_is_usage_error(option, dataset, tmp_path, capsys):
+    command, flag, value = option
+    if command == "train":
+        argv = ["train", "--pairs", str(dataset / "pairs.csv"), "--out", str(tmp_path / "run"),
+                "--steps", "10"]
+    else:
+        argv = ["nso", "--dataset", str(dataset), "--output", str(tmp_path / "o.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be positive and finite" in err
+
+
 @pytest.mark.parametrize("values", ["nan,0.5", "0.5,x", "1.5,0.5", "0.5,-0.1"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_bad_overlap_value_is_data_error(command, values, run_dir, tmp_path, capsys):
@@ -257,6 +292,23 @@ def test_bad_checkpoint_is_data_error(content, dataset, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "ckpt.npz" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "query"])
+def test_non_finite_checkpoint_params_is_data_error(command, run_dir, dataset, tmp_path,
+                                                    capsys):
+    with np.load(run_dir / "checkpoint.npz") as data:
+        fields = dict(data)
+    fields["params"][1, 3] = np.nan
+    ckpt = tmp_path / "nan.npz"
+    np.savez(ckpt, **fields)
+    argv = (["--pairs", str(dataset / "pairs.csv")] if command == "eval"
+            else ["--query-id", "g000"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--checkpoint", str(ckpt), *argv]) == 3
+    err = capsys.readouterr().err
+    assert "nan.npz" in err and "non-finite" in err and err.count("\n") == 1
 
 
 def test_eval_metrics_json(run_dir, dataset, tmp_path):
@@ -406,3 +458,17 @@ def test_box_outputs_pinned(tmp_path, capsys):
         assert main(argv) == 0
         got[name] = capsys.readouterr().out.encode()
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == PINNED
+
+
+# sha256 of the vector baseline's loss trace on the same grid, taken from the
+# code before the training step shared one scatter for all its rows.
+VECTOR_TRACE = "88965e05532c4468030439515ea196ee9acaf573e57f22b47938b96e8dbcdadb"
+
+
+def test_vector_loss_trace_pinned(tmp_path):
+    ds, run = tmp_path / "ds", tmp_path / "run"
+    assert main(["synth", "--out", str(ds), "--pattern", "grid:3", "--seed", "5"]) == 0
+    assert main(["train", "--pairs", str(ds / "pairs.csv"), "--out", str(run),
+                 "--kind", "vector", "--steps", "300", "--seed", "5"]) == 0
+    trace = (run / "loss_trace.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == VECTOR_TRACE

@@ -315,13 +315,17 @@ def test_gallery_volumes_computed_once_per_smoothing(monkeypatch):
         return real(lower, upper, cfg)
 
     monkeypatch.setattr(boxes, "volumes", spy)
-    q = random_query(rng, 6)
+    # The second query meets every box, so the key-dimension test keeps all rows.
+    queries = [random_query(rng, 6), box([-1e3] * 6, [1e3] * 6)]
+    assert len(indexes[0]._candidates(queries[1])) == len(table.ids)
     for index in indexes:
-        for rho in (5.0, 5.0, 0.5, 0.0, 5.0, 0.5):
-            index.query_topk(q, 10, SmoothingConfig(rho))
-            index.query_topk_exhaustive(q, 10, SmoothingConfig(rho))
-        index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), RHO5)
-    # Hard top-k scores only the key-dimension candidates, with fresh volumes.
+        for q in queries:
+            for rho in (5.0, 5.0, 0.5, 0.0, 5.0, 0.5):
+                index.query_topk(q, 10, SmoothingConfig(rho))
+                index.query_topk_exhaustive(q, 10, SmoothingConfig(rho))
+            index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), RHO5)
+    # Hard top-k scores only the key-dimension candidates, with fresh volumes,
+    # also when every row is a candidate.
     assert fills == [(0, 5.0), (0, 0.5), (1, 5.0), (1, 0.5)]
 
 

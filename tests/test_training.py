@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boxoverlap import boxes
 from boxoverlap.boxes import HARD, DegenerateBoxError, SmoothingConfig, nbo
 from boxoverlap.geometry import OverlapRecord
 from boxoverlap.training import (
@@ -191,6 +192,81 @@ def test_batch_gradient_matches_finite_differences():
     assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
 
+def two_direction_grad(table, xi, yi, t_xy, t_yx, cfg):
+    """Reference: one nbo_grad_batch per direction and eight np.add.at scatters."""
+    d = cfg.dim
+    centers, size_raws = table.params[:, :d], table.params[:, d:]
+    cx, sx = centers[xi], size_raws[xi]
+    cy, sy = centers[yi], size_raws[yi]
+    grad = np.zeros_like(table.params)
+    total = 0.0
+    for (ca, sa, cb, sb, ia, ib, target) in (
+        (cx, sx, cy, sy, xi, yi, t_xy),
+        (cy, sy, cx, sx, yi, xi, t_yx),
+    ):
+        pred, d_ca, d_sa, d_cb, d_sb = boxes.nbo_grad_batch(ca, sa, cb, sb, cfg.smoothing)
+        err = target - pred
+        total += float(np.mean(err**2))
+        coef = (-2.0 * err / len(err))[:, None]
+        np.add.at(grad[:, :d], ia, coef * d_ca)
+        np.add.at(grad[:, d:], ia, coef * d_sa)
+        np.add.at(grad[:, :d], ib, coef * d_cb)
+        np.add.at(grad[:, d:], ib, coef * d_sb)
+    return total, grad
+
+
+def center_for_edge(center, size_raw, other_size_raw, side):
+    """A center whose box of size softplus(other_size_raw) has the same
+    upper (side=+1) or lower (side=-1) edge as the given box, exactly."""
+    def edge(c, raw):
+        return c + side * (boxes.softplus(raw) / 2.0)
+
+    target = edge(center, size_raw)
+    c = target - side * (boxes.softplus(other_size_raw) / 2.0)
+    for _ in range(16):
+        if edge(c, other_size_raw) == target:
+            return c
+        c = np.nextafter(c, -np.inf if edge(c, other_size_raw) > target else np.inf)
+    raise AssertionError("no exact tie found")
+
+
+@pytest.mark.parametrize("rho", [0.5, 5.0])
+def test_box_batch_grad_equals_two_directions_bitwise(rho):
+    rng = np.random.default_rng(11)
+    n, dim = 8, 6
+    centers = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    size_raws = rng.choice([0.5, 3.0, 6.0], size=(n, dim))
+    centers[1] = centers[0]   # rows 0 and 1 are one box: ties in both edges
+    size_raws[1] = size_raws[0]
+    size_raws[2:4, :2] = size_raws[0, :2] + 1.0
+    for col in range(2):      # rows 2 and 3 share only an edge with row 0
+        centers[2, col] = center_for_edge(centers[0, col], size_raws[0, col],
+                                          size_raws[2, col], +1)
+        centers[3, col] = center_for_edge(centers[0, col], size_raws[0, col],
+                                          size_raws[3, col], -1)
+    table = box_table([f"i{k}" for k in range(n)], centers, size_raws)
+    # Repeated rows, self pairs and each tie in both directions.
+    xi = np.array([0, 1, 0, 2, 0, 3, 4, 4, 5, 6, 7, 0, 0])
+    yi = np.array([1, 0, 2, 0, 3, 0, 4, 5, 4, 6, 1, 1, 7])
+    lowers, uppers = table.bounds()
+    up_tie = uppers[xi] == uppers[yi]
+    low_tie = lowers[xi] == lowers[yi]
+    assert (up_tie & ~low_tie).any() and (low_tie & ~up_tie).any()
+    assert (up_tie & low_tie & (xi != yi)[:, None]).any()
+    # A random table of another shape, with rows repeated within the batch.
+    other = box_table([f"i{k}" for k in range(5)], rng.normal(0.0, 3.0, (5, 11)),
+                      rng.normal(1.0, 2.0, (5, 11)))
+    for table, xi, yi in ((table, xi, yi),
+                          (other, rng.integers(0, 5, 40), rng.integers(0, 5, 40))):
+        t_xy = rng.uniform(0.0, 1.0, len(xi))
+        t_yx = rng.uniform(0.0, 1.0, len(xi))
+        cfg = TrainConfig(dim=table.dim, rho=rho)
+        loss, grad = _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg)
+        want_loss, want_grad = two_direction_grad(table, xi, yi, t_xy, t_yx, cfg)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -266,6 +342,8 @@ def test_checkpoint_round_trip(tmp_path):
     table, _ = train(ds, cfg)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, table, cfg, step=50)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["config", "ids", "kind", "params", "step"]
     loaded, loaded_cfg, step = load_checkpoint(path)
     assert loaded.kind == "box"
     assert loaded.ids == table.ids
@@ -294,3 +372,35 @@ def test_embedding_table_kind_checks():
         vec.box("a")
     with pytest.raises(ValueError, match="unknown embedding kind"):
         EmbeddingTable("blob", ["a"], np.zeros((1, 2)))
+
+
+def test_checkpoint_with_adam_moments_still_loads(tmp_path):
+    # Earlier checkpoints also stored all-zero adam_m and adam_v.
+    table = identical_pair_table()
+    cfg = TrainConfig(dim=4, steps=7)
+    path = tmp_path / "old.npz"
+    save_checkpoint(path, table, cfg, 7)
+    with np.load(path) as data:
+        fields = dict(data)
+    np.savez(path, adam_m=np.zeros_like(table.params), adam_v=np.zeros_like(table.params),
+             **fields)
+    loaded, loaded_cfg, step = load_checkpoint(path)
+    assert np.array_equal(loaded.params, table.params)
+    assert (loaded_cfg, step) == (cfg, 7)
+
+
+def test_checkpoint_non_finite_params_rejected(tmp_path):
+    table = identical_pair_table()
+    for bad in (np.nan, np.inf):
+        table.params[0, 1] = bad
+        path = tmp_path / "bad.npz"
+        save_checkpoint(path, table, TrainConfig(dim=4), 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["lr", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_train_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        TrainConfig(**{field: value})
