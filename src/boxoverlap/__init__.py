@@ -3,15 +3,10 @@
 from .boxes import (
     HARD,
     BoxEmbedding,
-    BoxParams,
     SmoothingConfig,
-    intersection_volume,
     nbo,
-    nbo_gradient,
     overlap,
-    params_to_box,
     sigma,
-    volume,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -23,7 +18,6 @@ from .geometry import (
     backproject,
     compute_nso,
     estimate_normals,
-    overlap_count,
     overlap_count_brute,
     subsample,
 )
@@ -34,8 +28,6 @@ from .training import (
     TrainConfig,
     evaluate,
     loss_box,
-    loss_vector,
-    nso_symmetric,
     predict,
     train,
 )

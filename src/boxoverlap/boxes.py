@@ -58,30 +58,6 @@ class BoxEmbedding:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def translate(self, t) -> "BoxEmbedding":
-        t = np.asarray(t, dtype=np.float64)
-        return BoxEmbedding(self.lower + t, self.upper + t)
-
-
-@dataclass(frozen=True)
-class BoxParams:
-    """Unconstrained box parameters: center and pre-softplus sizes."""
-
-    center: np.ndarray
-    size_raw: np.ndarray
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64)
-        size_raw = np.asarray(self.size_raw, dtype=np.float64)
-        if center.shape != size_raw.shape or center.ndim != 1:
-            raise ValueError("center and size_raw must be 1-D arrays of equal length")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "size_raw", size_raw)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
 
 def softplus(x):
     return np.logaddexp(0.0, x)
@@ -134,14 +110,6 @@ def _overlap_boxes(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig):
     return overlap(bx.lower, bx.upper, by.lower, by.upper, cfg)
 
 
-def intersection_volume(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
-    return float(_overlap_boxes(bx, by, cfg)[0])
-
-
-def volume(b: BoxEmbedding, cfg: SmoothingConfig) -> float:
-    return float(_overlap_boxes(b, b, cfg)[1])
-
-
 def nbo(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
     """Normalized box overlap: intersection volume over the source box volume."""
     inter, vol, _ = _overlap_boxes(bx, by, cfg)
@@ -156,12 +124,8 @@ def params_to_bounds(center, size_raw):
     return center - size / 2.0, center + size / 2.0
 
 
-def params_to_box(p: BoxParams) -> BoxEmbedding:
-    return BoxEmbedding(*params_to_bounds(p.center, p.size_raw))
-
-
 def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
-    """Vectorized nbo(params_to_box(x) -> params_to_box(y)) for (B, D) params."""
+    """Vectorized nbo(x -> y) of boxes given as (B, D) centers and pre-softplus sizes."""
     inter, vol, _ = overlap(*params_to_bounds(cx, sx_raw),
                             *params_to_bounds(cy, sy_raw), cfg)
     return inter / vol
@@ -202,14 +166,6 @@ def nbo_grad_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
     d_cy = dv * ((1.0 - a_u) - (1.0 - a_l))
     d_sy = dv * ((2.0 - a_u - a_l) / 2.0) * spg_y
     return out, d_cx, d_sx, d_cy, d_sy
-
-
-def nbo_gradient(px: BoxParams, py: BoxParams, cfg: SmoothingConfig):
-    """Analytic (d nbo/d px, d nbo/d py), each as a BoxParams of partials."""
-    _, d_cx, d_sx, d_cy, d_sy = nbo_grad_batch(
-        px.center[None], px.size_raw[None], py.center[None], py.size_raw[None], cfg
-    )
-    return BoxParams(d_cx[0], d_sx[0]), BoxParams(d_cy[0], d_sy[0])
 
 
 def box_table_to_json(ids, lowers, uppers) -> str:

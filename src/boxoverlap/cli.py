@@ -58,6 +58,14 @@ def _nso_config(args) -> NSOConfig:
     )
 
 
+def _check_ids(ids, known, path=None):
+    """UsageError naming the first id not in `known`, and the CSV that named it."""
+    for img_id in ids:
+        if img_id not in known:
+            where = f" in {path}" if path else ""
+            raise UsageError(f"unknown image id{where}: {img_id}")
+
+
 def _load_views(dataset_dir):
     views = dataset_io.read_scene(dataset_dir)
     if not views:
@@ -87,10 +95,7 @@ def cmd_nso(args) -> int:
     if args.pairs:
         # One output row per pair: train rejects a pairs.csv that repeats one.
         wanted = dataset_io.read_id_pairs(args.pairs, distinct=True)
-        known = {v.id for v in views}
-        for img_id in (i for pair in wanted for i in pair):
-            if img_id not in known:
-                raise UsageError(f"unknown image id: {img_id}")
+        _check_ids((i for pair in wanted for i in pair), {v.id for v in views}, args.pairs)
         records = pairs_nso(views, wanted, cfg, oracle=args.oracle,
                             threads=args.threads)
     else:
@@ -138,6 +143,7 @@ def _load_checkpoint(path):
 def cmd_eval(args) -> int:
     table, cfg, _ = _load_checkpoint(args.checkpoint)
     records = dataset_io.read_overlaps(args.pairs)
+    _check_ids((i for r in records for i in (r.id_x, r.id_y)), table.row, args.pairs)
     metrics = evaluate(table, records, cfg)
     payload = json.dumps(metrics, indent=2, sort_keys=True)
     if args.output:
@@ -151,12 +157,8 @@ def _pixel_counts(args, ids):
     """Valid-pixel count per id from --dataset; None without one (no scale)."""
     if args.dataset:
         views = {v.id: v for v in _load_views(args.dataset)}
-        counts = {}
-        for img_id in ids:
-            if img_id not in views:
-                raise UsageError(f"unknown image id: {img_id}")
-            counts[img_id] = views[img_id].n_valid
-        return counts
+        _check_ids(ids, views)
+        return {img_id: views[img_id].n_valid for img_id in ids}
     return None
 
 
@@ -164,8 +166,7 @@ def cmd_query(args) -> int:
     table, cfg, _ = _load_checkpoint(args.checkpoint)
     if table.kind != "box":
         raise UsageError("query requires a box-kind checkpoint")
-    if args.query_id not in table.row:
-        raise UsageError(f"unknown image id: {args.query_id}")
+    _check_ids([args.query_id], table.row)
     index = retrieval.BoxIndex.build(table)
     smoothing = SmoothingConfig(0.0 if args.hard else cfg.rho)
     q = table.box(args.query_id)
@@ -202,9 +203,7 @@ def cmd_scale(args) -> int:
     smoothing = SmoothingConfig(cfg.rho)
     pairs = dataset_io.read_id_pairs(args.pairs)
     ids = sorted({i for p in pairs for i in p})
-    for img_id in ids:
-        if img_id not in table.row:
-            raise UsageError(f"unknown image id: {img_id}")
+    _check_ids(ids, table.row, args.pairs)
     counts = _pixel_counts(args, ids)
     preds = predict(table, pairs, smoothing).tolist()
     out = sys.stdout if not args.output else open(args.output, "w")

@@ -51,10 +51,6 @@ class Pose:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.translation
-
 
 @dataclass
 class CameraView:
@@ -250,22 +246,10 @@ def _weighted_sum(src: SurfelCloud, dst: SurfelCloud, within, idx, weighted: boo
     return float(np.sum(w))
 
 
-def overlap_count(
-    src: SurfelCloud, dst: SurfelCloud, radius: float, weighted: bool = True
-) -> float:
-    """Sum of per-surfel match weights from src into dst (k-d tree search)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if len(src) == 0 or len(dst) == 0:
-        return 0.0
-    within, idx = _match_tree(cKDTree(dst.points), src.points, radius)
-    return _weighted_sum(src, dst, within, idx, weighted)
-
-
 def overlap_count_brute(
     src: SurfelCloud, dst: SurfelCloud, radius: float, weighted: bool = True
 ) -> float:
-    """O(n^2) reference implementation of overlap_count."""
+    """Sum of per-surfel match weights from src into dst, comparing every point pair."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if len(src) == 0 or len(dst) == 0:

@@ -201,27 +201,3 @@ class BoxIndex:
             for i, e, c, s in zip(order.tolist(), enclosure[order].tolist(),
                                   concentration[order].tolist(), score[order].tolist())
         ]
-
-    def query_quadrant(self, q: BoxEmbedding, enclosure_range, concentration_range,
-                       cfg: SmoothingConfig = HARD) -> list[QueryResult]:
-        """All entries whose (enclosure, concentration) fall in the rectangle.
-
-        Range membership is half-open, lo <= v < hi, except that hi == 1
-        also admits v == 1, so bands partitioning [0, 1]^2 cover each entry
-        exactly once.
-        """
-        for lo, hi in (enclosure_range, concentration_range):
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValueError(f"invalid range: ({lo}, {hi})")
-        enclosure, concentration = self._scan_scores(q, cfg)
-
-        def inside(v, rng):
-            lo, hi = rng
-            return (v >= lo) & ((v < hi) | ((hi == 1.0) & (v == 1.0)))
-
-        keep = inside(enclosure, enclosure_range) & inside(concentration, concentration_range)
-        return [
-            QueryResult(self.ids[i], float(enclosure[i]), float(concentration[i]),
-                        float(0.5 * (enclosure[i] + concentration[i])))
-            for i in np.nonzero(keep)[0]
-        ]

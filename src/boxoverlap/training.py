@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import boxes
-from .boxes import BoxEmbedding, BoxParams, SmoothingConfig, params_to_bounds, params_to_box
+from .boxes import BoxEmbedding, SmoothingConfig, params_to_bounds
 from .geometry import OverlapRecord
 
 
@@ -78,10 +78,6 @@ class PairDataset:
         return len(self.records)
 
 
-def nso_symmetric(record: OverlapRecord) -> float:
-    return 0.5 * (record.nso_xy + record.nso_yx)
-
-
 class EmbeddingTable:
     """Image id -> trainable embedding parameters (box or vector kind)."""
 
@@ -91,7 +87,10 @@ class EmbeddingTable:
         self.kind = kind
         self.ids = list(ids)
         self.params = np.asarray(params, dtype=np.float64)
-        self.row = {img_id: i for i, img_id in enumerate(self.ids)}
+        self.row = {}
+        for i, img_id in enumerate(self.ids):
+            if self.row.setdefault(img_id, i) != i:
+                raise ValueError(f"repeated image id: {img_id}")
         expected = 2 if kind == "box" else 1
         if self.params.ndim != 2 or len(self.ids) != len(self.params):
             raise ValueError("params must be (n_ids, k*D)")
@@ -107,27 +106,16 @@ class EmbeddingTable:
             raise KeyError(f"unknown image id: {img_id}")
         return self.row[img_id]
 
-    def box_params(self, img_id: str) -> BoxParams:
+    def box(self, img_id: str) -> BoxEmbedding:
         if self.kind != "box":
             raise ValueError("not a box table")
         row = self.params[self._index(img_id)]
-        return BoxParams(row[: self.dim], row[self.dim :])
-
-    def box(self, img_id: str) -> BoxEmbedding:
-        return params_to_box(self.box_params(img_id))
-
-    def vector(self, img_id: str) -> np.ndarray:
-        if self.kind != "vector":
-            raise ValueError("not a vector table")
-        return self.params[self._index(img_id)]
-
-    def centers_sizes(self):
-        if self.kind != "box":
-            raise ValueError("not a box table")
-        return self.params[:, : self.dim], self.params[:, self.dim :]
+        return BoxEmbedding(*params_to_bounds(row[: self.dim], row[self.dim :]))
 
     def bounds(self):
-        return params_to_bounds(*self.centers_sizes())
+        if self.kind != "box":
+            raise ValueError("not a box table")
+        return params_to_bounds(self.params[:, : self.dim], self.params[:, self.dim :])
 
 
 def predict(table: EmbeddingTable, pairs, smoothing: SmoothingConfig) -> np.ndarray:
@@ -154,14 +142,6 @@ def loss_box(table: EmbeddingTable, pair: OverlapRecord, cfg: TrainConfig) -> fl
     """Squared error of both directed box overlaps against the targets."""
     pred_xy, pred_yx = predict_pair(table, pair, cfg.smoothing)
     return (pair.nso_xy - pred_xy) ** 2 + (pair.nso_yx - pred_yx) ** 2
-
-
-def loss_vector(table: EmbeddingTable, pair: OverlapRecord) -> float:
-    """Squared error between the vector distance and 1 - symmetric overlap."""
-    fx = table.vector(pair.id_x)
-    fy = table.vector(pair.id_y)
-    dist = float(np.linalg.norm(fx - fy))
-    return ((1.0 - nso_symmetric(pair)) - dist) ** 2
 
 
 def _init_table(dataset: PairDataset, cfg: TrainConfig, kind: str, rng) -> EmbeddingTable:

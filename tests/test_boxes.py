@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from boxoverlap.boxes import (
     HARD,
     BoxEmbedding,
-    BoxParams,
     DegenerateBoxError,
     SmoothingConfig,
     box_table_to_json,
-    intersection_volume,
-    nbo_batch,
-    overlap,
     nbo,
-    nbo_gradient,
-    params_to_box,
+    nbo_batch,
+    nbo_grad_batch,
+    overlap,
+    params_to_bounds,
     sigma,
     softplus,
-    volume,
+    volumes,
 )
 
 RHO5 = SmoothingConfig(5.0)
@@ -28,6 +26,14 @@ RHO5 = SmoothingConfig(5.0)
 
 def box(lower, upper):
     return BoxEmbedding(np.asarray(lower, float), np.asarray(upper, float))
+
+
+def param_box(center, size_raw):
+    return BoxEmbedding(*params_to_bounds(center, size_raw))
+
+
+def inter(bx, by, cfg):
+    return float(overlap(bx.lower, bx.upper, by.lower, by.upper, cfg)[0])
 
 
 def random_box(rng, dim):
@@ -71,38 +77,38 @@ def test_negative_rho_rejected():
 
 def test_intersection_self():
     b = box([0, 0], [1, 1])
-    assert intersection_volume(b, b, HARD) == 1.0
+    assert inter(b, b, HARD) == 1.0
 
 
 def test_intersection_half_overlap():
     bx = box([0, 0], [1, 1])
     by = box([0.5, 0], [1.5, 1])
-    assert intersection_volume(bx, by, HARD) == pytest.approx(0.5)
+    assert inter(bx, by, HARD) == pytest.approx(0.5)
 
 
 def test_intersection_disjoint():
     bx = box([0], [1])
     by = box([10], [11])
-    assert intersection_volume(bx, by, HARD) == 0.0
+    assert inter(bx, by, HARD) == 0.0
 
 
 def test_intersection_dim_mismatch():
-    with pytest.raises(ValueError):
-        intersection_volume(box([0], [1]), box([0, 0], [1, 1]), HARD)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        nbo(box([0], [1]), box([0, 0], [1, 1]), HARD)
 
 
 def test_volume_unit_cube():
-    assert volume(box([0, 0, 0], [1, 1, 1]), HARD) == 1.0
+    assert volumes([0, 0, 0], [1, 1, 1], HARD) == 1.0
 
 
 def test_volume_product():
-    assert volume(box([0, 0], [2, 3]), HARD) == 6.0
+    assert volumes([0, 0], [2, 3], HARD) == 6.0
 
 
 def test_volume_smooth_unit_square():
     # Direct evaluation of (5 ln(1 + e^{1/5}))^2.
     expected = (5.0 * math.log(1.0 + math.exp(0.2))) ** 2
-    assert volume(box([0, 0], [1, 1]), RHO5) == pytest.approx(expected, rel=1e-12)
+    assert volumes([0, 0], [1, 1], RHO5) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(15.9256, abs=1e-4)
 
 
@@ -152,7 +158,7 @@ def test_nbo_translation_invariance(seed):
     t = rng.uniform(-5.0, 5.0, size=3)
     for cfg in (HARD, RHO5):
         a = nbo(bx, by, cfg)
-        b = nbo(bx.translate(t), by.translate(t), cfg)
+        b = nbo(box(bx.lower + t, bx.upper + t), box(by.lower + t, by.upper + t), cfg)
         assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
@@ -195,12 +201,12 @@ def test_box_embedding_rejects_inverted_bounds():
 
 
 def test_params_to_box_point_limit():
-    b = params_to_box(BoxParams(np.zeros(3), np.full(3, -50.0)))
+    b = param_box(np.zeros(3), np.full(3, -50.0))
     assert np.all(b.upper - b.lower < 1e-20)
 
 
 def test_params_to_box_softplus_zero():
-    b = params_to_box(BoxParams(np.zeros(2), np.zeros(2)))
+    b = param_box(np.zeros(2), np.zeros(2))
     assert np.allclose(b.upper - b.lower, math.log(2.0))
 
 
@@ -208,22 +214,28 @@ def test_params_to_box_softplus_zero():
 @settings(max_examples=60, deadline=None)
 def test_params_to_box_ordered(seed):
     rng = np.random.default_rng(seed)
-    p = BoxParams(rng.normal(0, 10, size=4), rng.normal(0, 10, size=4))
-    b = params_to_box(p)
+    center, size_raw = rng.normal(0, 10, size=4), rng.normal(0, 10, size=4)
+    b = param_box(center, size_raw)
     assert np.all(b.upper >= b.lower)
-    assert np.allclose(0.5 * (b.lower + b.upper), p.center)
-    assert np.allclose(b.upper - b.lower, softplus(p.size_raw))
+    assert np.allclose(0.5 * (b.lower + b.upper), center)
+    assert np.allclose(b.upper - b.lower, softplus(size_raw))
 
 
 # -- gradients -----------------------------------------------------------------
 
 
+def pair_gradient(px, py, cfg):
+    """d nbo / d (center_x, size_raw_x, center_y, size_raw_y) of one pair of
+    (center, size_raw) parameter pairs, from one row of nbo_grad_batch."""
+    _, *grads = nbo_grad_batch(px[0][None], px[1][None], py[0][None], py[1][None], cfg)
+    return [g[0] for g in grads]
+
+
 def _fd_gradient(px, py, cfg, h=1e-5):
     def f(pxc, pxs, pyc, pys):
-        return nbo(params_to_box(BoxParams(pxc, pxs)),
-                   params_to_box(BoxParams(pyc, pys)), cfg)
+        return nbo(param_box(pxc, pxs), param_box(pyc, pys), cfg)
 
-    arrays = [px.center.copy(), px.size_raw.copy(), py.center.copy(), py.size_raw.copy()]
+    arrays = [px[0].copy(), px[1].copy(), py[0].copy(), py[1].copy()]
     grads = []
     for k, arr in enumerate(arrays):
         g = np.zeros_like(arr)
@@ -241,10 +253,9 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(20):
-        px = BoxParams(rng.normal(0, 2, size=4), rng.normal(0, 2, size=4))
-        py = BoxParams(rng.normal(0, 2, size=4), rng.normal(0, 2, size=4))
-        gx, gy = nbo_gradient(px, py, RHO5)
-        analytic = np.concatenate([gx.center, gx.size_raw, gy.center, gy.size_raw])
+        px = (rng.normal(0, 2, size=4), rng.normal(0, 2, size=4))
+        py = (rng.normal(0, 2, size=4), rng.normal(0, 2, size=4))
+        analytic = np.concatenate(pair_gradient(px, py, RHO5))
         fd = np.concatenate(_fd_gradient(px, py, RHO5))
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))
@@ -252,24 +263,23 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_joint_translation_invariance():
-    p = BoxParams(np.array([0.3, -0.7]), np.array([0.5, 1.0]))
-    gx, gy = nbo_gradient(p, p, RHO5)
+    p = (np.array([0.3, -0.7]), np.array([0.5, 1.0]))
+    d_cx, _, d_cy, _ = pair_gradient(p, p, RHO5)
     # Moving both boxes together leaves nbo unchanged.
-    assert np.allclose(gx.center + gy.center, 0.0, atol=1e-12)
+    assert np.allclose(d_cx + d_cy, 0.0, atol=1e-12)
 
 
 def test_gradient_nonzero_for_disjoint_boxes():
-    px = BoxParams(np.zeros(2), np.zeros(2))
-    py = BoxParams(np.full(2, 30.0), np.zeros(2))
-    gx, gy = nbo_gradient(px, py, RHO5)
-    mag = np.linalg.norm(np.concatenate([gx.center, gx.size_raw, gy.center, gy.size_raw]))
+    px = (np.zeros(2), np.zeros(2))
+    py = (np.full(2, 30.0), np.zeros(2))
+    mag = np.linalg.norm(np.concatenate(pair_gradient(px, py, RHO5)))
     assert mag > 0.0
 
 
 def test_gradient_requires_smoothing():
-    p = BoxParams(np.zeros(2), np.zeros(2))
+    p = (np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        nbo_gradient(p, p, HARD)
+        pair_gradient(p, p, HARD)
 
 
 # -- batched kernel ------------------------------------------------------------
@@ -305,8 +315,7 @@ def test_nbo_batch_equals_nbo_of_params():
     rng = np.random.default_rng(6)
     cx, sx, cy, sy = (rng.normal(size=(8, 5)) for _ in range(4))
     got = nbo_batch(cx, sx, cy, sy, RHO5)
-    want = [nbo(params_to_box(BoxParams(cx[i], sx[i])),
-                params_to_box(BoxParams(cy[i], sy[i])), RHO5) for i in range(8)]
+    want = [nbo(param_box(cx[i], sx[i]), param_box(cy[i], sy[i]), RHO5) for i in range(8)]
     assert got.tolist() == want
 
 

@@ -311,6 +311,33 @@ def test_non_finite_checkpoint_params_is_data_error(command, run_dir, dataset, t
     assert "nan.npz" in err and "non-finite" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "query"])
+def test_repeated_checkpoint_id_is_data_error(command, run_dir, dataset, tmp_path, capsys):
+    with np.load(run_dir / "checkpoint.npz") as data:
+        fields = dict(data)
+    assert fields["ids"].tolist() == ["g000", "g001", "g002", "g003"]
+    fields["ids"] = np.array(["g000", "g000", "g002", "g003"])
+    ckpt = tmp_path / "dup.npz"
+    np.savez(ckpt, **fields)
+    argv = (["--pairs", str(dataset / "pairs.csv")] if command == "eval"
+            else ["--query-id", "g000", "--k", "4", "--hard"])
+    assert main([command, "--checkpoint", str(ckpt), *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dup.npz" in captured.err and "repeated image id: g000" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_eval_unknown_id(run_dir, tmp_path, capsys):
+    pairs = tmp_path / "req.csv"
+    pairs.write_text("id_x,id_y,nso_xy,nso_yx\ng000,g001,0.5,0.5\ng002,zzz,0.5,0.5\n")
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                 "--pairs", str(pairs)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown image id in {pairs}: zzz\n"
+
+
 def test_eval_metrics_json(run_dir, dataset, tmp_path):
     out = tmp_path / "metrics.json"
     assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),

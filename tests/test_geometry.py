@@ -16,7 +16,6 @@ from boxoverlap.geometry import (
     compute_nso,
     estimate_normals,
     nso_from_clouds,
-    overlap_count,
     overlap_count_brute,
     subsample,
 )
@@ -171,16 +170,24 @@ def test_subsample_preserves_order():
 # -- overlap counting ----------------------------------------------------------
 
 
+def cloud_nso(src, dst, radius, weighted=True, brute_force=False):
+    """(nso_xy, nso_yx) of two clouds, with no subsampling: each directed
+    overlap is the match-weight sum over the source cloud, divided by its size."""
+    cfg = NSOConfig(radius=radius, n_sub=max(len(src), len(dst)), weighted=weighted)
+    rec = nso_from_clouds(src, dst, "x", "y", cfg, brute_force=brute_force)
+    return rec.nso_xy, rec.nso_yx
+
+
 def test_overlap_self_is_size():
     cloud = random_cloud(np.random.default_rng(2), 300)
-    assert overlap_count(cloud, cloud, radius=0.1, weighted=True) == float(len(cloud))
+    assert cloud_nso(cloud, cloud, radius=0.1, weighted=True) == (1.0, 1.0)
 
 
 def test_overlap_disjoint_clouds():
     rng = np.random.default_rng(3)
     src = random_cloud(rng, 100)
     dst = SurfelCloud(src.points + 1.0, src.normals, src.source_pixel)
-    assert overlap_count(src, dst, radius=0.1) == 0.0
+    assert cloud_nso(src, dst, radius=0.1) == (0.0, 0.0)
 
 
 def test_overlap_interleaved_grids_match_brute_force():
@@ -193,8 +200,8 @@ def test_overlap_interleaved_grids_match_brute_force():
     a = SurfelCloud(pts_a, normals, np.zeros((100, 2), int))
     b = SurfelCloud(pts_b, normals, np.zeros((100, 2), int))
     for weighted in (False, True):
-        assert overlap_count(a, b, radius, weighted) == \
-            overlap_count_brute(a, b, radius, weighted)
+        assert cloud_nso(a, b, radius, weighted) == \
+            cloud_nso(a, b, radius, weighted, brute_force=True)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -203,23 +210,23 @@ def test_overlap_tree_equals_brute_force(seed):
     src = random_cloud(rng, rng.integers(50, 2000))
     dst = random_cloud(rng, rng.integers(50, 2000))
     for weighted in (False, True):
-        assert overlap_count(src, dst, 0.3, weighted) == \
-            overlap_count_brute(src, dst, 0.3, weighted)
+        assert cloud_nso(src, dst, 0.3, weighted) == \
+            cloud_nso(src, dst, 0.3, weighted, brute_force=True)
 
 
 def test_unweighted_at_least_weighted():
     rng = np.random.default_rng(9)
     src = random_cloud(rng, 500)
     dst = random_cloud(rng, 500)
-    assert overlap_count(src, dst, 0.3, weighted=False) >= \
-        overlap_count(src, dst, 0.3, weighted=True)
+    assert cloud_nso(src, dst, 0.3, weighted=False)[0] >= \
+        cloud_nso(src, dst, 0.3, weighted=True)[0]
 
 
 def test_overlap_empty_cloud():
     cloud = random_cloud(np.random.default_rng(0), 10)
     empty = SurfelCloud(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2), int))
-    assert overlap_count(cloud, empty, 0.1) == 0.0
-    assert overlap_count(empty, cloud, 0.1) == 0.0
+    assert overlap_count_brute(cloud, empty, 0.1) == 0.0
+    assert overlap_count_brute(empty, cloud, 0.1) == 0.0
 
 
 # -- NSO -----------------------------------------------------------------------

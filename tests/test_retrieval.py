@@ -219,7 +219,8 @@ def far_gallery(rng):
     # Queries disjoint from every box: every hard score is 0, so the top k
     # are the k smallest ids.
     index = BoxIndex.build(random_table(rng, 500, 8))
-    queries = [random_query(rng, 8).translate(np.full(8, 100.0)) for _ in range(10)]
+    queries = [random_query(rng, 8) for _ in range(10)]
+    queries = [box(q.lower + 100.0, q.upper + 100.0) for q in queries]
     assert all(r.score == 0.0 for r in index.query_topk_exhaustive(queries[0], 500))
     return index, queries
 
@@ -297,10 +298,6 @@ def test_one_index_across_smoothings():
         cfg = SmoothingConfig(rho)
         for q in queries[:10]:
             assert index.query_topk(q, 10, cfg) == index.query_topk_exhaustive(q, 10, cfg)
-            everything = index.query_topk_exhaustive(q, len(index), cfg)
-            assert (sorted(index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), cfg),
-                           key=lambda r: r.id)
-                    == sorted(everything, key=lambda r: r.id))
 
 
 def test_gallery_volumes_computed_once_per_smoothing(monkeypatch):
@@ -323,7 +320,6 @@ def test_gallery_volumes_computed_once_per_smoothing(monkeypatch):
             for rho in (5.0, 5.0, 0.5, 0.0, 5.0, 0.5):
                 index.query_topk(q, 10, SmoothingConfig(rho))
                 index.query_topk_exhaustive(q, 10, SmoothingConfig(rho))
-            index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), RHO5)
     # Hard top-k scores only the key-dimension candidates, with fresh volumes,
     # also when every row is a candidate.
     assert fills == [(0, 5.0), (0, 0.5), (1, 5.0), (1, 0.5)]
@@ -343,56 +339,6 @@ def test_query_k_validation():
     table = random_table(np.random.default_rng(0), 5, 3)
     with pytest.raises(ValueError):
         BoxIndex.build(table).query_topk(random_query(np.random.default_rng(1), 3), 0)
-
-
-# -- quadrant queries ----------------------------------------------------------
-
-
-def test_quadrant_full_range_returns_all():
-    rng = np.random.default_rng(3)
-    table = random_table(rng, 60, 5)
-    index = BoxIndex.build(table)
-    q = random_query(rng, 5)
-    hits = index.query_quadrant(q, (0.0, 1.0), (0.0, 1.0), HARD)
-    assert len(hits) == 60
-
-
-def test_quadrant_partition_counts_each_entry_once():
-    rng = np.random.default_rng(4)
-    table = random_table(rng, 80, 4)
-    index = BoxIndex.build(table)
-    q = random_query(rng, 4)
-    bands = [(0.0, 0.3), (0.3, 0.7), (0.7, 1.0)]
-    total = 0
-    seen = set()
-    for er in bands:
-        for cr in bands:
-            hits = index.query_quadrant(q, er, cr, HARD)
-            total += len(hits)
-            seen.update(h.id for h in hits)
-    assert total == 80
-    assert len(seen) == 80
-
-
-def test_quadrant_containment_band():
-    index = BoxIndex(["outer"], np.array([[0.0, 0.0]]), np.array([[4.0, 4.0]]))
-    q = box([1.0, 1.0], [2.0, 2.0])
-    high = index.query_quadrant(q, (0.9, 1.0), (0.0, 1.0), HARD)
-    assert [h.id for h in high] == ["outer"]
-    assert high[0].enclosure == 1.0
-
-
-def test_quadrant_disjoint_only_in_zero_band():
-    index = BoxIndex(["far"], np.array([[50.0]]), np.array([[51.0]]))
-    q = box([0.0], [1.0])
-    assert index.query_quadrant(q, (0.0, 0.5), (0.0, 0.5), HARD)
-    assert not index.query_quadrant(q, (0.5, 1.0), (0.0, 1.0), HARD)
-
-
-def test_quadrant_invalid_range():
-    index = BoxIndex(["a"], np.array([[0.0]]), np.array([[1.0]]))
-    with pytest.raises(ValueError, match="invalid range"):
-        index.query_quadrant(box([0.0], [1.0]), (0.7, 0.3), (0.0, 1.0))
 
 
 def test_index_insertion_order_independent():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boxoverlap import dataset_io
-from boxoverlap.geometry import NSOConfig, backproject, compute_nso, overlap_count
+from boxoverlap.geometry import NSOConfig, backproject, compute_nso, nso_from_clouds
 from boxoverlap.synth import (
     CameraScript,
     HeightfieldSurface,
@@ -156,8 +156,9 @@ def test_oblique_weighting_bites():
     vx, vy, _ = make_pair("oblique", {"angle_deg": 60.0}, seed=1,
                           surface=default_surface(seed=7))
     cx, cy = backproject(vx), backproject(vy)
-    unweighted = overlap_count(cx, cy, 0.1, weighted=False)
-    weighted = overlap_count(cx, cy, 0.1, weighted=True)
+    unweighted, weighted = (
+        nso_from_clouds(cx, cy, "x", "y", NSOConfig(n_sub=len(cx), weighted=w)).nso_xy
+        for w in (False, True))
     assert weighted < unweighted
 
 

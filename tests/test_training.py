@@ -12,11 +12,10 @@ from boxoverlap.training import (
     TrainConfig,
     TrainingDivergedError,
     _box_batch_grad,
+    _vector_batch_grad,
     evaluate,
     load_checkpoint,
     loss_box,
-    loss_vector,
-    nso_symmetric,
     predict,
     predict_pair,
     save_checkpoint,
@@ -49,13 +48,6 @@ def test_pair_dataset_rejects_unknown_id():
         PairDataset([OverlapRecord("a", "b", 0.5, 0.5)], ids=["a"])
 
 
-def test_nso_symmetric():
-    rec = OverlapRecord("x", "y", 0.71, 0.04)
-    assert nso_symmetric(rec) == pytest.approx(0.375)
-    assert nso_symmetric(OverlapRecord("x", "y", 1.0, 1.0)) == 1.0
-    assert nso_symmetric(OverlapRecord("x", "y", 0.8, 0.2)) == pytest.approx(0.5)
-
-
 # -- losses --------------------------------------------------------------------
 
 
@@ -77,6 +69,13 @@ def test_loss_box_unknown_id():
     table = identical_pair_table()
     with pytest.raises(KeyError):
         loss_box(table, OverlapRecord("a", "zzz", 0.5, 0.5), TrainConfig(dim=4))
+
+
+def loss_vector(table, pair):
+    """The vector loss of one pair: _vector_batch_grad on a batch of one."""
+    xi, yi = np.array([table.row[pair.id_x]]), np.array([table.row[pair.id_y]])
+    t_sym = np.array([0.5 * (pair.nso_xy + pair.nso_yx)])
+    return _vector_batch_grad(table, xi, yi, t_sym, TrainConfig(dim=table.dim))[0]
 
 
 def test_loss_vector_cases():
@@ -305,8 +304,8 @@ def test_predict_vector_matches_per_pair_norm():
     table = EmbeddingTable("vector", ids, rng.normal(0.0, 0.3, (6, 8)))
     pairs = [(x, y) for x in ids for y in ids]
     got = predict(table, pairs, SmoothingConfig())
-    want = [min(1.0, max(0.0, 1.0 - float(np.linalg.norm(table.vector(x) - table.vector(y)))))
-            for x, y in pairs]
+    vec = {x: table.params[table.row[x]] for x in ids}
+    want = [min(1.0, max(0.0, 1.0 - float(np.linalg.norm(vec[x] - vec[y])))) for x, y in pairs]
     # Only the summation order of the norm differs from the per-pair loop.
     assert np.allclose(got[:, 0], want, rtol=0, atol=8 * np.finfo(np.float64).eps)
     assert np.array_equal(got[:, 0], got[:, 1])
@@ -364,14 +363,16 @@ def test_checkpoint_round_trip_vector(tmp_path):
 
 
 def test_embedding_table_kind_checks():
-    table = identical_pair_table()
-    with pytest.raises(ValueError, match="not a vector table"):
-        table.vector("a")
     vec = EmbeddingTable("vector", ["a"], np.zeros((1, 3)))
     with pytest.raises(ValueError, match="not a box table"):
         vec.box("a")
     with pytest.raises(ValueError, match="unknown embedding kind"):
         EmbeddingTable("blob", ["a"], np.zeros((1, 2)))
+
+
+def test_embedding_table_rejects_repeated_id():
+    with pytest.raises(ValueError, match="repeated image id: a"):
+        EmbeddingTable("box", ["a", "b", "a"], np.zeros((3, 2)))
 
 
 def test_checkpoint_with_adam_moments_still_loads(tmp_path):
