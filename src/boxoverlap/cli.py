@@ -59,7 +59,8 @@ def _nso_config(args) -> NSOConfig:
 
 
 def _check_ids(ids, known, path=None):
-    """UsageError naming the first id not in `known`, and the CSV that named it."""
+    """UsageError naming the first id not in `known`, and the file that named
+    it (the CSV asking for it, or the scene.json lacking it)."""
     for img_id in ids:
         if img_id not in known:
             where = f" in {path}" if path else ""
@@ -157,7 +158,7 @@ def _pixel_counts(args, ids):
     """Valid-pixel count per id from --dataset; None without one (no scale)."""
     if args.dataset:
         views = {v.id: v for v in _load_views(args.dataset)}
-        _check_ids(ids, views)
+        _check_ids(ids, views, Path(args.dataset) / "scene.json")
         return {img_id: views[img_id].n_valid for img_id in ids}
     return None
 
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_geometry(p):
         p.add_argument("--threads", type=_positive_int, default=1,
-                       help="k-d tree query workers for NSO")
+                       help="worker threads that prepare the NSO views")
         p.add_argument("--radius", type=float, default=0.1)
         p.add_argument("--n-sub", type=int, default=5000)
         p.add_argument("--unweighted", action="store_true")

@@ -338,6 +338,28 @@ def test_eval_unknown_id(run_dir, tmp_path, capsys):
     assert err == f"error: unknown image id in {pairs}: zzz\n"
 
 
+@pytest.mark.parametrize("command", ["query", "scale"])
+def test_dataset_lacks_checkpoint_id(command, run_dir, dataset, tmp_path, capsys):
+    # The checkpoint holds zz, the dataset does not: the message names the
+    # dataset's scene.json.
+    with np.load(run_dir / "checkpoint.npz") as data:
+        fields = dict(data)
+    fields["ids"] = np.array(["g000", "zz", "g002", "g003"])
+    ckpt = tmp_path / "zz.npz"
+    np.savez(ckpt, **fields)
+    if command == "query":
+        argv = ["--query-id", "g000", "--k", "4", "--hard"]
+    else:
+        pairs = tmp_path / "req.csv"
+        pairs.write_text("id_x,id_y\ng000,zz\n")
+        argv = ["--pairs", str(pairs)]
+    code = main([command, "--checkpoint", str(ckpt), *argv, "--dataset", str(dataset)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown image id in {dataset / 'scene.json'}: zz\n"
+
+
 def test_eval_metrics_json(run_dir, dataset, tmp_path):
     out = tmp_path / "metrics.json"
     assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),

@@ -384,6 +384,42 @@ def test_cull_drops_pair_just_beyond_radius():
     assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
 
 
+def point_cloud(points, normals):
+    points = np.asarray(points, dtype=np.float64)
+    return SurfelCloud(points, np.asarray(normals, dtype=np.float64),
+                       np.zeros((len(points), 2), int))
+
+
+@pytest.mark.parametrize("first_up", [True, False])
+def test_tied_destinations_take_lowest_row(first_up):
+    # Both y points lie exactly 0.05 from the x point; only their normals
+    # differ. The match is the lower y row, as the brute-force argmin picks.
+    up, side = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
+    x = point_cloud([[0.0, 0.0, 0.0]], [up])
+    y = point_cloud([[0.03, 0.04, 0.0], [0.04, 0.03, 0.0]],
+                    [up, side] if first_up else [side, up])
+    cfg = NSOConfig(radius=0.1, seed=0)
+    rec = nso_from_clouds(x, y, "x", "y", cfg)
+    assert rec == nso_from_clouds(x, y, "x", "y", cfg, brute_force=True)
+    assert (rec.nso_xy, rec.nso_yx) == (1.0 if first_up else 0.0, 0.5)
+
+
+def test_point_outside_subsample_is_still_a_destination():
+    # x is a line of 10 points, 1 apart, subsampled to 9. Row `out` is not in
+    # the subsample and row `kept` is; y has one point next to each.
+    cfg = NSOConfig(radius=0.1, n_sub=9, seed=3)
+    up = [0.0, 0.0, 1.0]
+    x = point_cloud([[float(k), 0.0, 0.0] for k in range(10)], [up] * 10)
+    sub = subsample(x, cfg.n_sub, cfg.seed).points[:, 0].tolist()
+    out = next(k for k in range(10) if float(k) not in sub)
+    kept = next(k for k in range(10) if float(k) in sub)
+    y = point_cloud([[out + 0.05, 0.0, 0.0], [kept + 0.05, 0.0, 0.0]], [up, up])
+    rec = nso_from_clouds(x, y, "x", "y", cfg)
+    assert rec == nso_from_clouds(x, y, "x", "y", cfg, brute_force=True)
+    # x -> y: only `kept` is a source; y -> x: both y points find a match.
+    assert (rec.nso_xy, rec.nso_yx) == (1 / 9, 1.0)
+
+
 def test_all_pairs_threads_do_not_change_records():
     views = grid_views(3, seed=4, spacing=2.0)
     cfg = NSOConfig(seed=4, n_sub=600)
