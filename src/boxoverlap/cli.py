@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_geometry(p):
         p.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker threads that prepare the NSO views")
+                       help="k-d tree query workers for NSO")
         p.add_argument("--radius", type=float, default=0.1)
         p.add_argument("--n-sub", type=int, default=5000)
         p.add_argument("--unweighted", action="store_true")

@@ -9,7 +9,6 @@ between the matched surface normals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,21 +204,14 @@ def backproject(view: CameraView) -> SurfelCloud:
     )
 
 
-def _subsample_rows(n_points: int, n: int, seed: int):
-    """Sorted rows of a uniform subsample without replacement; None keeps all."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n >= n_points:
-        return None
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(n_points, size=n, replace=False))
-
-
 def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
     """Uniform subsample without replacement, preserving point order."""
-    idx = _subsample_rows(len(cloud), n, seed)
-    if idx is None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n >= len(cloud):
         return cloud
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.choice(len(cloud), size=n, replace=False))
     return SurfelCloud(cloud.points[idx], cloud.normals[idx], cloud.source_pixel[idx])
 
 
@@ -268,6 +260,17 @@ class OracleMismatchError(Exception):
 # search computes, so a culled pair can never hold a match.
 _CULL_SLACK = 1e-6
 
+# A radius join of a pair's two trees lists every point pair within the
+# radius, so its work grows with the neighbours each point has there; the
+# per-point search costs one nearest-neighbour query per source point. The
+# join serves a pair only when neither view is subsampled and the sparser
+# view has at most this many own points per point within the radius, which
+# bounds its entries by about n_sub times this. On the default 96-view
+# scene it halves the pair loop at the default radius and would be slower
+# from a radius of about 0.3, where the sparser views pass this bound.
+_JOIN_MAX_NEIGHBOURS = 16.0
+_NEIGHBOUR_SAMPLE = 64
+
 
 @dataclass(frozen=True)
 class _IndexedCloud:
@@ -275,26 +278,23 @@ class _IndexedCloud:
 
     cloud: SurfelCloud
     sub: SurfelCloud  # source subsample
-    sub_row: np.ndarray | None  # cloud row -> subsample row or -1; None: sub is cloud
     tree: cKDTree  # over the full cloud, the destination of every match
     lo: np.ndarray
     hi: np.ndarray
+    neighbours: float  # mean own points within the radius, over a strided sample
 
 
 def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig) -> _IndexedCloud:
-    rows = _subsample_rows(len(cloud), cfg.n_sub, cfg.seed)
-    sub, sub_row = cloud, None
-    if rows is not None:
-        sub = SurfelCloud(cloud.points[rows], cloud.normals[rows], cloud.source_pixel[rows])
-        sub_row = np.full(len(cloud), -1)
-        sub_row[rows] = np.arange(len(rows))
+    tree = cKDTree(cloud.points)
+    sample = cloud.points[::max(1, len(cloud) // _NEIGHBOUR_SAMPLE)]
     return _IndexedCloud(
         cloud=cloud,
-        sub=sub,
-        sub_row=sub_row,
-        tree=cKDTree(cloud.points),
+        sub=subsample(cloud, cfg.n_sub, cfg.seed),
+        tree=tree,
         lo=cloud.points.min(axis=0),
         hi=cloud.points.max(axis=0),
+        neighbours=float(np.mean(tree.query_ball_point(sample, cfg.radius,
+                                                       return_length=True))),
     )
 
 
@@ -304,31 +304,48 @@ def _disjoint(a: _IndexedCloud, b: _IndexedCloud, radius: float) -> bool:
     return bool(np.any(gap > radius * (1.0 + _CULL_SLACK)))
 
 
+def _use_join(a: _IndexedCloud, b: _IndexedCloud) -> bool:
+    return (a.sub is a.cloud and b.sub is b.cloud
+            and min(a.neighbours, b.neighbours) <= _JOIN_MAX_NEIGHBOURS)
+
+
+def _query_nso(src: _IndexedCloud, dst: _IndexedCloud, cfg: NSOConfig,
+               workers: int) -> float:
+    """Directed NSO from src into dst by one nearest-neighbour query per
+    subsampled source point."""
+    # The search stops at the radius; nextafter keeps a neighbour at exactly
+    # `radius` in reach, as the brute-force `<=` test counts it.
+    dist, nn = dst.tree.query(src.sub.points, k=1,
+                              distance_upper_bound=np.nextafter(cfg.radius, np.inf),
+                              workers=workers)
+    rows = np.flatnonzero(dist <= cfg.radius)
+    return _weighted_sum(src.sub, dst.cloud, rows, nn[rows], cfg.weighted) / len(src.sub)
+
+
 def _join_nso(src: _IndexedCloud, dst: _IndexedCloud, i, j, dist, weighted: bool) -> float:
     """Directed NSO from src into dst given every (src row i, dst row j) pair
-    of cloud points within the radius and its distance.
+    of cloud points within the radius and its distance; src is not subsampled.
 
-    Each subsampled source point matches its nearest destination point, the
-    lowest dst row on a tie, as the brute-force argmin picks it.
+    Each source point matches its nearest destination point, the lowest dst
+    row on a tie, as the brute-force argmin picks it.
     """
-    if src.sub_row is not None:
-        i = src.sub_row[i]
-        kept = i >= 0
-        i, j, dist = i[kept], j[kept], dist[kept]
-    n, unmatched = len(src.sub), len(dst.cloud)
+    n, unmatched = len(src.cloud), len(dst.cloud)
     best = np.full(n, np.inf)
     np.minimum.at(best, i, dist)
     tie = dist == best[i]
     nn = np.full(n, unmatched)
     np.minimum.at(nn, i[tie], j[tie])
     rows = np.flatnonzero(nn < unmatched)
-    return _weighted_sum(src.sub, dst.cloud, rows, nn[rows], weighted) / n
+    return _weighted_sum(src.cloud, dst.cloud, rows, nn[rows], weighted) / n
 
 
 def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, id_x: str, id_y: str,
-              cfg: NSOConfig) -> OverlapRecord:
+              cfg: NSOConfig, workers: int = 1) -> OverlapRecord:
     if _disjoint(a, b, cfg.radius):
         return OverlapRecord(id_x, id_y, 0.0, 0.0)
+    if not _use_join(a, b):
+        return OverlapRecord(id_x, id_y, _query_nso(a, b, cfg, workers),
+                             _query_nso(b, a, cfg, workers))
     # One traversal of both trees finds every point pair within the radius,
     # the matches of both directions. The join keeps distances up to its
     # bound; nextafter keeps a neighbour at exactly `radius` in reach, as the
@@ -375,33 +392,29 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     """Directed NSO for the given (id_x, id_y) pairs, in their order.
 
     Only the views the pairs name are backprojected. Each gets one k-d tree
-    and one bounding box, shared by all its pairs and freed on return;
-    `threads` worker threads prepare the views, in an order-keeping map, so
-    the result does not depend on it. A pair whose bounds, padded by the
-    radius, are disjoint is recorded as (0.0, 0.0) without a search; any
-    other pair is one radius join of its two trees, which serves both
-    directions. With oracle=True every pair, culled ones included, is
-    recomputed brute-force and must match exactly, else OracleMismatchError.
+    and one bounding box, shared by all its pairs and freed on return. A
+    pair whose bounds, padded by the radius, are disjoint is recorded as
+    (0.0, 0.0) without a search. Any other pair is one radius join of its
+    two trees, which serves both directions, when neither view is
+    subsampled and the sparser one has few neighbours per point within the
+    radius; else one nearest-neighbour query per subsampled source point,
+    split by point over `threads` query workers. The result does not
+    depend on the route or on `threads`. With oracle=True every pair,
+    culled ones included, is recomputed brute-force and must match
+    exactly, else OracleMismatchError.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     by_id = {view.id: view for view in views}
-
-    def prepare(img_id):
-        return _index_cloud(backproject(by_id[img_id]), cfg)
-
-    ids = list(dict.fromkeys(img_id for pair in pairs for img_id in pair))
-    # A worker thread allocates from its own malloc arena, which keeps about
-    # 25 MB more resident on the default 96-view scene: one thread runs here.
-    if threads == 1:
-        indexed = dict(zip(ids, map(prepare, ids)))
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            indexed = dict(zip(ids, pool.map(prepare, ids)))
+    indexed = {}
+    for pair in pairs:
+        for img_id in pair:
+            if img_id not in indexed:
+                indexed[img_id] = _index_cloud(backproject(by_id[img_id]), cfg)
     records = []
     for id_x, id_y in pairs:
         a, b = indexed[id_x], indexed[id_y]
-        rec = _pair_nso(a, b, id_x, id_y, cfg)
+        rec = _pair_nso(a, b, id_x, id_y, cfg, threads)
         if oracle:
             ref = nso_from_clouds(a.cloud, b.cloud, id_x, id_y, cfg, brute_force=True)
             if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):

@@ -154,25 +154,19 @@ def _init_table(dataset: PairDataset, cfg: TrainConfig, kind: str, rng) -> Embed
     return EmbeddingTable("vector", dataset.ids, vectors)
 
 
-def _scatter_rows(rows, values, slots):
-    """Sum row i of `values` into row rows[i] of a zero table shaped like `slots`.
+def _scatter_rows(rows, values, n_rows):
+    """Sum row i of `values` into row rows[i] of an (n_rows, k) zero table.
 
-    `slots` is np.arange(n_rows * k).reshape(n_rows, k), the flat index of
-    each table element, built once per training run. One np.bincount over
-    the gathered flat indices: each table element receives its additions in
-    the order of `rows`, as one np.add.at call per block of rows, made in
-    that order, would add them.
+    One np.bincount over flat indices. Each table element receives its
+    additions in the order of `rows`, as one np.add.at call per block of
+    rows, made in that order, would add them.
     """
-    return np.bincount(slots[rows].ravel(), values.ravel(),
-                       minlength=slots.size).reshape(slots.shape)
+    k = values.shape[1]
+    flat = (rows[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=n_rows * k).reshape(n_rows, k)
 
 
-def _slots(table):
-    return np.arange(table.params.size).reshape(table.params.shape)
-
-
-def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig, *,
-                    smoothing=None, slots=None):
+def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
     """Mean loss over a batch of pairs plus gradient w.r.t. the full table.
 
     Both directions share one forward pass: the intersection and the
@@ -180,11 +174,10 @@ def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig, *,
     the tie masks (a tie counts as the source's in both directions) and the
     partials differ per direction. Loss and gradient equal, bit for bit, one
     boxes.nbo_grad_batch call per direction with its partials scattered
-    x -> y first, source rows before target rows. `train` passes
-    cfg.smoothing and the table's `_slots` in, built once per run.
+    x -> y first, source rows before target rows.
     """
     d, b = cfg.dim, len(xi)
-    smoothing = cfg.smoothing if smoothing is None else smoothing
+    smoothing = cfg.smoothing
     rows = table.params[np.concatenate([xi, yi])]  # x rows, then y rows
     centers, size_raws = rows[:, :d], rows[:, d:]
     sizes = boxes.softplus(size_raws)
@@ -217,11 +210,11 @@ def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig, *,
     np.multiply(coef, dv * ((1.0 - a_u) - (1.0 - a_l)), out=parts[:, 1, :, :d])
     np.multiply(coef, dv * ((2.0 - a_u - a_l) / 2.0) * spg[::-1], out=parts[:, 1, :, d:])
     grad = _scatter_rows(np.concatenate([xi, yi, yi, xi]), parts.reshape(4 * b, 2 * d),
-                         _slots(table) if slots is None else slots)
+                         len(table.params))
     return total, grad
 
 
-def _vector_batch_grad(table, xi, yi, t_sym, cfg: TrainConfig, *, slots=None):
+def _vector_batch_grad(table, xi, yi, t_sym, cfg: TrainConfig):
     vx = table.params[xi]
     vy = table.params[yi]
     diff = vx - vy
@@ -231,8 +224,7 @@ def _vector_batch_grad(table, xi, yi, t_sym, cfg: TrainConfig, *, slots=None):
     safe = np.where(dist > 0, dist, 1.0)
     coef = (-2.0 * err / len(err) / safe * (dist > 0))[:, None]
     grad = _scatter_rows(np.concatenate([xi, yi]),
-                         np.concatenate([coef * diff, -coef * diff]),
-                         _slots(table) if slots is None else slots)
+                         np.concatenate([coef * diff, -coef * diff]), len(table.params))
     return loss, grad
 
 
@@ -260,7 +252,6 @@ def train(
     xi_all = np.array([row[r.id_x] for r in dataset.records])
     yi_all = np.array([row[r.id_y] for r in dataset.records])
 
-    smoothing, slots = cfg.smoothing, _slots(table)
     m = np.zeros_like(table.params)
     v = np.zeros_like(table.params)
     buf = np.empty_like(table.params)
@@ -269,10 +260,9 @@ def train(
         batch = rng.integers(0, len(dataset), size=cfg.batch_size)
         xi, yi = xi_all[batch], yi_all[batch]
         if kind == "box":
-            loss, grad = _box_batch_grad(table, xi, yi, t_xy[batch], t_yx[batch], cfg,
-                                         smoothing=smoothing, slots=slots)
+            loss, grad = _box_batch_grad(table, xi, yi, t_xy[batch], t_yx[batch], cfg)
         else:
-            loss, grad = _vector_batch_grad(table, xi, yi, t_sym[batch], cfg, slots=slots)
+            loss, grad = _vector_batch_grad(table, xi, yi, t_sym[batch], cfg)
         if not np.isfinite(loss):
             ids = sorted({dataset.records[b].id_x for b in batch}
                          | {dataset.records[b].id_y for b in batch})

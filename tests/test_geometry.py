@@ -420,6 +420,33 @@ def test_point_outside_subsample_is_still_a_destination():
     assert (rec.nso_xy, rec.nso_yx) == (1 / 9, 1.0)
 
 
+def pair_route(clouds, cfg):
+    a, b = (geometry._index_cloud(cloud, cfg) for cloud in clouds)
+    return geometry._use_join(a, b)
+
+
+def test_join_serves_only_unsubsampled_sparse_pairs():
+    # A grid view holds 3072 points with about 5 of its own within the
+    # default radius of each, so the radius join serves its pairs. A
+    # subsample, or a radius that gives each point far more neighbours,
+    # sends the pair to the per-point search.
+    clouds = [backproject(v) for v in grid_views(2, seed=4, spacing=1.0)[:2]]
+    assert pair_route(clouds, NSOConfig(seed=4))
+    assert not pair_route(clouds, NSOConfig(seed=4, n_sub=3000))
+    assert not pair_route(clouds, NSOConfig(seed=4, radius=0.4))
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_join_and_point_search_agree(monkeypatch, weighted):
+    views = grid_views(2, seed=4, spacing=1.0)
+    cfg = NSOConfig(seed=4, weighted=weighted)
+    assert pair_route([backproject(v) for v in views[:2]], cfg)
+    joined = all_pairs_nso(views, cfg, oracle=True)
+    monkeypatch.setattr(geometry, "_JOIN_MAX_NEIGHBOURS", -1.0)
+    assert not pair_route([backproject(v) for v in views[:2]], cfg)
+    assert all_pairs_nso(views, cfg) == joined
+
+
 def test_all_pairs_threads_do_not_change_records():
     views = grid_views(3, seed=4, spacing=2.0)
     cfg = NSOConfig(seed=4, n_sub=600)
