@@ -113,8 +113,16 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _read_overlaps(path):
+    """read_overlaps; a CSV without rows is a data error, as train and eval need one."""
+    records = dataset_io.read_overlaps(path)
+    if not records:
+        raise DataError(f"overlap CSV {path} holds no rows")
+    return records
+
+
 def cmd_train(args) -> int:
-    records = dataset_io.read_overlaps(args.pairs)
+    records = _read_overlaps(args.pairs)
     dataset = PairDataset(records)
     cfg = _train_config(args)
     table, trace = train(dataset, cfg, kind=args.kind)
@@ -133,24 +141,33 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(path):
-    """load_checkpoint; a file that is not a readable checkpoint is a data error."""
+def _load_checkpoint(path, box=False):
+    """(table, cfg) of a checkpoint. A file that is not a readable checkpoint
+    is a data error; with box=True, a table of another kind is a usage error."""
     try:
-        return load_checkpoint(path)
+        table, cfg, _ = load_checkpoint(path)
     except (ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError) as exc:
         raise DataError(f"not a valid checkpoint {path}: {exc}") from None
+    if box and table.kind != "box":
+        raise UsageError(f"a box-kind checkpoint is required, {path} is {table.kind}-kind")
+    return table, cfg
+
+
+def _write_lines(path, lines):
+    """Each line and a newline to the file at path, or to stdout without one."""
+    text = "".join(line + "\n" for line in lines)
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_eval(args) -> int:
-    table, cfg, _ = _load_checkpoint(args.checkpoint)
-    records = dataset_io.read_overlaps(args.pairs)
+    table, cfg = _load_checkpoint(args.checkpoint)
+    records = _read_overlaps(args.pairs)
     _check_ids((i for r in records for i in (r.id_x, r.id_y)), table.row, args.pairs)
     metrics = evaluate(table, records, cfg)
-    payload = json.dumps(metrics, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(payload + "\n")
-    else:
-        print(payload)
+    _write_lines(args.output, [json.dumps(metrics, indent=2, sort_keys=True)])
     return EXIT_OK
 
 
@@ -163,62 +180,43 @@ def _pixel_counts(args, ids):
     return None
 
 
+def _scale(counts, id_x, id_y, nbo_xy, nbo_yx):
+    """estimate_scale from the pixel counts; None without counts or overlap."""
+    if counts is None or not nbo_xy > 0:
+        return None
+    return retrieval.estimate_scale(nbo_xy, nbo_yx, counts[id_x], counts[id_y])
+
+
 def cmd_query(args) -> int:
-    table, cfg, _ = _load_checkpoint(args.checkpoint)
-    if table.kind != "box":
-        raise UsageError("query requires a box-kind checkpoint")
+    table, cfg = _load_checkpoint(args.checkpoint, box=True)
     _check_ids([args.query_id], table.row)
     index = retrieval.BoxIndex.build(table)
     smoothing = SmoothingConfig(0.0 if args.hard else cfg.rho)
-    q = table.box(args.query_id)
-    results = index.query_topk(q, args.k, smoothing)
+    results = index.query_topk(table.box(args.query_id), args.k, smoothing)
     counts = _pixel_counts(args, [args.query_id] + [r.id for r in results])
-    out = sys.stdout if not args.output else open(args.output, "w")
-    try:
-        for res in results:
-            relation = retrieval.classify_relation(res.enclosure, res.concentration)
-            scale = (
-                retrieval.estimate_scale(res.enclosure, res.concentration,
-                                         counts[args.query_id], counts[res.id])
-                if counts is not None and res.enclosure > 0 else None
-            )
-            out.write(json.dumps({
-                "query_id": args.query_id,
-                "retrieved_id": res.id,
-                "enclosure": res.enclosure,
-                "concentration": res.concentration,
-                "score": res.score,
-                "relation": relation.label,
-                "scale": scale,
-            }, sort_keys=True) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    _write_lines(args.output, (json.dumps({
+        "query_id": args.query_id,
+        "retrieved_id": res.id,
+        "enclosure": res.enclosure,
+        "concentration": res.concentration,
+        "score": res.score,
+        "relation": retrieval.classify_relation(res.enclosure, res.concentration).label,
+        "scale": _scale(counts, args.query_id, res.id, res.enclosure, res.concentration),
+    }, sort_keys=True) for res in results))
     return EXIT_OK
 
 
 def cmd_scale(args) -> int:
-    table, cfg, _ = _load_checkpoint(args.checkpoint)
-    if table.kind != "box":
-        raise UsageError("scale requires a box-kind checkpoint")
-    smoothing = SmoothingConfig(cfg.rho)
+    table, cfg = _load_checkpoint(args.checkpoint, box=True)
     pairs = dataset_io.read_id_pairs(args.pairs)
     ids = sorted({i for p in pairs for i in p})
     _check_ids(ids, table.row, args.pairs)
     counts = _pixel_counts(args, ids)
-    preds = predict(table, pairs, smoothing).tolist()
-    out = sys.stdout if not args.output else open(args.output, "w")
-    try:
-        for (id_x, id_y), (qr, rq) in zip(pairs, preds):
-            scale = (retrieval.estimate_scale(qr, rq, counts[id_x], counts[id_y])
-                     if counts is not None and qr > 0 else None)
-            out.write(json.dumps({
-                "id_x": id_x, "id_y": id_y,
-                "nbo_xy": qr, "nbo_yx": rq, "scale": scale,
-            }, sort_keys=True) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    preds = predict(table, pairs, cfg.smoothing).tolist()
+    _write_lines(args.output, (json.dumps({
+        "id_x": id_x, "id_y": id_y, "nbo_xy": xy, "nbo_yx": yx,
+        "scale": _scale(counts, id_x, id_y, xy, yx),
+    }, sort_keys=True) for (id_x, id_y), (xy, yx) in zip(pairs, preds)))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -40,9 +41,11 @@ def read_depth(path) -> np.ndarray:
         magic, w, h, _ = struct.unpack("<4sIII", header)
         if magic != DEPTH_MAGIC:
             raise DatasetFormatError(f"bad depth magic in {path}")
+        # Checked before the read, which would allocate what the header asks.
+        if os.fstat(fh.fileno()).st_size - 16 < 4 * w * h:
+            raise DatasetFormatError(
+                f"truncated depth payload in {path}: {w}x{h} needs {4 * w * h} bytes")
         data = np.frombuffer(fh.read(4 * w * h), dtype="<f4")
-    if data.size != w * h:
-        raise DatasetFormatError(f"truncated depth payload in {path}")
     return data.reshape(h, w).astype(np.float64)
 
 

@@ -172,10 +172,7 @@ def estimate_normals(view: CameraView):
 
     normals = np.zeros((h, w, 3))
     if valid.any():
-        cov_v = cov[valid]
-        # Symmetrize against accumulation round-off before the eigensolve.
-        cov_v = 0.5 * (cov_v + np.transpose(cov_v, (0, 2, 1)))
-        _, vecs = np.linalg.eigh(cov_v)
+        _, vecs = np.linalg.eigh(cov[valid])
         n = vecs[:, :, 0]
         # Orient toward the camera center (origin of the camera frame).
         flip = np.einsum("ij,ij->i", n, pts[valid]) > 0
@@ -279,8 +276,6 @@ class _IndexedCloud:
     cloud: SurfelCloud
     sub: SurfelCloud  # source subsample
     tree: cKDTree  # over the full cloud, the destination of every match
-    lo: np.ndarray
-    hi: np.ndarray
     neighbours: float  # mean own points within the radius, over a strided sample
 
 
@@ -291,8 +286,6 @@ def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig) -> _IndexedCloud:
         cloud=cloud,
         sub=subsample(cloud, cfg.n_sub, cfg.seed),
         tree=tree,
-        lo=cloud.points.min(axis=0),
-        hi=cloud.points.max(axis=0),
         neighbours=float(np.mean(tree.query_ball_point(sample, cfg.radius,
                                                        return_length=True))),
     )
@@ -300,7 +293,7 @@ def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig) -> _IndexedCloud:
 
 def _disjoint(a: _IndexedCloud, b: _IndexedCloud, radius: float) -> bool:
     """True when the bounds of a and b are apart by more than radius on an axis."""
-    gap = np.maximum(a.lo - b.hi, b.lo - a.hi)
+    gap = np.maximum(a.tree.mins - b.tree.maxes, b.tree.mins - a.tree.maxes)
     return bool(np.any(gap > radius * (1.0 + _CULL_SLACK)))
 
 

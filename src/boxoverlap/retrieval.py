@@ -24,6 +24,8 @@ CLONE_LIKE = "clone-like"
 OBLIQUE_OR_CROP_OUT = "oblique-or-crop-out"
 UNRELATED = "unrelated"
 
+RELATION_LOW = 0.3
+RELATION_HIGH = 0.6
 RELATION_NOISE_FLOOR = 0.05
 
 
@@ -42,8 +44,7 @@ class QueryResult:
     score: float
 
 
-def classify_relation(nbo_qr: float, nbo_rq: float,
-                      t_low: float = 0.3, t_high: float = 0.6) -> RelationLabel:
+def classify_relation(nbo_qr: float, nbo_rq: float) -> RelationLabel:
     """Relation of a retrieved image to the query from the two overlaps.
 
     Low query-to-retrieved overlap with high overlap back means the
@@ -54,11 +55,11 @@ def classify_relation(nbo_qr: float, nbo_rq: float,
     for v in (nbo_qr, nbo_rq):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"overlap value out of [0, 1]: {v}")
-    if nbo_qr < t_low and nbo_rq >= t_high:
+    if nbo_qr < RELATION_LOW and nbo_rq >= RELATION_HIGH:
         label = ZOOM_IN
-    elif nbo_qr >= t_high and nbo_rq >= t_high:
+    elif nbo_qr >= RELATION_HIGH and nbo_rq >= RELATION_HIGH:
         label = CLONE_LIKE
-    elif nbo_qr >= t_high and nbo_rq < t_low:
+    elif nbo_qr >= RELATION_HIGH and nbo_rq < RELATION_LOW:
         label = ZOOM_OUT
     elif max(nbo_qr, nbo_rq) >= RELATION_NOISE_FLOOR:
         label = OBLIQUE_OR_CROP_OUT

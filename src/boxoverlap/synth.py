@@ -345,7 +345,6 @@ class SyntheticScene:
     surface: object
     views: list
     seed: int
-    version: str = GENERATOR_VERSION
 
 
 def render_script(surface, script: CameraScript, seed: int) -> SyntheticScene:

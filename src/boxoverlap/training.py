@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,20 @@ class TrainingDivergedError(RuntimeError):
         self.pair_ids = pair_ids
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+LR_FINAL_SCALE = 0.01
+# Boxes start large and heavily overlapping: with rho = 5 the smoothed
+# edge function flattens below a scale of a few rho, so tiny initial
+# boxes stall; see the softplus floor rho * ln 2 per dimension.
+INIT_CENTER_STD = 10.0
+INIT_SIZE_RAW = 100.0
+# Fields of configs written before the constants above left TrainConfig.
+_RETIRED_CONFIG_KEYS = ("beta1", "beta2", "eps", "lr_final_scale",
+                        "init_center_std", "init_size_raw")
+
+
 @dataclass
 class TrainConfig:
     dim: int = 32
@@ -34,15 +48,6 @@ class TrainConfig:
     steps: int = 40000
     batch_size: int = 32
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lr_final_scale: float = 0.01
-    # Boxes start large and heavily overlapping: with rho = 5 the smoothed
-    # edge function flattens below a scale of a few rho, so tiny initial
-    # boxes stall; see the softplus floor rho * ln 2 per dimension.
-    init_center_std: float = 10.0
-    init_size_raw: float = 100.0
 
     def __post_init__(self):
         if min(self.dim, self.steps, self.batch_size) < 1:
@@ -57,22 +62,12 @@ class TrainConfig:
         return SmoothingConfig(self.rho)
 
 
-@dataclass
 class PairDataset:
-    records: list
-    ids: list = field(default_factory=list)
+    """Overlap records and the sorted ids they name."""
 
-    def __post_init__(self):
-        if not self.ids:
-            seen = {}
-            for rec in self.records:
-                seen.setdefault(rec.id_x, None)
-                seen.setdefault(rec.id_y, None)
-            self.ids = sorted(seen)
-        known = set(self.ids)
-        for rec in self.records:
-            if rec.id_x not in known or rec.id_y not in known:
-                raise ValueError(f"pair references unknown id: {rec.id_x}, {rec.id_y}")
+    def __init__(self, records):
+        self.records = records
+        self.ids = sorted({i for rec in self.records for i in (rec.id_x, rec.id_y)})
 
     def __len__(self) -> int:
         return len(self.records)
@@ -147,10 +142,10 @@ def loss_box(table: EmbeddingTable, pair: OverlapRecord, cfg: TrainConfig) -> fl
 def _init_table(dataset: PairDataset, cfg: TrainConfig, kind: str, rng) -> EmbeddingTable:
     n = len(dataset.ids)
     if kind == "box":
-        centers = rng.normal(0.0, cfg.init_center_std, size=(n, cfg.dim))
-        size_raws = np.full((n, cfg.dim), cfg.init_size_raw)
+        centers = rng.normal(0.0, INIT_CENTER_STD, size=(n, cfg.dim))
+        size_raws = np.full((n, cfg.dim), INIT_SIZE_RAW)
         return EmbeddingTable("box", dataset.ids, np.hstack([centers, size_raws]))
-    vectors = rng.normal(0.0, cfg.init_center_std, size=(n, cfg.dim))
+    vectors = rng.normal(0.0, INIT_CENTER_STD, size=(n, cfg.dim))
     return EmbeddingTable("vector", dataset.ids, vectors)
 
 
@@ -269,25 +264,25 @@ def train(
             raise TrainingDivergedError(step, ids)
         trace[step] = loss
 
-        # Adam in place, in the operation order of m = beta1 * m + (1 - beta1)
-        # * grad, v = beta2 * v + (1 - beta2) * grad**2 and params -= lr_t *
-        # m_hat / (sqrt(v_hat) + eps). Once v is updated, grad's buffer holds
+        # Adam in place, in the operation order of m = BETA1 * m + (1 - BETA1)
+        # * grad, v = BETA2 * v + (1 - BETA2) * grad**2 and params -= lr_t *
+        # m_hat / (sqrt(v_hat) + EPS). Once v is updated, grad's buffer holds
         # the denominator.
-        m *= cfg.beta1
-        np.multiply(grad, 1.0 - cfg.beta1, out=buf)
+        m *= BETA1
+        np.multiply(grad, 1.0 - BETA1, out=buf)
         m += buf
         np.square(grad, out=grad)
-        grad *= 1.0 - cfg.beta2
-        v *= cfg.beta2
+        grad *= 1.0 - BETA2
+        v *= BETA2
         v += grad
-        # Cosine decay from lr down to lr * lr_final_scale.
+        # Cosine decay from lr down to lr * LR_FINAL_SCALE.
         frac = step / max(1, cfg.steps - 1)
-        lr_t = cfg.lr * (cfg.lr_final_scale
-                         + (1.0 - cfg.lr_final_scale) * 0.5 * (1.0 + math.cos(math.pi * frac)))
-        np.divide(v, 1.0 - cfg.beta2 ** (step + 1), out=grad)
+        lr_t = cfg.lr * (LR_FINAL_SCALE
+                         + (1.0 - LR_FINAL_SCALE) * 0.5 * (1.0 + math.cos(math.pi * frac)))
+        np.divide(v, 1.0 - BETA2 ** (step + 1), out=grad)
         np.sqrt(grad, out=grad)
-        grad += cfg.eps
-        np.divide(m, 1.0 - cfg.beta1 ** (step + 1), out=buf)
+        grad += EPS
+        np.divide(m, 1.0 - BETA1 ** (step + 1), out=buf)
         buf *= lr_t
         buf /= grad
         table.params -= buf
@@ -333,11 +328,16 @@ def save_checkpoint(path, table: EmbeddingTable, cfg: TrainConfig, step: int):
 
 
 def load_checkpoint(path):
-    """(table, cfg, step) of a checkpoint; fields it does not read are ignored."""
+    """(table, cfg, step) of a checkpoint; fields it does not read, and the
+    config keys of retired TrainConfig fields, are ignored."""
     with np.load(path, allow_pickle=False) as data:
         table = EmbeddingTable(str(data["kind"]), [str(s) for s in data["ids"]],
                                data["params"])
-        cfg = TrainConfig(**json.loads(str(data["config"])))
+        config = json.loads(str(data["config"]))
+        if isinstance(config, dict):
+            for key in _RETIRED_CONFIG_KEYS:
+                config.pop(key, None)
+        cfg = TrainConfig(**config)
         step = int(data["step"])
     if not np.isfinite(table.params).all():
         raise ValueError("params hold non-finite values")

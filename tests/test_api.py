@@ -1,4 +1,5 @@
-"""Every public name in the package has a caller outside the unit tests.
+"""Every public name and every default in the package has a caller outside
+the unit tests.
 
 A public function or class counts as called when its name appears as a
 name, an attribute or an import in the package (outside __init__.py), in
@@ -7,6 +8,11 @@ name appears there as an attribute, where `self.<name>` inside a class
 counts only for that class's own member. A name that only unit
 tests call is a second path to work a batched path already does: delete it
 and point its tests at that path.
+
+A default of a public function, method or dataclass field counts as set
+when a call in the same files, matched by name, passes its value by keyword
+or by position. A default that no such call sets is an option nobody
+chooses: make it a constant.
 """
 
 import ast
@@ -19,6 +25,14 @@ PACKAGE = ROOT / "src" / "boxoverlap"
 ALLOWED = {
     "synth.SphereSurface": "drives the curved-surface normal test",
     "synth.ExpectedOverlap.contains": "the interval check for make_pair",
+}
+
+# Defaults kept settable though no caller outside the unit tests sets them.
+ALLOWED_DEFAULTS = {
+    "synth.Placement.width": "larger views for a subsampled-view workload",
+    "synth.Placement.height": "larger views for a subsampled-view workload",
+    "synth.make_pair.surface": "a test fixture, like SphereSurface",
+    "training.train.initial": "the resumed run starts from a loaded table",
 }
 
 
@@ -53,6 +67,15 @@ def self_attributes(path, tree):
     return members
 
 
+def caller_files():
+    """The package outside __init__.py, the benchmark scripts and the
+    acceptance tests."""
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    return files
+
+
 def references():
     """(names, attributes, members): bare names and imports, attribute names
     other than `self.<name>`, and the qualified members used as `self.<name>`.
@@ -61,11 +84,8 @@ def references():
     name does not call it, and a `self.<name>` inside class C refers to C's
     own member only, so it does not call another class's member either.
     """
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "perfbench").glob("*.py"))
-    files.append(ROOT / "tests" / "test_acceptance.py")
     names, attributes, members = set(), set(), set()
-    for path in files:
+    for path in caller_files():
         tree = ast.parse(path.read_text())
         own = self_attributes(path, tree)
         members.update(own.values())
@@ -86,3 +106,86 @@ def test_every_public_name_has_a_caller():
         if not (qual in members or name in attributes
                 or (not is_method and name in names)))
     assert uncalled == sorted(ALLOWED)
+
+
+def is_dataclass(node):
+    return any(ast.unparse(dec).startswith("dataclass") for dec in node.decorator_list)
+
+
+def function_defaults(func, skip_first):
+    """(position or None, name) of each defaulted parameter; keyword-only
+    parameters have no position."""
+    positional = (func.args.posonlyargs + func.args.args)[skip_first:]
+    first = len(positional) - len(func.args.defaults)
+    for pos, arg in enumerate(positional[first:], first):
+        yield pos, arg.arg
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def field_defaults(cls):
+    """(position, name) of each dataclass field with a plain default, that
+    is, one not made by field(default_factory=...)."""
+    fields = [item for item in cls.body if isinstance(item, ast.AnnAssign)]
+    for pos, item in enumerate(fields):
+        if item.value is not None and not (isinstance(item.value, ast.Call)
+                                           and ast.unparse(item.value.func) == "field"):
+            yield pos, item.target.id
+
+
+def defaults():
+    """(qualified name, callee name, is_method, position, parameter) of each
+    plain default of a public function, method (an __init__'s under its
+    class name) or dataclass field."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if is_public(node, ast.FunctionDef):
+                for pos, arg in function_defaults(node, skip_first=False):
+                    yield f"{path.stem}.{node.name}.{arg}", node.name, False, pos, arg
+            if not is_public(node, ast.ClassDef):
+                continue
+            if is_dataclass(node):
+                for pos, arg in field_defaults(node):
+                    yield f"{path.stem}.{node.name}.{arg}", node.name, False, pos, arg
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    for pos, arg in function_defaults(item, skip_first=True):
+                        yield f"{path.stem}.{node.name}.{arg}", node.name, False, pos, arg
+                elif is_public(item, ast.FunctionDef):
+                    for pos, arg in function_defaults(item, skip_first=True):
+                        yield (f"{path.stem}.{node.name}.{item.name}.{arg}", item.name,
+                               True, pos, arg)
+
+
+def passed_arguments():
+    """(callee name, called as an attribute, keyword or position) of each
+    argument that a call in the caller files passes. `**` mappings and the
+    positions from a starred argument on are not counted."""
+    passed = set()
+    for path in caller_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, (ast.Name, ast.Attribute))):
+                continue
+            attribute = isinstance(node.func, ast.Attribute)
+            callee = node.func.attr if attribute else node.func.id
+            passed.update((callee, attribute, kw.arg) for kw in node.keywords
+                          if kw.arg is not None)
+            for pos, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed.add((callee, attribute, pos))
+    return passed
+
+
+def test_every_default_is_set_by_a_caller():
+    passed = passed_arguments()
+    unset = sorted(
+        qual for qual, callee, is_method, pos, arg in defaults()
+        if not any((callee, attribute, key) in passed
+                   for attribute in ((True,) if is_method else (False, True))
+                   for key in (arg, pos) if key is not None))
+    assert unset == sorted(ALLOWED_DEFAULTS)

@@ -214,6 +214,19 @@ def test_nso_malformed_scene_is_data_error(dataset, tmp_path, capsys):
     assert "view 'g001'" in err and "scene.json" in err
 
 
+def test_nso_depth_header_past_file_end_is_data_error(dataset, tmp_path, capsys):
+    # The header's 0xFFFFFFFF x 0xFFFFFFFF payload is checked against the
+    # file size before any read.
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    raw = (bad / "g001.dpth").read_bytes()
+    (bad / "g001.dpth").write_bytes(raw[:4] + b"\xff" * 8 + raw[12:])
+    code = main(["nso", "--dataset", str(bad), "--output", str(tmp_path / "o.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "g001.dpth" in err and "truncated" in err
+
+
 # -- train / eval --------------------------------------------------------------
 
 
@@ -281,6 +294,19 @@ def test_repeated_pair_is_data_error(command, run_dir, tmp_path, capsys):
     assert "row 3" in err and "row 2" in err and "rep.csv" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_overlap_csv_without_rows_is_data_error(command, run_dir, tmp_path, capsys):
+    pairs = tmp_path / "empty.csv"
+    pairs.write_text("id_x,id_y,nso_xy,nso_yx\n")
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "run"), "--steps", "10"]
+    else:
+        argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.npz")]
+    assert main(argv + ["--pairs", str(pairs)]) == 3
+    err = capsys.readouterr().err
+    assert "empty.csv" in err and "no rows" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content", ["not-npz", "no-params"])
 def test_bad_checkpoint_is_data_error(content, dataset, tmp_path, capsys):
     ckpt = tmp_path / "ckpt.npz"
@@ -326,6 +352,38 @@ def test_repeated_checkpoint_id_is_data_error(command, run_dir, dataset, tmp_pat
     assert captured.out == ""
     assert "dup.npz" in captured.err and "repeated image id: g000" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_checkpoint_with_retired_config_keys_prints_same_bytes(run_dir, dataset, tmp_path,
+                                                               capsys):
+    # Configs once also held the Adam and initialisation constants.
+    with np.load(run_dir / "checkpoint.npz") as data:
+        fields = dict(data)
+    config = json.loads(str(fields["config"]))
+    config.update(beta1=0.9, beta2=0.999, eps=1e-8, lr_final_scale=0.01,
+                  init_center_std=10.0, init_size_raw=100.0)
+    old = tmp_path / "old.npz"
+    np.savez(old, **{**fields, "config": json.dumps(config, sort_keys=True)})
+    outputs = {}
+    for ckpt in (run_dir / "checkpoint.npz", old):
+        for argv in (["eval", "--pairs", str(dataset / "pairs.csv")],
+                     ["query", "--query-id", "g001", "--k", "4", "--dataset", str(dataset)],
+                     ["scale", "--pairs", str(dataset / "pairs.csv")]):
+            assert main([argv[0], "--checkpoint", str(ckpt), *argv[1:]]) == 0
+            outputs.setdefault(argv[0], []).append(capsys.readouterr().out)
+    assert all(current == retired != "" for current, retired in outputs.values())
+
+
+def test_checkpoint_with_unknown_config_key_is_data_error(run_dir, dataset, tmp_path,
+                                                          capsys):
+    with np.load(run_dir / "checkpoint.npz") as data:
+        fields = dict(data)
+    config = {**json.loads(str(fields["config"])), "momentum": 0.9}
+    ckpt = tmp_path / "odd.npz"
+    np.savez(ckpt, **{**fields, "config": json.dumps(config)})
+    assert main(["eval", "--checkpoint", str(ckpt), "--pairs", str(dataset / "pairs.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "odd.npz" in err and "momentum" in err and err.count("\n") == 1
 
 
 def test_eval_unknown_id(run_dir, tmp_path, capsys):

@@ -54,6 +54,13 @@ def test_depth_truncated_payload(tmp_path):
         dataset_io.read_depth(path)
 
 
+def test_depth_header_past_file_end(tmp_path):
+    path = tmp_path / "huge.dpth"
+    path.write_bytes(b"DPTH" + b"\xff" * 8 + b"\x00" * 4 + b"\x00" * 64)
+    with pytest.raises(DatasetFormatError, match="huge.dpth"):
+        dataset_io.read_depth(path)
+
+
 # -- scene ---------------------------------------------------------------------
 
 

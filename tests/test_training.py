@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -41,11 +42,6 @@ def test_pair_dataset_collects_ids():
                       OverlapRecord("a", "c", 0.1, 0.2)])
     assert ds.ids == ["a", "b", "c"]
     assert len(ds) == 2
-
-
-def test_pair_dataset_rejects_unknown_id():
-    with pytest.raises(ValueError, match="unknown id"):
-        PairDataset([OverlapRecord("a", "b", 0.5, 0.5)], ids=["a"])
 
 
 # -- losses --------------------------------------------------------------------
@@ -388,6 +384,14 @@ def test_checkpoint_with_adam_moments_still_loads(tmp_path):
     loaded, loaded_cfg, step = load_checkpoint(path)
     assert np.array_equal(loaded.params, table.params)
     assert (loaded_cfg, step) == (cfg, 7)
+
+
+def test_checkpoint_config_holds_the_run_choices(tmp_path):
+    path = tmp_path / "c.npz"
+    save_checkpoint(path, identical_pair_table(), TrainConfig(dim=4), 0)
+    with np.load(path) as data:
+        keys = sorted(json.loads(str(data["config"])))
+    assert keys == ["batch_size", "dim", "lr", "rho", "seed", "steps"]
 
 
 def test_checkpoint_non_finite_params_rejected(tmp_path):
