@@ -17,7 +17,6 @@ from .geometry import (
     SurfelCloud,
     backproject,
     compute_nso,
-    estimate_normals,
     overlap_count_brute,
     subsample,
 )

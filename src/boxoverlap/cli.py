@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import zipfile
 from pathlib import Path
@@ -42,11 +41,6 @@ class UsageError(Exception):
 
 class DataError(Exception):
     pass
-
-
-def _default_seed() -> int:
-    env = os.environ.get("BOXOVERLAP_SEED")
-    return int(env) if env else 0
 
 
 def _nso_config(args) -> NSOConfig:
@@ -238,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=0)
 
     def add_geometry(p):
         p.add_argument("--threads", type=_positive_int, default=1,

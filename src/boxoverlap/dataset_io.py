@@ -62,8 +62,7 @@ def write_scene(dataset_dir, views) -> None:
     entries = []
     for view in views:
         depth_file = f"{view.id}.dpth"
-        raster = np.where(view.valid_mask, view.depth, np.nan)
-        write_depth(dataset_dir / depth_file, raster)
+        write_depth(dataset_dir / depth_file, view.depth)
         intr = view.intrinsics
         entries.append({
             "id": view.id,
@@ -101,6 +100,8 @@ def read_scene(dataset_dir) -> list[CameraView]:
                 )
         if not isinstance(entry["id"], str):
             raise DatasetFormatError(f"view #{i} in {scene_path}: id must be a string")
+        if not entry["id"]:
+            raise DatasetFormatError(f"view #{i} in {scene_path}: id must not be empty")
         if entry["id"] in seen:
             raise DatasetFormatError(f"duplicate view id {entry['id']!r} in {scene_path}")
         seen.add(entry["id"])
@@ -123,12 +124,11 @@ def _read_view(dataset_dir, entry) -> CameraView:
         width=int(entry["width"]), height=int(entry["height"]),
     )
     pose = Pose(rotation.reshape(3, 3), np.asarray(entry["translation"]))
-    depth = read_depth(dataset_dir / entry["depth_file"])
-    mask = np.isfinite(depth) & (depth > 0)
-    return CameraView(
-        id=entry["id"], intrinsics=intrinsics, pose=pose,
-        depth=np.where(mask, depth, np.nan), valid_mask=mask,
-    )
+    depth_path = dataset_dir / entry["depth_file"]
+    view = CameraView(entry["id"], intrinsics, pose, read_depth(depth_path))
+    if not view.valid_mask.any():
+        raise ValueError(f"no valid depth in {depth_path}")
+    return view
 
 
 def write_overlaps(path, records) -> None:

@@ -9,7 +9,7 @@ between the matched surface normals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,8 +26,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -44,6 +44,8 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64)
         if rot.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
         if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-9):
             raise ValueError("rotation is not orthonormal")
         if not np.isclose(np.linalg.det(rot), 1.0, atol=1e-9):
@@ -54,27 +56,21 @@ class Pose:
 
 @dataclass
 class CameraView:
-    """One posed depth image. depth > 0 exactly where valid_mask is True."""
+    """One posed depth image; depth is NaN wherever valid_mask is False."""
 
     id: str
     intrinsics: CameraIntrinsics
     pose: Pose
     depth: np.ndarray
-    valid_mask: np.ndarray
+    valid_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         depth = np.asarray(self.depth, dtype=np.float64)
-        mask = np.asarray(self.valid_mask, dtype=bool)
         h, w = self.intrinsics.height, self.intrinsics.width
-        if depth.shape != (h, w) or mask.shape != (h, w):
-            raise ValueError("depth/valid_mask dims must match intrinsics")
-        positive = np.zeros_like(mask)
-        with np.errstate(invalid="ignore"):
-            positive[np.isfinite(depth)] = depth[np.isfinite(depth)] > 0
-        if not np.array_equal(positive, mask):
-            raise ValueError("valid_mask must equal (depth > 0)")
-        self.depth = depth
-        self.valid_mask = mask
+        if depth.shape != (h, w):
+            raise ValueError("depth dims must match intrinsics")
+        self.valid_mask = np.isfinite(depth) & (depth > 0)
+        self.depth = np.where(self.valid_mask, depth, np.nan)
 
     @property
     def n_valid(self) -> int:
@@ -83,15 +79,14 @@ class CameraView:
 
 @dataclass
 class SurfelCloud:
-    """World-space points with unit normals and originating pixel coords."""
+    """World-space points with unit normals."""
 
     points: np.ndarray
     normals: np.ndarray
-    source_pixel: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.points) == len(self.normals) == len(self.source_pixel)):
-            raise ValueError("points/normals/source_pixel must have equal length")
+        if len(self.points) != len(self.normals):
+            raise ValueError("points/normals must have equal length")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -128,23 +123,21 @@ def _camera_points(view: CameraView) -> np.ndarray:
     """Backproject every pixel into the camera frame (invalid pixels -> NaN)."""
     intr = view.intrinsics
     cols, rows = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
-    z = np.where(view.valid_mask, view.depth, np.nan)
+    z = view.depth
     x = (cols - intr.cx) / intr.fx * z
     y = (rows - intr.cy) / intr.fy * z
     return np.stack([x, y, z], axis=-1)
 
 
-def estimate_normals(view: CameraView):
+def _fit_normals(pts: np.ndarray, mask: np.ndarray):
     """Per-pixel unit normals from a total-least-squares plane fit.
 
     For each valid pixel whose 3x3 backprojected neighborhood holds at least
     4 valid points (center included), the normal is the smallest eigenvector
     of the neighborhood covariance, oriented toward the camera center.
-    Returns (normals, valid) with world-frame normals; pixels without a
+    Returns (normals, valid) with camera-frame normals; pixels without a
     reliable fit are flagged invalid.
     """
-    pts = _camera_points(view)
-    mask = view.valid_mask
     h, w = mask.shape
 
     # Accumulate neighborhood sums of p, p p^T and counts via 3x3 shifts.
@@ -178,26 +171,19 @@ def estimate_normals(view: CameraView):
         flip = np.einsum("ij,ij->i", n, pts[valid]) > 0
         n[flip] *= -1.0
         normals[valid] = n
-
-    world_normals = normals @ view.pose.rotation.T
-    return world_normals, valid
+    return normals, valid
 
 
 def backproject(view: CameraView) -> SurfelCloud:
     """One world-space surfel per valid pixel with a well-determined normal."""
-    if not view.valid_mask.any():
-        raise ValueError(f"no valid depth in view {view.id!r}")
-    normals, normal_valid = estimate_normals(view)
-    keep = view.valid_mask & normal_valid
+    pts = _camera_points(view)
+    normals, keep = _fit_normals(pts, view.valid_mask)
     if not keep.any():
         raise ValueError(f"no valid depth in view {view.id!r}")
-    pts_cam = _camera_points(view)[keep]
-    pts_world = pts_cam @ view.pose.rotation.T + view.pose.translation
-    rows, cols = np.nonzero(keep)
+    rotation = view.pose.rotation
     return SurfelCloud(
-        points=pts_world,
-        normals=normals[keep],
-        source_pixel=np.stack([rows, cols], axis=1),
+        points=pts[keep] @ rotation.T + view.pose.translation,
+        normals=(normals @ rotation.T)[keep],
     )
 
 
@@ -209,7 +195,7 @@ def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
         return cloud
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(cloud), size=n, replace=False))
-    return SurfelCloud(cloud.points[idx], cloud.normals[idx], cloud.source_pixel[idx])
+    return SurfelCloud(cloud.points[idx], cloud.normals[idx])
 
 
 def _match_brute(src_points, dst_points, radius):

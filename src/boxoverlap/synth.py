@@ -190,14 +190,7 @@ def render_depth(surface, placement: Placement) -> CameraView:
     dirs_world = dirs_cam @ pose.rotation.T
     # The camera-frame ray has unit z, so the ray parameter is the z-depth.
     t = surface.intersect(pose.translation, dirs_world)
-    mask = np.isfinite(t) & (t > 0)
-    return CameraView(
-        id=placement.id,
-        intrinsics=intr,
-        pose=pose,
-        depth=np.where(mask, t, np.nan),
-        valid_mask=mask,
-    )
+    return CameraView(id=placement.id, intrinsics=intr, pose=pose, depth=t)
 
 
 def _down_camera(view_id, target_xy, height, focal=DEFAULT_FOCAL):
@@ -362,14 +355,7 @@ def _quantize(view: CameraView) -> CameraView:
     at generation time bit for bit.
     """
     depth = view.depth.astype(np.float32).astype(np.float64)
-    mask = view.valid_mask & (np.where(np.isfinite(depth), depth, 0.0) > 0)
-    return CameraView(
-        id=view.id,
-        intrinsics=view.intrinsics,
-        pose=view.pose,
-        depth=np.where(mask, depth, np.nan),
-        valid_mask=mask,
-    )
+    return CameraView(id=view.id, intrinsics=view.intrinsics, pose=view.pose, depth=depth)
 
 
 def generate_dataset(surface, script: CameraScript, out_dir, seed: int,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxoverlap import geometry
+from boxoverlap import dataset_io, geometry
 from boxoverlap.cli import main
 from boxoverlap.training import EmbeddingTable, TrainConfig, save_checkpoint
 
@@ -320,6 +320,27 @@ def test_bad_checkpoint_is_data_error(content, dataset, tmp_path, capsys):
     assert "ckpt.npz" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["nso", "query", "scale"])
+def test_view_without_valid_depth_is_data_error(command, dataset, run_dir, tmp_path, capsys):
+    blank = tmp_path / "ds"
+    shutil.copytree(dataset, blank)
+    depth_file = blank / "g001.dpth"
+    dataset_io.write_depth(depth_file, np.full_like(dataset_io.read_depth(depth_file), np.nan))
+    ckpt = str(run_dir / "checkpoint.npz")
+    argv = {
+        "nso": ["nso", "--dataset", str(blank), "--output", str(tmp_path / "o.csv")],
+        "query": ["query", "--checkpoint", ckpt, "--query-id", "g000", "--dataset", str(blank)],
+        "scale": ["scale", "--checkpoint", ckpt, "--pairs", str(dataset / "pairs.csv"),
+                  "--dataset", str(blank)],
+    }[command]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'g001'" in err and "scene.json" in err and "g001.dpth" in err
+
+
 @pytest.mark.parametrize("command", ["eval", "query"])
 def test_non_finite_checkpoint_params_is_data_error(command, run_dir, dataset, tmp_path,
                                                     capsys):
@@ -516,16 +537,6 @@ def test_scale_pairs_empty_id(run_dir, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "row 2" in err and "req.csv" in err
-
-
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("BOXOVERLAP_SEED", "3")
-    assert main(["synth", "--out", str(tmp_path / "env"),
-                 "--pattern", "grid:2"]) == 0
-    monkeypatch.delenv("BOXOVERLAP_SEED")
-    assert main(["synth", "--out", str(tmp_path / "flag"),
-                 "--pattern", "grid:2", "--seed", "3"]) == 0
-    assert tree_digest(tmp_path / "env") == tree_digest(tmp_path / "flag")
 
 
 # -- pinned bytes --------------------------------------------------------------

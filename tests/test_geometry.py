@@ -14,7 +14,6 @@ from boxoverlap.geometry import (
     all_pairs_nso,
     backproject,
     compute_nso,
-    estimate_normals,
     nso_from_clouds,
     overlap_count_brute,
     subsample,
@@ -36,7 +35,7 @@ def flat_view(view_id="flat", depth_value=1.0, size=5, fx=1.0, fy=1.0,
               cx=0.0, cy=0.0, pose=IDENTITY):
     intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=size, height=size)
     depth = np.full((size, size), depth_value)
-    return CameraView(view_id, intr, pose, depth, np.ones((size, size), bool))
+    return CameraView(view_id, intr, pose, depth)
 
 
 def random_cloud(rng, n, spread=1.0):
@@ -45,7 +44,6 @@ def random_cloud(rng, n, spread=1.0):
     return SurfelCloud(
         points=rng.uniform(-spread, spread, size=(n, 3)),
         normals=normals,
-        source_pixel=np.zeros((n, 2), int),
     )
 
 
@@ -62,11 +60,14 @@ def test_pose_rejects_reflection():
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
-def test_camera_view_mask_must_match_depth():
-    intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2, 2)
-    depth = np.array([[1.0, np.nan], [2.0, 3.0]])
-    with pytest.raises(ValueError):
-        CameraView("v", intr, IDENTITY, depth, np.ones((2, 2), bool))
+def test_camera_view_derives_mask():
+    intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 3, 2)
+    depth = np.array([[np.nan, 0.0, -1.0], [np.inf, 2.5, 1e-3]])
+    view = CameraView("v", intr, IDENTITY, depth)
+    valid = np.array([[False, False, False], [False, True, True]])
+    assert np.array_equal(view.valid_mask, valid)
+    assert np.isnan(view.depth[~valid]).all()
+    assert np.array_equal(view.depth[valid], [2.5, 1e-3])
 
 
 def test_overlap_record_bounds():
@@ -79,10 +80,9 @@ def test_overlap_record_bounds():
 
 def test_backproject_identity_camera():
     cloud = backproject(flat_view())
-    row = np.nonzero((cloud.source_pixel == [0, 0]).all(axis=1))[0]
-    assert len(row) == 1
     # Pixel (0, 0) with the principal point at (0, 0): ray is the optical axis.
-    assert np.allclose(cloud.points[row[0]], [0.0, 0.0, 1.0])
+    on_axis = np.isclose(cloud.points, [0.0, 0.0, 1.0]).all(axis=1)
+    assert on_axis.sum() == 1
 
 
 def test_backproject_translation_equivariance():
@@ -90,13 +90,11 @@ def test_backproject_translation_equivariance():
     base = backproject(flat_view())
     moved = backproject(flat_view(pose=Pose(np.eye(3), t)))
     assert np.allclose(moved.points, base.points + t)
-    assert np.array_equal(moved.source_pixel, base.source_pixel)
 
 
 def test_backproject_no_valid_depth():
     intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2, 2)
-    view = CameraView("v", intr, IDENTITY, np.full((2, 2), np.nan),
-                      np.zeros((2, 2), bool))
+    view = CameraView("v", intr, IDENTITY, np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="no valid depth"):
         backproject(view)
 
@@ -128,16 +126,15 @@ def test_isolated_pixel_dropped():
     depth = np.full((6, 6), np.nan)
     depth[0, 0] = 1.0          # isolated: no valid neighbors
     depth[3:5, 3:5] = 1.0      # 2x2 block: each pixel has 4 valid in its 3x3
-    mask = np.isfinite(depth)
-    cloud = backproject(CameraView("v", intr, IDENTITY, depth, mask))
+    cloud = backproject(CameraView("v", intr, IDENTITY, depth))
     assert len(cloud) == 4
-    assert not ((cloud.source_pixel == [0, 0]).all(axis=1)).any()
+    # Pixel (0, 0) backprojects onto the optical axis at depth 1.
+    assert not np.isclose(cloud.points, [0.0, 0.0, 1.0]).all(axis=1).any()
 
 
-def test_estimate_normals_unit_length():
+def test_backproject_normals_unit_length():
     view = flat_view(depth_value=2.0, size=6)
-    normals, valid = estimate_normals(view)
-    lengths = np.linalg.norm(normals[valid], axis=1)
+    lengths = np.linalg.norm(backproject(view).normals, axis=1)
     assert np.allclose(lengths, 1.0, atol=1e-6)
 
 
@@ -186,7 +183,7 @@ def test_overlap_self_is_size():
 def test_overlap_disjoint_clouds():
     rng = np.random.default_rng(3)
     src = random_cloud(rng, 100)
-    dst = SurfelCloud(src.points + 1.0, src.normals, src.source_pixel)
+    dst = SurfelCloud(src.points + 1.0, src.normals)
     assert cloud_nso(src, dst, radius=0.1) == (0.0, 0.0)
 
 
@@ -197,8 +194,8 @@ def test_overlap_interleaved_grids_match_brute_force():
     pts_a = np.stack([gx.ravel(), gy.ravel(), np.zeros(100)], axis=1)
     pts_b = pts_a + radius / 4  # interleaved at half spacing
     normals = np.tile([0.0, 0.0, 1.0], (100, 1))
-    a = SurfelCloud(pts_a, normals, np.zeros((100, 2), int))
-    b = SurfelCloud(pts_b, normals, np.zeros((100, 2), int))
+    a = SurfelCloud(pts_a, normals)
+    b = SurfelCloud(pts_b, normals)
     for weighted in (False, True):
         assert cloud_nso(a, b, radius, weighted) == \
             cloud_nso(a, b, radius, weighted, brute_force=True)
@@ -224,7 +221,7 @@ def test_unweighted_at_least_weighted():
 
 def test_overlap_empty_cloud():
     cloud = random_cloud(np.random.default_rng(0), 10)
-    empty = SurfelCloud(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 2), int))
+    empty = SurfelCloud(np.zeros((0, 3)), np.zeros((0, 3)))
     assert overlap_count_brute(cloud, empty, 0.1) == 0.0
     assert overlap_count_brute(empty, cloud, 0.1) == 0.0
 
@@ -282,8 +279,7 @@ def test_nso_rigid_motion_invariance():
 
     def moved(view):
         pose = Pose(q @ view.pose.rotation, q @ view.pose.translation + t0)
-        return CameraView(view.id, view.intrinsics, pose, view.depth.copy(),
-                          view.valid_mask.copy())
+        return CameraView(view.id, view.intrinsics, pose, view.depth.copy())
 
     cfg = NSOConfig(seed=0)
     base = compute_nso(wide, narrow, cfg)
@@ -359,7 +355,7 @@ def slab_cloud(x, n=8, spacing=0.25):
     ys, zs = np.meshgrid(np.arange(n) * spacing, np.arange(n) * spacing)
     points = np.stack([np.full(n * n, x), ys.ravel(), zs.ravel()], axis=1)
     normals = np.tile([0.0, 0.0, 1.0], (n * n, 1))
-    return SurfelCloud(points, normals, np.zeros((n * n, 2), int))
+    return SurfelCloud(points, normals)
 
 
 @pytest.mark.parametrize("weighted", [True, False])
@@ -386,8 +382,7 @@ def test_cull_drops_pair_just_beyond_radius():
 
 def point_cloud(points, normals):
     points = np.asarray(points, dtype=np.float64)
-    return SurfelCloud(points, np.asarray(normals, dtype=np.float64),
-                       np.zeros((len(points), 2), int))
+    return SurfelCloud(points, np.asarray(normals, dtype=np.float64))
 
 
 @pytest.mark.parametrize("first_up", [True, False])

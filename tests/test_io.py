@@ -102,7 +102,8 @@ def test_scene_missing_field_named(tmp_path):
 @pytest.mark.parametrize("view_id, message", [
     ("v0", r"duplicate view id 'v0' in .*scene\.json"),
     (["v0"], r"view #2 in .*scene\.json: id must be a string"),
-], ids=["duplicate", "not-a-string"])
+    ("", r"view #2 in .*scene\.json: id must not be empty"),
+], ids=["duplicate", "not-a-string", "empty"])
 def test_scene_bad_id_named(view_id, message, tmp_path):
     dataset_io.write_scene(tmp_path, sample_views())
     doc = json.loads((tmp_path / "scene.json").read_text())
@@ -127,8 +128,14 @@ def _edit_view(field, value):
     (_edit_view("width", "abc"), r"view 'v1' in .*scene\.json: "),
     (_edit_view("translation", [1.0]), r"view 'v1' in .*scene\.json: .*translation a 3-vector"),
     (_edit_view("fx", "abc"), r"view 'v1' in .*scene\.json: "),
+    (_edit_view("fx", float("nan")), r"view 'v1' in .*scene\.json: .*positive and finite"),
+    (_edit_view("fy", float("inf")), r"view 'v1' in .*scene\.json: .*positive and finite"),
+    (_edit_view("translation", [0.0, float("nan"), 10.0]),
+     r"view 'v1' in .*scene\.json: translation must be finite"),
+    (_edit_view("translation", [float("inf"), 0.0, 10.0]),
+     r"view 'v1' in .*scene\.json: translation must be finite"),
 ], ids=["root-list", "views-int", "view-int", "rotation-str", "width-str", "translation-1",
-        "fx-str"])
+        "fx-str", "fx-nan", "fy-inf", "translation-nan", "translation-inf"])
 def test_scene_bad_shape_named(edit, message, tmp_path):
     dataset_io.write_scene(tmp_path, sample_views())
     doc = json.loads((tmp_path / "scene.json").read_text())

@@ -47,8 +47,8 @@ def test_plane_depth_matches_analytic_everywhere():
     # ray length to the corner is 2/cos(theta).
     assert np.allclose(view.depth[view.valid_mask], 2.0, rtol=1e-9)
     cloud = backproject(view)
-    corner = np.nonzero((cloud.source_pixel == [0, 0]).all(axis=1))[0][0]
-    ray = cloud.points[corner] - view.pose.translation
+    # Pixel (0, 0) sees the plane, so its surfel is row 0 of the cloud.
+    ray = cloud.points[0] - view.pose.translation
     cos_theta = 2.0 / np.linalg.norm(ray)
     assert np.linalg.norm(ray) == pytest.approx(2.0 / cos_theta, rel=1e-9)
     intr = view.intrinsics
