@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, CameraView, OverlapRecord, Pose
+from .geometry import CameraIntrinsics, CameraView, OverlapRecord, Pose, normal_support
 
 DEPTH_MAGIC = b"DPTH"
 
@@ -126,8 +126,10 @@ def _read_view(dataset_dir, entry) -> CameraView:
     pose = Pose(rotation.reshape(3, 3), np.asarray(entry["translation"]))
     depth_path = dataset_dir / entry["depth_file"]
     view = CameraView(entry["id"], intrinsics, pose, read_depth(depth_path))
-    if not view.valid_mask.any():
-        raise ValueError(f"no valid depth in {depth_path}")
+    # The normal fit keeps only these pixels: a view without one has no surfel.
+    if not normal_support(view.valid_mask)[1].any():
+        raise ValueError(
+            f"no valid depth with 3 valid neighbours in its 3x3 window in {depth_path}")
     return view
 
 

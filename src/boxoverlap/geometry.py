@@ -129,48 +129,44 @@ def _camera_points(view: CameraView) -> np.ndarray:
     return np.stack([x, y, z], axis=-1)
 
 
+def _window_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over each pixel's 3x3 window of the first two axes; zero outside."""
+    h, w = a.shape[:2]
+    padded = np.pad(a, [(1, 1), (1, 1)] + [(0, 0)] * (a.ndim - 2))
+    out = np.zeros_like(a)
+    for r in (2, 1, 0):
+        for c in (2, 1, 0):
+            out += padded[r:r + h, c:c + w]
+    return out
+
+
+def normal_support(mask: np.ndarray):
+    """(count, fits): the valid pixels in each pixel's 3x3 window, its own
+    included, and the valid pixels whose window holds the 4 points a normal
+    fit needs."""
+    count = _window_sum(mask.astype(np.float64))
+    return count, mask & (count >= 4)
+
+
 def _fit_normals(pts: np.ndarray, mask: np.ndarray):
     """Per-pixel unit normals from a total-least-squares plane fit.
 
-    For each valid pixel whose 3x3 backprojected neighborhood holds at least
-    4 valid points (center included), the normal is the smallest eigenvector
-    of the neighborhood covariance, oriented toward the camera center.
-    Returns (normals, valid) with camera-frame normals; pixels without a
-    reliable fit are flagged invalid.
+    For each pixel that `normal_support` says fits, the normal is the
+    smallest eigenvector of the neighborhood covariance, oriented toward the
+    camera center. Returns (normals, valid) with camera-frame normals;
+    pixels without a reliable fit are flagged invalid.
     """
-    h, w = mask.shape
-
-    # Accumulate neighborhood sums of p, p p^T and counts via 3x3 shifts.
-    m = mask.astype(np.float64)
+    count, valid = normal_support(mask)
     p = np.where(mask[..., None], pts, 0.0)
-    outer = p[..., :, None] * p[..., None, :]
-
-    count = np.zeros((h, w))
-    s1 = np.zeros((h, w, 3))
-    s2 = np.zeros((h, w, 3, 3))
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            rs = slice(max(0, -dr), h - max(0, dr))
-            rd = slice(max(0, dr), h - max(0, -dr))
-            cs = slice(max(0, -dc), w - max(0, dc))
-            cd = slice(max(0, dc), w - max(0, -dc))
-            count[rd, cd] += m[rs, cs]
-            s1[rd, cd] += p[rs, cs]
-            s2[rd, cd] += outer[rs, cs]
-
-    valid = mask & (count >= 4)
-    safe = np.maximum(count, 1.0)
-    mean = s1 / safe[..., None]
-    cov = s2 / safe[..., None, None] - mean[..., :, None] * mean[..., None, :]
-
-    normals = np.zeros((h, w, 3))
-    if valid.any():
-        _, vecs = np.linalg.eigh(cov[valid])
-        n = vecs[:, :, 0]
-        # Orient toward the camera center (origin of the camera frame).
-        flip = np.einsum("ij,ij->i", n, pts[valid]) > 0
-        n[flip] *= -1.0
-        normals[valid] = n
+    n_points = count[valid]
+    mean = _window_sum(p)[valid] / n_points[:, None]
+    cov = (_window_sum(p[..., :, None] * p[..., None, :])[valid] / n_points[:, None, None]
+           - mean[:, :, None] * mean[:, None, :])
+    normal = np.linalg.eigh(cov)[1][:, :, 0]
+    # Orient toward the camera center (origin of the camera frame).
+    normal[np.einsum("ij,ij->i", normal, pts[valid]) > 0] *= -1.0
+    normals = np.zeros(pts.shape)
+    normals[valid] = normal
     return normals, valid
 
 

@@ -74,26 +74,25 @@ class HeightfieldSurface:
         return self.z0 + self.amplitude
 
     def intersect(self, origin, dirs):
-        dz = dirs[..., 2]
+        # The ray's components, so no step builds an (N, 3) point array.
+        ox, oy, oz = origin
+        dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
         descending = dz < 0
-        z_hi = self.z0 + self.amplitude
-        z_lo = self.z0 - self.amplitude
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_lo = (z_hi - origin[2]) / dz
-            t_hi = (z_lo - origin[2]) / dz
-
-        def above(t):
-            pt = origin + t[..., None] * dirs
-            return pt[..., 2] - self.height(pt[..., 0], pt[..., 1])
-
-        lo = np.where(descending, t_lo, np.nan)
-        hi = np.where(descending, t_hi, np.nan)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            with np.errstate(invalid="ignore"):
-                go_down = above(mid) > 0
-            lo = np.where(go_down, mid, lo)
-            hi = np.where(go_down, hi, mid)
+            lo = np.where(descending, (self.z0 + self.amplitude - oz) / dz, np.nan)
+            hi = np.where(descending, (self.z0 - self.amplitude - oz) / dz, np.nan)
+            # A step that changes no bracket leaves the next step the same
+            # inputs, so every later step changes nothing too: stopping there
+            # returns what all 100 steps would. In float64 that is after
+            # about 50 steps.
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                go_down = oz + mid * dz > self.height(ox + mid * dx, oy + mid * dy)
+                new_lo, new_hi = np.where(go_down, mid, lo), np.where(go_down, hi, mid)
+                if (np.array_equal(new_lo, lo, equal_nan=True)
+                        and np.array_equal(new_hi, hi, equal_nan=True)):
+                    break
+                lo, hi = new_lo, new_hi
         t = 0.5 * (lo + hi)
         return np.where(descending & (t > 0), t, np.nan)
 
@@ -171,6 +170,11 @@ def look_at_pose(position, target) -> Pose:
 
 def render_depth(surface, placement: Placement) -> CameraView:
     """Exact analytic depth render; NaN where the pixel ray misses."""
+    return _render(surface, placement, np.float64)
+
+
+def _render(surface, placement: Placement, dtype) -> CameraView:
+    """The view of one placement, its exact depth rounded to `dtype`."""
     if placement.position[2] <= surface.min_camera_z():
         raise ValueError(
             f"camera {placement.id!r} is behind or inside the surface"
@@ -190,7 +194,8 @@ def render_depth(surface, placement: Placement) -> CameraView:
     dirs_world = dirs_cam @ pose.rotation.T
     # The camera-frame ray has unit z, so the ray parameter is the z-depth.
     t = surface.intersect(pose.translation, dirs_world)
-    return CameraView(id=placement.id, intrinsics=intr, pose=pose, depth=t)
+    depth = t.astype(dtype, copy=False).astype(np.float64, copy=False)
+    return CameraView(id=placement.id, intrinsics=intr, pose=pose, depth=depth)
 
 
 def _down_camera(view_id, target_xy, height, focal=DEFAULT_FOCAL):
@@ -341,21 +346,16 @@ class SyntheticScene:
 
 
 def render_script(surface, script: CameraScript, seed: int) -> SyntheticScene:
-    views = [_quantize(render_depth(surface, p)) for p in script.placements]
-    for view in views:
-        if view.valid_mask.mean() < 0.5:
-            raise ValueError(f"view {view.id!r} sees under 50% valid pixels")
-    return SyntheticScene(surface=surface, views=views, seed=seed)
-
-
-def _quantize(view: CameraView) -> CameraView:
-    """Round depth to storage (float32) precision.
+    """Each placement's view, its depth rounded to storage (float32) precision.
 
     Overlaps recomputed from a written dataset then match the ones computed
     at generation time bit for bit.
     """
-    depth = view.depth.astype(np.float32).astype(np.float64)
-    return CameraView(id=view.id, intrinsics=view.intrinsics, pose=view.pose, depth=depth)
+    views = [_render(surface, p, np.float32) for p in script.placements]
+    for view in views:
+        if view.valid_mask.mean() < 0.5:
+            raise ValueError(f"view {view.id!r} sees under 50% valid pixels")
+    return SyntheticScene(surface=surface, views=views, seed=seed)
 
 
 def generate_dataset(surface, script: CameraScript, out_dir, seed: int,

@@ -320,18 +320,21 @@ def test_bad_checkpoint_is_data_error(content, dataset, tmp_path, capsys):
     assert "ckpt.npz" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["nso", "query", "scale"])
-def test_view_without_valid_depth_is_data_error(command, dataset, run_dir, tmp_path, capsys):
-    blank = tmp_path / "ds"
-    shutil.copytree(dataset, blank)
-    depth_file = blank / "g001.dpth"
-    dataset_io.write_depth(depth_file, np.full_like(dataset_io.read_depth(depth_file), np.nan))
+def run_with_g001_depth(command, keep, dataset, run_dir, tmp_path, capsys):
+    """Run `command` on a copy of the dataset whose g001.dpth keeps only the
+    pixels `keep` selects (NaN elsewhere); check that it fails as a data
+    error naming the view and its files, and return its stderr."""
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    depth_file = copy / "g001.dpth"
+    depth = dataset_io.read_depth(depth_file)
+    dataset_io.write_depth(depth_file, np.where(keep(depth.shape), depth, np.nan))
     ckpt = str(run_dir / "checkpoint.npz")
     argv = {
-        "nso": ["nso", "--dataset", str(blank), "--output", str(tmp_path / "o.csv")],
-        "query": ["query", "--checkpoint", ckpt, "--query-id", "g000", "--dataset", str(blank)],
+        "nso": ["nso", "--dataset", str(copy), "--output", str(tmp_path / "o.csv")],
+        "query": ["query", "--checkpoint", ckpt, "--query-id", "g000", "--dataset", str(copy)],
         "scale": ["scale", "--checkpoint", ckpt, "--pairs", str(dataset / "pairs.csv"),
-                  "--dataset", str(blank)],
+                  "--dataset", str(copy)],
     }[command]
     assert main(argv) == 3
     captured = capsys.readouterr()
@@ -339,6 +342,28 @@ def test_view_without_valid_depth_is_data_error(command, dataset, run_dir, tmp_p
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'g001'" in err and "scene.json" in err and "g001.dpth" in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["nso", "query", "scale"])
+def test_view_without_valid_depth_is_data_error(command, dataset, run_dir, tmp_path, capsys):
+    run_with_g001_depth(command, lambda shape: np.zeros(shape, bool),
+                        dataset, run_dir, tmp_path, capsys)
+
+
+def every_third_pixel(shape):
+    """Every third row and column: valid pixels, none with a valid neighbour."""
+    keep = np.zeros(shape, bool)
+    keep[::3, ::3] = True
+    return keep
+
+
+@pytest.mark.parametrize("command", ["nso", "query", "scale"])
+def test_view_without_normal_fit_is_data_error(command, dataset, run_dir, tmp_path, capsys):
+    # Such a view has valid depth but no pixel the normal fit keeps, so
+    # backprojecting it would yield no surfel; read time rejects it.
+    err = run_with_g001_depth(command, every_third_pixel, dataset, run_dir, tmp_path, capsys)
+    assert "3x3" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "query"])

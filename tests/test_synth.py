@@ -7,6 +7,8 @@ import pytest
 from boxoverlap import dataset_io
 from boxoverlap.geometry import NSOConfig, backproject, compute_nso, nso_from_clouds
 from boxoverlap.synth import (
+    DEFAULT_FOCAL,
+    DEFAULT_HEIGHT,
     CameraScript,
     HeightfieldSurface,
     Placement,
@@ -99,6 +101,95 @@ def test_render_script_quantizes_to_storage_precision():
     for view in scene.views:
         d = view.depth[view.valid_mask]
         assert np.array_equal(d, d.astype(np.float32).astype(np.float64))
+
+
+# A 3x3 grid, a 2x zoom and a 60-degree oblique view of default_surface(5).
+PINNED_PLACEMENTS = grid_script(3, seed=5).placements + [
+    Placement("zoom", position=(0.4, -0.3, DEFAULT_HEIGHT), target=(0.4, -0.3, 0.0),
+              focal=DEFAULT_FOCAL * 2.0),
+    Placement("oblique", position=(1.8 + DEFAULT_HEIGHT * np.sin(np.deg2rad(60.0)), 0.0,
+                                   DEFAULT_HEIGHT * np.cos(np.deg2rad(60.0))),
+              target=(1.8, 0.0, 0.0)),
+]
+
+
+def bisect_100_steps(surface, origin, dirs):
+    """The heightfield intersection by all 100 bisection steps, with the
+    height test on full (N, 3) ray points."""
+    dz = dirs[..., 2]
+    descending = dz < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(descending, (surface.z0 + surface.amplitude - origin[2]) / dz, np.nan)
+        hi = np.where(descending, (surface.z0 - surface.amplitude - origin[2]) / dz, np.nan)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        pt = origin + mid[..., None] * dirs
+        with np.errstate(invalid="ignore"):
+            go_down = pt[..., 2] - surface.height(pt[..., 0], pt[..., 1]) > 0
+        lo = np.where(go_down, mid, lo)
+        hi = np.where(go_down, hi, mid)
+    t = 0.5 * (lo + hi)
+    return np.where(descending & (t > 0), t, np.nan)
+
+
+def test_heightfield_early_exit_matches_100_steps():
+    surface = default_surface(seed=7)
+    origin = np.array([0.3, -0.2, DEFAULT_HEIGHT])
+    rng = np.random.default_rng(0)
+    steep = np.column_stack([rng.normal(0.0, 0.5, (500, 2)), -rng.uniform(0.2, 1.0, 500)])
+    # Rays within a millidegree of the horizon, whose brackets span 1e4-1e7.
+    grazing = np.column_stack([rng.normal(0.0, 1.0, (200, 2)),
+                               -rng.uniform(1e-7, 1e-5, 200)])
+    # Level and rising rays miss: NaN brackets.
+    missing = np.column_stack([rng.normal(0.0, 1.0, (100, 2)),
+                               np.r_[np.zeros(50), rng.uniform(0.0, 1.0, 50)]])
+    # One ray at a time too, so no other ray's bracket keeps the loop going.
+    for dirs in (steep, grazing, missing, *steep[:10, None], *grazing[:10, None]):
+        got = surface.intersect(origin, dirs)
+        assert np.array_equal(got, bisect_100_steps(surface, origin, dirs), equal_nan=True)
+    assert np.isnan(surface.intersect(origin, missing)).all()
+    assert np.isfinite(surface.intersect(origin, grazing)).all()
+
+    # Default-surface views, straight down and oblique, in their (h, w, 3) layout.
+    for placement in PINNED_PLACEMENTS[-2:]:
+        view = render_depth(surface, placement)
+        intr, pose = view.intrinsics, view.pose
+        cols, rows = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
+        dirs = np.stack([(cols - intr.cx) / intr.fx, (rows - intr.cy) / intr.fy,
+                         np.ones(cols.shape)], axis=-1) @ pose.rotation.T
+        assert np.array_equal(view.depth, bisect_100_steps(surface, pose.translation, dirs),
+                              equal_nan=True)
+
+
+def test_heightfield_stops_before_100_steps(monkeypatch):
+    surface = default_surface(seed=7)
+    height = surface.height
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return height(x, y)
+
+    monkeypatch.setattr(surface, "height", counted)
+    render_depth(surface, grid_script(1, seed=0).placements[0])
+    # float64 runs out of bits after about 50 halvings of the bracket.
+    assert 0 < len(calls) < 100
+    # A missed ray's NaN bracket counts as unchanged.
+    calls.clear()
+    dirs = np.array([[0.1, 0.2, -1.0], [0.3, 0.0, 0.0], [0.0, 0.1, 1.0]])
+    surface.intersect(np.array([0.0, 0.0, DEFAULT_HEIGHT]), dirs)
+    assert 0 < len(calls) < 100
+
+
+def test_render_bytes_pinned():
+    # The depth bytes as all 100 bisection steps render them; a render
+    # change that moves any depth bit fails here.
+    scene = render_script(default_surface(5), CameraScript(PINNED_PLACEMENTS), seed=5)
+    digest = hashlib.sha256()
+    for view in scene.views:
+        digest.update(view.depth.tobytes())
+    assert digest.hexdigest() == (
+        "5ac163914dfeb2293a6d99b44396758694104fd08e7d10c2743edb47d325966a")
 
 
 # -- pair generators -----------------------------------------------------------
