@@ -139,7 +139,7 @@ def _load_checkpoint(path, box=False):
     """(table, cfg) of a checkpoint. A file that is not a readable checkpoint
     is a data error; with box=True, a table of another kind is a usage error."""
     try:
-        table, cfg, _ = load_checkpoint(path)
+        table, cfg = load_checkpoint(path)
     except (ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError) as exc:
         raise DataError(f"not a valid checkpoint {path}: {exc}") from None
     if box and table.kind != "box":
@@ -160,7 +160,10 @@ def cmd_eval(args) -> int:
     table, cfg = _load_checkpoint(args.checkpoint)
     records = _read_overlaps(args.pairs)
     _check_ids((i for r in records for i in (r.id_x, r.id_y)), table.row, args.pairs)
-    metrics = evaluate(table, records, cfg)
+    try:
+        metrics = evaluate(table, records, cfg)
+    except boxes.DegenerateBoxError as exc:
+        raise DataError(f"{exc} in checkpoint {args.checkpoint}") from None
     _write_lines(args.output, [json.dumps(metrics, indent=2, sort_keys=True)])
     return EXIT_OK
 
@@ -186,7 +189,11 @@ def cmd_query(args) -> int:
     _check_ids([args.query_id], table.row)
     index = retrieval.BoxIndex.build(table)
     smoothing = SmoothingConfig(0.0 if args.hard else cfg.rho)
-    results = index.query_topk(table.box(args.query_id), args.k, smoothing)
+    try:
+        results = index.query_topk(table.box(args.query_id), args.k, smoothing)
+    except boxes.DegenerateBoxError:
+        raise DataError(f"degenerate box: zero volume of image {args.query_id}"
+                        f" in checkpoint {args.checkpoint}") from None
     counts = _pixel_counts(args, [args.query_id] + [r.id for r in results])
     _write_lines(args.output, (json.dumps({
         "query_id": args.query_id,
@@ -206,7 +213,10 @@ def cmd_scale(args) -> int:
     ids = sorted({i for p in pairs for i in p})
     _check_ids(ids, table.row, args.pairs)
     counts = _pixel_counts(args, ids)
-    preds = predict(table, pairs, cfg.smoothing).tolist()
+    try:
+        preds = predict(table, pairs, cfg.smoothing).tolist()
+    except boxes.DegenerateBoxError as exc:
+        raise DataError(f"{exc} in checkpoint {args.checkpoint}") from None
     _write_lines(args.output, (json.dumps({
         "id_x": id_x, "id_y": id_y, "nbo_xy": xy, "nbo_yx": yx,
         "scale": _scale(counts, id_x, id_y, xy, yx),

@@ -41,9 +41,6 @@ class PlaneSurface:
     def __init__(self, z0: float = 0.0):
         self.z0 = z0
 
-    def height(self, x, y):
-        return np.full_like(np.asarray(x, dtype=np.float64), self.z0)
-
     def min_camera_z(self) -> float:
         return self.z0
 

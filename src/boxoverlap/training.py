@@ -126,7 +126,10 @@ def predict(table: EmbeddingTable, pairs, smoothing: SmoothingConfig) -> np.ndar
         inter, vol_x, vol_y = boxes.overlap(lowers[xi], uppers[xi],
                                             lowers[yi], uppers[yi], smoothing)
         if not (vol_x.all() and vol_y.all()):
-            raise boxes.DegenerateBoxError("degenerate box: zero source volume")
+            k = np.flatnonzero((vol_x == 0) | (vol_y == 0))[0]
+            row = xi[k] if vol_x[k] == 0 else yi[k]
+            raise boxes.DegenerateBoxError(
+                f"degenerate box: zero volume of image {table.ids[row]}")
         return np.stack([inter / vol_x, inter / vol_y], axis=1)
     dist = np.linalg.norm(table.params[xi] - table.params[yi], axis=1)
     pred = np.clip(1.0 - dist, 0.0, 1.0)
@@ -226,19 +229,14 @@ def _vector_batch_grad(table, xi, yi, t_sym, cfg: TrainConfig):
 # A diverging run is reported once, as TrainingDivergedError; numpy's
 # per-operation warnings on the way there would only add noise.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train(
-    dataset: PairDataset,
-    cfg: TrainConfig,
-    kind: str = "box",
-    initial: EmbeddingTable | None = None,
-):
-    """Minibatch Adam over the embedding table; returns (table, loss_trace)."""
+def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
+    """Minibatch Adam over a freshly initialised table; returns (table, loss_trace)."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     if kind not in ("box", "vector"):
         raise ValueError(f"unknown embedding kind: {kind}")
     rng = np.random.default_rng(cfg.seed)
-    table = initial if initial is not None else _init_table(dataset, cfg, kind, rng)
+    table = _init_table(dataset, cfg, kind, rng)
 
     t_xy = np.array([r.nso_xy for r in dataset.records])
     t_yx = np.array([r.nso_yx for r in dataset.records])
@@ -316,7 +314,8 @@ def evaluate(table: EmbeddingTable, test_pairs, cfg: TrainConfig) -> dict:
 
 
 def save_checkpoint(path, table: EmbeddingTable, cfg: TrainConfig, step: int):
-    """Write the table, its training config and the step count it reached."""
+    """Write the table, its training config and, for the record, the step
+    count it reached; nothing resumes from it."""
     np.savez(
         path,
         kind=table.kind,
@@ -328,8 +327,8 @@ def save_checkpoint(path, table: EmbeddingTable, cfg: TrainConfig, step: int):
 
 
 def load_checkpoint(path):
-    """(table, cfg, step) of a checkpoint; fields it does not read, and the
-    config keys of retired TrainConfig fields, are ignored."""
+    """(table, cfg) of a checkpoint; fields it does not read (`step` among
+    them), and the config keys of retired TrainConfig fields, are ignored."""
     with np.load(path, allow_pickle=False) as data:
         table = EmbeddingTable(str(data["kind"]), [str(s) for s in data["ids"]],
                                data["params"])
@@ -338,7 +337,6 @@ def load_checkpoint(path):
             for key in _RETIRED_CONFIG_KEYS:
                 config.pop(key, None)
         cfg = TrainConfig(**config)
-        step = int(data["step"])
     if not np.isfinite(table.params).all():
         raise ValueError("params hold non-finite values")
-    return table, cfg, step
+    return table, cfg

@@ -3,11 +3,14 @@ the unit tests.
 
 A public function or class counts as called when its name appears as a
 name, an attribute or an import in the package (outside __init__.py), in
-the benchmark scripts or in the acceptance tests; a public method, when its
-name appears there as an attribute, where `self.<name>` inside a class
-counts only for that class's own member. A name that only unit
-tests call is a second path to work a batched path already does: delete it
-and point its tests at that path.
+the benchmark scripts or in the acceptance tests. A public property counts
+when its name is read there as an attribute. Any other public method counts
+only when it is called there as `x.<name>(...)`, referenced as
+`<Class>.<name>`, or used as `self.<name>` inside its own class; an
+attribute of the same name elsewhere (`intr.height` for a `height` method)
+does not call it. A name that only unit tests call is a second path to
+work a batched path already does: delete it and point its tests at that
+path.
 
 A default of a public function, method or dataclass field counts as set
 when a call in the same files, matched by name, passes its value by keyword
@@ -32,7 +35,6 @@ ALLOWED_DEFAULTS = {
     "synth.Placement.width": "larger views for a subsampled-view workload",
     "synth.Placement.height": "larger views for a subsampled-view workload",
     "synth.make_pair.surface": "a test fixture, like SphereSurface",
-    "training.train.initial": "the resumed run starts from a loaded table",
 }
 
 
@@ -40,18 +42,24 @@ def is_public(node, kinds):
     return isinstance(node, kinds) and not node.name.startswith("_")
 
 
+def is_property(func):
+    return any(ast.unparse(dec) == "property" for dec in func.decorator_list)
+
+
 def public_names():
-    """(qualified name, name, is_method) of each public module-level function
-    or class and of each public method of a module-level class."""
+    """(qualified name, name, kind) of each public module-level function or
+    class ("name") and of each public property ("property") or other method
+    ("method") of a module-level class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not is_public(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            yield f"{path.stem}.{node.name}", node.name, False
+            yield f"{path.stem}.{node.name}", node.name, "name"
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if is_public(item, ast.FunctionDef):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name, True
+                        kind = "property" if is_property(item) else "method"
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name, kind
 
 
 def self_attributes(path, tree):
@@ -77,14 +85,16 @@ def caller_files():
 
 
 def references():
-    """(names, attributes, members): bare names and imports, attribute names
-    other than `self.<name>`, and the qualified members used as `self.<name>`.
+    """(names, attributes, called, class_attributes, members): bare names and
+    imports; attribute names other than `self.<name>`; those of them called
+    as `x.<name>(...)`; `<Class>.<name>` for each attribute read off a name
+    or attribute `<Class>`; and the qualified members used as `self.<name>`.
 
     A method is reached only as an attribute, so a local variable of the same
     name does not call it, and a `self.<name>` inside class C refers to C's
     own member only, so it does not call another class's member either.
     """
-    names, attributes, members = set(), set(), set()
+    names, attributes, called, class_attributes, members = set(), set(), set(), set(), set()
     for path in caller_files():
         tree = ast.parse(path.read_text())
         own = self_attributes(path, tree)
@@ -94,17 +104,29 @@ def references():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and node not in own:
                 attributes.add(node.attr)
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                class_attributes.add(f"{owner}.{node.attr}")
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-    return names, attributes, members
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func not in own):
+                called.add(node.func.attr)
+    return names, attributes, called, class_attributes, members
 
 
 def test_every_public_name_has_a_caller():
-    names, attributes, members = references()
-    uncalled = sorted(
-        qual for qual, name, is_method in public_names()
-        if not (qual in members or name in attributes
-                or (not is_method and name in names)))
+    names, attributes, called, class_attributes, members = references()
+
+    def reached(qual, name, kind):
+        if kind == "name":
+            return name in names or name in attributes
+        if kind == "property":
+            return qual in members or name in attributes
+        owner = qual.split(".")[1]
+        return qual in members or name in called or f"{owner}.{name}" in class_attributes
+
+    uncalled = sorted(qual for qual, name, kind in public_names()
+                      if not reached(qual, name, kind))
     assert uncalled == sorted(ALLOWED)
 
 

@@ -400,6 +400,30 @@ def test_repeated_checkpoint_id_is_data_error(command, run_dir, dataset, tmp_pat
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "query", "scale"])
+def test_zero_volume_checkpoint_box_is_data_error(command, run_dir, dataset, tmp_path,
+                                                  capsys):
+    # softplus(-800) underflows to a zero width in every dimension of g001:
+    # a zero hard volume, and a zero smoothed volume at rho 1e-20.
+    with np.load(run_dir / "checkpoint.npz") as data:
+        fields = dict(data)
+    dim = fields["params"].shape[1] // 2
+    fields["params"][1, dim:] = -800.0
+    fields["config"] = json.dumps({**json.loads(str(fields["config"])), "rho": 1e-20})
+    ckpt = tmp_path / "flat.npz"
+    np.savez(ckpt, **fields)
+    pairs = tmp_path / "req.csv"
+    pairs.write_text("id_x,id_y\ng000,g001\n")
+    argv = {"eval": ["--pairs", str(dataset / "pairs.csv")],
+            "query": ["--query-id", "g001", "--hard"],
+            "scale": ["--pairs", str(pairs)]}[command]
+    assert main([command, "--checkpoint", str(ckpt), *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: degenerate box: zero volume of image g001 in checkpoint {ckpt}\n")
+
+
 def test_checkpoint_with_retired_config_keys_prints_same_bytes(run_dir, dataset, tmp_path,
                                                                capsys):
     # Configs once also held the Adam and initialisation constants.
