@@ -16,7 +16,7 @@ from scipy.special import expit
 
 
 class DegenerateBoxError(ValueError):
-    """Raised when a zero-volume box is used as an overlap denominator."""
+    """Raised when a box volume that divides an overlap is zero or overflows."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,16 @@ def overlap(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):
             volumes(lower_x, upper_x, cfg), volumes(lower_y, upper_y, cfg))
 
 
+def check_volume(vol, image_id=None):
+    """Raise DegenerateBoxError unless a box volume that divides an overlap is
+    positive and finite. Sizes that underflow make it 0; sizes whose product
+    overflows make it inf, or NaN where a later factor is 0."""
+    if not 0.0 < vol < np.inf:
+        of = "" if image_id is None else f" of image {image_id}"
+        raise DegenerateBoxError(
+            f"degenerate box: {'zero' if vol == 0.0 else 'overflowing'} volume{of}")
+
+
 def _overlap_boxes(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig):
     if bx.dim != by.dim:
         raise ValueError(f"dimension mismatch: {bx.dim} vs {by.dim}")
@@ -113,8 +123,7 @@ def _overlap_boxes(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig):
 def nbo(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
     """Normalized box overlap: intersection volume over the source box volume."""
     inter, vol, _ = _overlap_boxes(bx, by, cfg)
-    if vol == 0.0:
-        raise DegenerateBoxError("degenerate box: zero source volume")
+    check_volume(vol)
     return float(inter / vol)
 
 
@@ -132,40 +141,39 @@ def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
 
 
 def nbo_grad_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
-    """Batched analytic gradient of nbo w.r.t. raw parameters.
+    """Batched analytic gradients of both directed overlaps w.r.t. raw parameters.
 
-    Inputs are (B, D) arrays; returns (nbo, d_cx, d_sx_raw, d_cy, d_sy_raw).
-    Requires rho > 0 so every sigma factor is strictly positive. Ties in the
-    min/max edge terms are resolved toward the first (source) argument.
+    Inputs are (B, D) centers and pre-softplus sizes of boxes x and y. Returns
+    (nbo, d_src_c, d_src_s, d_tgt_c, d_tgt_s), nbo (2, B) and each partial
+    (2, B, D); axis 0 is the direction, x -> y then y -> x, so the source box
+    is x, then y. Both come from one forward pass. Requires rho > 0 so every
+    sigma factor is strictly positive. A min/max edge tie counts as the source's.
     """
     if cfg.hard:
         raise ValueError("gradients require rho > 0")
-    sx = softplus(sx_raw)
-    sy = softplus(sy_raw)
-    ux, lx = cx + sx / 2.0, cx - sx / 2.0
-    uy, ly = cy + sy / 2.0, cy - sy / 2.0
-    v = np.minimum(ux, uy) - np.maximum(lx, ly)
+    size_raws = np.stack([sx_raw, sy_raw])
+    sizes = softplus(size_raws)
+    half = sizes / 2.0
+    centers = np.stack([cx, cy])
+    upper, lower = centers + half, centers - half
+    v = np.minimum(upper[0], upper[1]) - np.maximum(lower[0], lower[1])
 
     f = sigma(v, cfg)
-    g = sigma(sx, cfg)
-    inter = np.prod(f, axis=-1)
-    vol = np.prod(g, axis=-1)
-    out = inter / vol
+    g = sigma(sizes, cfg)
+    out = np.prod(f, axis=-1) / np.prod(g, axis=-1)
 
     # d nbo / d v_d and the direct volume term through the source size.
     dv = out[..., None] * sigma_grad(v, cfg) / f
-    d_direct_sx = -out[..., None] * sigma_grad(sx, cfg) / g
+    d_direct = -out[..., None] * sigma_grad(sizes, cfg) / g
+    a_u = (upper <= upper[::-1]).astype(np.float64)  # min tie -> source
+    a_l = (lower >= lower[::-1]).astype(np.float64)  # max tie -> source
+    spg = softplus_grad(size_raws)
 
-    a_u = (ux <= uy).astype(np.float64)  # min tie -> source
-    a_l = (lx >= ly).astype(np.float64)  # max tie -> source
-    spg_x = softplus_grad(sx_raw)
-    spg_y = softplus_grad(sy_raw)
-
-    d_cx = dv * (a_u - a_l)
-    d_sx = (dv * (a_u + a_l) / 2.0 + d_direct_sx) * spg_x
-    d_cy = dv * ((1.0 - a_u) - (1.0 - a_l))
-    d_sy = dv * ((2.0 - a_u - a_l) / 2.0) * spg_y
-    return out, d_cx, d_sx, d_cy, d_sy
+    d_src_c = dv * (a_u - a_l)
+    d_src_s = (dv * (a_u + a_l) / 2.0 + d_direct) * spg
+    d_tgt_c = dv * ((1.0 - a_u) - (1.0 - a_l))
+    d_tgt_s = dv * ((2.0 - a_u - a_l) / 2.0) * spg[::-1]
+    return out, d_src_c, d_src_s, d_tgt_c, d_tgt_s
 
 
 def box_table_to_json(ids, lowers, uppers) -> str:

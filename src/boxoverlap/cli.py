@@ -16,6 +16,8 @@ import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
+
 from . import boxes, dataset_io, retrieval, synth
 from .boxes import SmoothingConfig
 from .geometry import NSOConfig, OracleMismatchError, all_pairs_nso, pairs_nso
@@ -156,6 +158,10 @@ def _write_lines(path, lines):
         sys.stdout.write(text)
 
 
+# Commands that read a box checkpoint: a box volume too large for float64 is
+# inf, which predict and the query check reject where it would divide an
+# overlap, so numpy's overflow warnings would only add lines to stderr.
+@np.errstate(over="ignore")
 def cmd_eval(args) -> int:
     table, cfg = _load_checkpoint(args.checkpoint)
     records = _read_overlaps(args.pairs)
@@ -184,16 +190,17 @@ def _scale(counts, id_x, id_y, nbo_xy, nbo_yx):
     return retrieval.estimate_scale(nbo_xy, nbo_yx, counts[id_x], counts[id_y])
 
 
+@np.errstate(over="ignore")
 def cmd_query(args) -> int:
     table, cfg = _load_checkpoint(args.checkpoint, box=True)
     _check_ids([args.query_id], table.row)
-    index = retrieval.BoxIndex.build(table)
     smoothing = SmoothingConfig(0.0 if args.hard else cfg.rho)
-    try:
-        results = index.query_topk(table.box(args.query_id), args.k, smoothing)
-    except boxes.DegenerateBoxError:
-        raise DataError(f"degenerate box: zero volume of image {args.query_id}"
-                        f" in checkpoint {args.checkpoint}") from None
+    query = table.box(args.query_id)
+    try:  # the query box's volume divides every enclosure
+        boxes.check_volume(boxes.volumes(query.lower, query.upper, smoothing), args.query_id)
+    except boxes.DegenerateBoxError as exc:
+        raise DataError(f"{exc} in checkpoint {args.checkpoint}") from None
+    results = retrieval.BoxIndex.build(table).query_topk(query, args.k, smoothing)
     counts = _pixel_counts(args, [args.query_id] + [r.id for r in results])
     _write_lines(args.output, (json.dumps({
         "query_id": args.query_id,
@@ -207,6 +214,7 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore")
 def cmd_scale(args) -> int:
     table, cfg = _load_checkpoint(args.checkpoint, box=True)
     pairs = dataset_io.read_id_pairs(args.pairs)

@@ -205,6 +205,23 @@ def _down_camera(view_id, target_xy, height, focal=DEFAULT_FOCAL):
     )
 
 
+def _zoom_cameras(ids, center, factor):
+    """A downward camera and one in its place with `factor` times its focal length."""
+    return (_down_camera(ids[0], center, DEFAULT_HEIGHT),
+            _down_camera(ids[1], center, DEFAULT_HEIGHT, focal=DEFAULT_FOCAL * factor))
+
+
+def _oblique_cameras(ids, center, angle_deg, offset):
+    """A downward camera, and one tilted angle_deg from vertical towards a
+    target `offset` along x from the first camera's."""
+    angle = np.deg2rad(angle_deg)
+    target = (center[0] + offset, center[1], 0.0)
+    position = (target[0] + DEFAULT_HEIGHT * np.sin(angle), center[1],
+                DEFAULT_HEIGHT * np.cos(angle))
+    return (_down_camera(ids[0], center, DEFAULT_HEIGHT),
+            Placement(id=ids[1], position=position, target=target))
+
+
 def make_pair(pattern: str, params: dict, seed: int, surface=None):
     """Two views plus the analytic expected overlap interval.
 
@@ -222,10 +239,7 @@ def make_pair(pattern: str, params: dict, seed: int, surface=None):
         f = float(params["factor"])
         if f <= 1:
             raise ValueError("zoom factor must be > 1")
-        view_x = render_depth(surface, _down_camera(ids[0], center, h))
-        view_y = render_depth(
-            surface, _down_camera(ids[1], center, h, focal=DEFAULT_FOCAL * f)
-        )
+        view_x, view_y = (render_depth(surface, p) for p in _zoom_cameras(ids, center, f))
         # Footprint area ratio 1/f^2 plus a match-radius boundary ring.
         base = 1.0 / f**2
         return view_x, view_y, ExpectedOverlap(
@@ -246,19 +260,9 @@ def make_pair(pattern: str, params: dict, seed: int, surface=None):
         return view_x, view_y, ExpectedOverlap(xy=(lo, 1.0), yx=(lo, 1.0))
 
     if pattern == "oblique":
-        angle = np.deg2rad(float(params.get("angle_deg", 60.0)))
-        offset = float(params.get("offset", 1.8))
-        view_x = render_depth(surface, _down_camera(ids[0], center, h))
-        target_y = (center[0] + offset, center[1], 0.0)
-        position_y = (
-            target_y[0] + h * np.sin(angle),
-            center[1],
-            h * np.cos(angle) + 0.0,
-        )
-        view_y = render_depth(
-            surface,
-            Placement(id=ids[1], position=position_y, target=target_y),
-        )
+        cameras = _oblique_cameras(ids, center, float(params.get("angle_deg", 60.0)),
+                                   float(params.get("offset", 1.8)))
+        view_x, view_y = (render_depth(surface, p) for p in cameras)
         # Slanted view of a laterally shifted target: moderate overlap both
         # ways, concentration held inside the oblique band of the classifier.
         return view_x, view_y, ExpectedOverlap(xy=(0.60, 0.90), yx=(0.28, 0.50))
@@ -314,23 +318,12 @@ def default_script(seed: int = 7) -> CameraScript:
     for i, f in enumerate(zoom_factors):
         cx, cy = rng.uniform(-2.0, 2.0, size=2)
         ids = (f"z{i}a", f"z{i}b")
-        script.placements.append(_down_camera(ids[0], (cx, cy), DEFAULT_HEIGHT))
-        script.placements.append(
-            _down_camera(ids[1], (cx, cy), DEFAULT_HEIGHT, focal=DEFAULT_FOCAL * f)
-        )
+        script.placements.extend(_zoom_cameras(ids, (cx, cy), f))
         script.labeled_pairs.append((ids[0], ids[1], "zoom-in", f))
     for i in range(8):
         cx, cy = rng.uniform(-2.0, 2.0, size=2)
         ids = (f"o{i}a", f"o{i}b")
-        script.placements.append(_down_camera(ids[0], (cx, cy), DEFAULT_HEIGHT))
-        angle = np.deg2rad(60.0)
-        target = (cx + 1.8, cy, 0.0)
-        script.placements.append(Placement(
-            id=ids[1],
-            position=(target[0] + DEFAULT_HEIGHT * np.sin(angle), cy,
-                      DEFAULT_HEIGHT * np.cos(angle)),
-            target=target,
-        ))
+        script.placements.extend(_oblique_cameras(ids, (cx, cy), 60.0, 1.8))
         script.labeled_pairs.append((ids[0], ids[1], "oblique-or-crop-out", 60.0))
     return script
 

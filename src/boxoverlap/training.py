@@ -125,12 +125,12 @@ def predict(table: EmbeddingTable, pairs, smoothing: SmoothingConfig) -> np.ndar
         lowers, uppers = table.bounds()
         inter, vol_x, vol_y = boxes.overlap(lowers[xi], uppers[xi],
                                             lowers[yi], uppers[yi], smoothing)
-        if not (vol_x.all() and vol_y.all()):
-            k = np.flatnonzero((vol_x == 0) | (vol_y == 0))[0]
-            row = xi[k] if vol_x[k] == 0 else yi[k]
-            raise boxes.DegenerateBoxError(
-                f"degenerate box: zero volume of image {table.ids[row]}")
-        return np.stack([inter / vol_x, inter / vol_y], axis=1)
+        vols = np.stack([vol_x, vol_y], axis=1)
+        bad = np.argwhere(~((vols > 0.0) & (vols < np.inf)))
+        if len(bad):
+            k, side = bad[0]
+            boxes.check_volume(vols[k, side], table.ids[(xi, yi)[side][k]])
+        return inter[:, None] / vols
     dist = np.linalg.norm(table.params[xi] - table.params[yi], axis=1)
     pred = np.clip(1.0 - dist, 0.0, 1.0)
     return np.stack([pred, pred], axis=1)
@@ -167,35 +167,14 @@ def _scatter_rows(rows, values, n_rows):
 def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
     """Mean loss over a batch of pairs plus gradient w.r.t. the full table.
 
-    Both directions share one forward pass: the intersection and the
-    softplus, sigma and sigma_grad terms are computed once. Only the output,
-    the tie masks (a tie counts as the source's in both directions) and the
-    partials differ per direction. Loss and gradient equal, bit for bit, one
-    boxes.nbo_grad_batch call per direction with its partials scattered
-    x -> y first, source rows before target rows.
+    Both directed overlaps and their partials come from one
+    boxes.nbo_grad_batch call; they are scattered in one pass, x -> y
+    first, source rows before target rows.
     """
     d, b = cfg.dim, len(xi)
-    smoothing = cfg.smoothing
     rows = table.params[np.concatenate([xi, yi])]  # x rows, then y rows
-    centers, size_raws = rows[:, :d], rows[:, d:]
-    sizes = boxes.softplus(size_raws)
-    half = sizes / 2.0
-    upper = (centers + half).reshape(2, b, d)
-    lower = (centers - half).reshape(2, b, d)
-    v = np.minimum(upper[0], upper[1]) - np.maximum(lower[0], lower[1])
-
-    f = boxes.sigma(v, smoothing)
-    g = boxes.sigma(sizes, smoothing)
-    vol = np.prod(g, axis=-1).reshape(2, b)
-    out = np.prod(f, axis=-1) / vol  # (2, B): x -> y, then y -> x
-
-    # Axis 0 is the direction; its source box is x, then y.
-    dv = out[..., None] * boxes.sigma_grad(v, smoothing) / f
-    d_direct = (-out[..., None] * boxes.sigma_grad(sizes, smoothing).reshape(2, b, d)
-                / g.reshape(2, b, d))
-    a_u = (upper <= upper[::-1]).astype(np.float64)  # min tie -> source
-    a_l = (lower >= lower[::-1]).astype(np.float64)  # max tie -> source
-    spg = boxes.softplus_grad(size_raws).reshape(2, b, d)
+    out, d_src_c, d_src_s, d_tgt_c, d_tgt_s = boxes.nbo_grad_batch(
+        rows[:b, :d], rows[:b, d:], rows[b:, :d], rows[b:, d:], cfg.smoothing)
 
     err = np.stack([t_xy, t_yx]) - out
     sq = np.mean(err**2, axis=1)
@@ -203,10 +182,10 @@ def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
     coef = (-2.0 * err / b)[..., None]
     # Source then target partials per direction: rows xi, yi, yi, xi.
     parts = np.empty((2, 2, b, 2 * d))
-    np.multiply(coef, dv * (a_u - a_l), out=parts[:, 0, :, :d])
-    np.multiply(coef, (dv * (a_u + a_l) / 2.0 + d_direct) * spg, out=parts[:, 0, :, d:])
-    np.multiply(coef, dv * ((1.0 - a_u) - (1.0 - a_l)), out=parts[:, 1, :, :d])
-    np.multiply(coef, dv * ((2.0 - a_u - a_l) / 2.0) * spg[::-1], out=parts[:, 1, :, d:])
+    np.multiply(coef, d_src_c, out=parts[:, 0, :, :d])
+    np.multiply(coef, d_src_s, out=parts[:, 0, :, d:])
+    np.multiply(coef, d_tgt_c, out=parts[:, 1, :, :d])
+    np.multiply(coef, d_tgt_s, out=parts[:, 1, :, d:])
     grad = _scatter_rows(np.concatenate([xi, yi, yi, xi]), parts.reshape(4 * b, 2 * d),
                          len(table.params))
     return total, grad

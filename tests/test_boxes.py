@@ -224,11 +224,12 @@ def test_params_to_box_ordered(seed):
 # -- gradients -----------------------------------------------------------------
 
 
-def pair_gradient(px, py, cfg):
-    """d nbo / d (center_x, size_raw_x, center_y, size_raw_y) of one pair of
-    (center, size_raw) parameter pairs, from one row of nbo_grad_batch."""
+def pair_gradient(px, py, cfg, direction=0):
+    """d nbo / d (center, size_raw of the source, then of the target) of one
+    pair of (center, size_raw) parameter pairs, from one row of
+    nbo_grad_batch: direction 0 is x -> y, direction 1 is y -> x."""
     _, *grads = nbo_grad_batch(px[0][None], px[1][None], py[0][None], py[1][None], cfg)
-    return [g[0] for g in grads]
+    return [g[direction, 0] for g in grads]
 
 
 def _fd_gradient(px, py, cfg, h=1e-5):
@@ -255,10 +256,12 @@ def test_gradient_matches_finite_differences():
     for _ in range(20):
         px = (rng.normal(0, 2, size=4), rng.normal(0, 2, size=4))
         py = (rng.normal(0, 2, size=4), rng.normal(0, 2, size=4))
-        analytic = np.concatenate(pair_gradient(px, py, RHO5))
-        fd = np.concatenate(_fd_gradient(px, py, RHO5))
-        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))
+        # Direction 1 is nbo(y -> x), its source y.
+        for direction, (src, tgt) in enumerate([(px, py), (py, px)]):
+            analytic = np.concatenate(pair_gradient(px, py, RHO5, direction))
+            fd = np.concatenate(_fd_gradient(src, tgt, RHO5))
+            scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
+            worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))
     assert worst < 1e-4
 
 

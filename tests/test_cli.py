@@ -400,28 +400,70 @@ def test_repeated_checkpoint_id_is_data_error(command, run_dir, dataset, tmp_pat
     assert captured.err.count("\n") == 1
 
 
+def run_with_g001_size_raw(command, size_raw, rho, run_dir, dataset, tmp_path,
+                           query=("--query-id", "g001")):
+    """Exit code of `command` on the trained checkpoint with every size_raw of
+    g001 set to `size_raw` and the config's rho set to `rho`, and that
+    checkpoint's path."""
+    with np.load(run_dir / "checkpoint.npz") as data:
+        fields = dict(data)
+    dim = fields["params"].shape[1] // 2
+    fields["params"][1, dim:] = size_raw
+    fields["config"] = json.dumps({**json.loads(str(fields["config"])), "rho": rho})
+    ckpt = tmp_path / "box.npz"
+    np.savez(ckpt, **fields)
+    pairs = tmp_path / "req.csv"
+    pairs.write_text("id_x,id_y\ng000,g001\n")
+    argv = {"eval": ["--pairs", str(dataset / "pairs.csv")],
+            "query": list(query),
+            "scale": ["--pairs", str(pairs)]}[command]
+    return main([command, "--checkpoint", str(ckpt), *argv]), ckpt
+
+
 @pytest.mark.parametrize("command", ["eval", "query", "scale"])
 def test_zero_volume_checkpoint_box_is_data_error(command, run_dir, dataset, tmp_path,
                                                   capsys):
     # softplus(-800) underflows to a zero width in every dimension of g001:
     # a zero hard volume, and a zero smoothed volume at rho 1e-20.
-    with np.load(run_dir / "checkpoint.npz") as data:
-        fields = dict(data)
-    dim = fields["params"].shape[1] // 2
-    fields["params"][1, dim:] = -800.0
-    fields["config"] = json.dumps({**json.loads(str(fields["config"])), "rho": 1e-20})
-    ckpt = tmp_path / "flat.npz"
-    np.savez(ckpt, **fields)
-    pairs = tmp_path / "req.csv"
-    pairs.write_text("id_x,id_y\ng000,g001\n")
-    argv = {"eval": ["--pairs", str(dataset / "pairs.csv")],
-            "query": ["--query-id", "g001", "--hard"],
-            "scale": ["--pairs", str(pairs)]}[command]
-    assert main([command, "--checkpoint", str(ckpt), *argv]) == 3
+    code, ckpt = run_with_g001_size_raw(command, -800.0, 1e-20, run_dir, dataset, tmp_path,
+                                        query=("--query-id", "g001", "--hard"))
+    assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         f"error: degenerate box: zero volume of image g001 in checkpoint {ckpt}\n")
+
+
+# A numpy RuntimeWarning is an error here, so a warning line fails the test.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["eval", "query", "scale"])
+def test_overflowing_volume_checkpoint_box_is_data_error(command, run_dir, dataset,
+                                                         tmp_path, capsys):
+    # Finite params, but 1e300 in every dimension of g001 makes its volume,
+    # hard or smoothed, overflow to inf.
+    code, ckpt = run_with_g001_size_raw(command, 1e300, 5.0, run_dir, dataset, tmp_path)
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: degenerate box: overflowing volume of image g001 in checkpoint {ckpt}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_query_beside_overflowing_box_prints_finite_overlaps(run_dir, dataset, tmp_path,
+                                                             capsys):
+    # g001's volume divides no overlap of query g000: it only makes g001's
+    # concentration 0, and its bounds too wide to square for the index.
+    code, _ = run_with_g001_size_raw("query", 1e300, 5.0, run_dir, dataset, tmp_path,
+                                     query=("--query-id", "g000", "--k", "4"))
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = {r["retrieved_id"]: r for r in map(json.loads, captured.out.splitlines())}
+    assert sorted(rows) == ["g000", "g001", "g002", "g003"]
+    assert (rows["g001"]["enclosure"], rows["g001"]["concentration"]) == (1.0, 0.0)
+    assert all(0.0 <= r[key] <= 1.0 for r in rows.values()
+               for key in ("enclosure", "concentration", "score"))
 
 
 def test_checkpoint_with_retired_config_keys_prints_same_bytes(run_dir, dataset, tmp_path,

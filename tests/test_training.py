@@ -188,7 +188,8 @@ def test_batch_gradient_matches_finite_differences():
 
 
 def two_direction_grad(table, xi, yi, t_xy, t_yx, cfg):
-    """Reference: one nbo_grad_batch per direction and eight np.add.at scatters."""
+    """Reference: one nbo_grad_batch call per direction, the pair swapped for
+    y -> x and only direction 0 kept, and eight np.add.at scatters."""
     d = cfg.dim
     centers, size_raws = table.params[:, :d], table.params[:, d:]
     cx, sx = centers[xi], size_raws[xi]
@@ -199,7 +200,8 @@ def two_direction_grad(table, xi, yi, t_xy, t_yx, cfg):
         (cx, sx, cy, sy, xi, yi, t_xy),
         (cy, sy, cx, sx, yi, xi, t_yx),
     ):
-        pred, d_ca, d_sa, d_cb, d_sb = boxes.nbo_grad_batch(ca, sa, cb, sb, cfg.smoothing)
+        pred, d_ca, d_sa, d_cb, d_sb = (
+            a[0] for a in boxes.nbo_grad_batch(ca, sa, cb, sb, cfg.smoothing))
         err = target - pred
         total += float(np.mean(err**2))
         coef = (-2.0 * err / len(err))[:, None]
