@@ -148,39 +148,51 @@ def normal_support(mask: np.ndarray):
     return count, mask & (count >= 4)
 
 
-def _fit_normals(pts: np.ndarray, mask: np.ndarray):
-    """Per-pixel unit normals from a total-least-squares plane fit.
+def _fit_normals(pts: np.ndarray, mask: np.ndarray, count: np.ndarray,
+                 fit: np.ndarray) -> np.ndarray:
+    """Camera-frame unit normals of the pixels `fit` selects, in row-major order.
 
-    For each pixel that `normal_support` says fits, the normal is the
-    smallest eigenvector of the neighborhood covariance, oriented toward the
-    camera center. Returns (normals, valid) with camera-frame normals;
-    pixels without a reliable fit are flagged invalid.
+    Each is the smallest eigenvector of the covariance of the valid points
+    in the pixel's 3x3 window, a total-least-squares plane fit, oriented
+    toward the camera center. `count` is `normal_support(mask)`'s, and every
+    pixel of `fit` must be one it says fits. A pixel's normal does not
+    depend on which other pixels `fit` selects.
     """
-    count, valid = normal_support(mask)
     p = np.where(mask[..., None], pts, 0.0)
-    n_points = count[valid]
-    mean = _window_sum(p)[valid] / n_points[:, None]
-    cov = (_window_sum(p[..., :, None] * p[..., None, :])[valid] / n_points[:, None, None]
+    n_points = count[fit]
+    mean = _window_sum(p)[fit] / n_points[:, None]
+    cov = (_window_sum(p[..., :, None] * p[..., None, :])[fit] / n_points[:, None, None]
            - mean[:, :, None] * mean[:, None, :])
     normal = np.linalg.eigh(cov)[1][:, :, 0]
     # Orient toward the camera center (origin of the camera frame).
-    normal[np.einsum("ij,ij->i", normal, pts[valid]) > 0] *= -1.0
-    normals = np.zeros(pts.shape)
-    normals[valid] = normal
-    return normals, valid
+    normal[np.einsum("ij,ij->i", normal, pts[fit]) > 0] *= -1.0
+    return normal
+
+
+def _kept_pixels(view: CameraView):
+    """(pts, count, keep): every pixel's camera-frame point, `normal_support`'s
+    count and the pixels that get a surfel; raises when there is none."""
+    count, keep = normal_support(view.valid_mask)
+    if not keep.any():
+        raise ValueError(f"no valid depth in view {view.id!r}")
+    return _camera_points(view), count, keep
 
 
 def backproject(view: CameraView) -> SurfelCloud:
     """One world-space surfel per valid pixel with a well-determined normal."""
-    pts = _camera_points(view)
-    normals, keep = _fit_normals(pts, view.valid_mask)
-    if not keep.any():
-        raise ValueError(f"no valid depth in view {view.id!r}")
+    pts, count, keep = _kept_pixels(view)
     rotation = view.pose.rotation
     return SurfelCloud(
         points=pts[keep] @ rotation.T + view.pose.translation,
-        normals=(normals @ rotation.T)[keep],
+        normals=_fit_normals(pts, view.valid_mask, count, keep) @ rotation.T,
     )
+
+
+def _unfitted_cloud(view: CameraView) -> SurfelCloud:
+    """`backproject`'s points with every normal NaN, for `_fit_reached` to fill."""
+    pts, _, keep = _kept_pixels(view)
+    points = pts[keep] @ view.pose.rotation.T + view.pose.translation
+    return SurfelCloud(points, np.full(points.shape, np.nan))
 
 
 def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
@@ -207,7 +219,8 @@ def _weighted_sum(src: SurfelCloud, dst: SurfelCloud, rows, nn, weighted: bool):
     if weighted:
         # Normalizing by sqrt(|n_i|^2 |n_j|^2) makes the cosine of a normal
         # with itself exactly 1.0, so self-overlap stays exact.
-        n_i, n_j = src.normals[rows], dst.normals[nn]
+        n_i = np.take(src.normals, rows, axis=0)
+        n_j = np.take(dst.normals, nn, axis=0)
         dot = np.einsum("ij,ij->i", n_i, n_j)
         nrm_i = np.einsum("ij,ij->i", n_i, n_i)
         nrm_j = np.einsum("ij,ij->i", n_j, n_j)
@@ -279,6 +292,43 @@ def _disjoint(a: _IndexedCloud, b: _IndexedCloud, radius: float) -> bool:
     return bool(np.any(gap > radius * (1.0 + _CULL_SLACK)))
 
 
+def _in_reach(points: np.ndarray, tree: cKDTree, radius: float) -> np.ndarray:
+    """Mask of the points not apart from tree's bounds by more than radius on
+    any axis, as `_disjoint` tests two bounds: no other point can lie within
+    the radius of one of tree's points."""
+    gap = np.maximum(points - tree.maxes, tree.mins - points)
+    return np.all(gap <= radius * (1.0 + _CULL_SLACK), axis=1)
+
+
+def _fit_reached(view: CameraView, ix: _IndexedCloud, partners, cfg: NSOConfig) -> None:
+    """Fit the normals of the points of ix, an `_unfitted_cloud` of view, that
+    lie in reach of one of the partner trees; the others stay NaN.
+
+    A point out of reach of every live partner is never within the radius
+    of a point of the other view of a pair, so no pair reads its normal.
+    Each fitted normal has the bits `backproject` gives it.
+    """
+    points = ix.cloud.points
+    todo = np.arange(len(points))
+    for tree in partners:
+        todo = todo[~_in_reach(points[todo], tree, cfg.radius)]
+        if todo.size == 0:
+            break
+    reached = np.ones(len(points), dtype=bool)
+    reached[todo] = False
+    if not reached.any():
+        return
+    # Made again rather than kept from `_unfitted_cloud`, so that no view
+    # holds its (h, w) arrays while the pairs are culled.
+    pts, count, keep = _kept_pixels(view)
+    fit = np.zeros_like(keep)
+    fit[keep] = reached
+    ix.cloud.normals[reached] = (_fit_normals(pts, view.valid_mask, count, fit)
+                                 @ view.pose.rotation.T)
+    if ix.sub is not ix.cloud:
+        ix.sub.normals[:] = subsample(ix.cloud, cfg.n_sub, cfg.seed).normals
+
+
 def _use_join(a: _IndexedCloud, b: _IndexedCloud) -> bool:
     return (a.sub is a.cloud and b.sub is b.cloud
             and min(a.neighbours, b.neighbours) <= _JOIN_MAX_NEIGHBOURS)
@@ -316,8 +366,7 @@ def _join_nso(src: _IndexedCloud, dst: _IndexedCloud, i, j, dist, weighted: bool
 
 def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, id_x: str, id_y: str,
               cfg: NSOConfig, workers: int = 1) -> OverlapRecord:
-    if _disjoint(a, b, cfg.radius):
-        return OverlapRecord(id_x, id_y, 0.0, 0.0)
+    """Directed NSO of a pair that survived the cull."""
     if not _use_join(a, b):
         return OverlapRecord(id_x, id_y, _query_nso(a, b, cfg, workers),
                              _query_nso(b, a, cfg, workers))
@@ -353,8 +402,10 @@ def nso_from_clouds(
     compares every point pair and never culls.
     """
     if not brute_force:
-        return _pair_nso(_index_cloud(cloud_x, cfg), _index_cloud(cloud_y, cfg),
-                         id_x, id_y, cfg)
+        a, b = _index_cloud(cloud_x, cfg), _index_cloud(cloud_y, cfg)
+        if _disjoint(a, b, cfg.radius):
+            return OverlapRecord(id_x, id_y, 0.0, 0.0)
+        return _pair_nso(a, b, id_x, id_y, cfg)
     sub_x = subsample(cloud_x, cfg.n_sub, cfg.seed)
     sub_y = subsample(cloud_y, cfg.n_sub, cfg.seed)
     nso_xy = overlap_count_brute(sub_x, cloud_y, cfg.radius, cfg.weighted) / len(sub_x)
@@ -374,9 +425,12 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     subsampled and the sparser one has few neighbours per point within the
     radius; else one nearest-neighbour query per subsampled source point,
     split by point over `threads` query workers. The result does not
-    depend on the route or on `threads`. With oracle=True every pair,
-    culled ones included, is recomputed brute-force and must match
-    exactly, else OracleMismatchError.
+    depend on the route or on `threads`. Normals are fitted only when
+    cfg.weighted, and then only for the points inside the padded bounds of
+    a view that a pair not culled joins them with; no pair reads any other
+    normal, and those hold NaN. With oracle=True every pair,
+    culled ones included, is recomputed brute-force from full `backproject`
+    clouds and must match exactly, else OracleMismatchError.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -385,13 +439,28 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     for pair in pairs:
         for img_id in pair:
             if img_id not in indexed:
-                indexed[img_id] = _index_cloud(backproject(by_id[img_id]), cfg)
+                indexed[img_id] = _index_cloud(_unfitted_cloud(by_id[img_id]), cfg)
+    live = [not _disjoint(indexed[id_x], indexed[id_y], cfg.radius) for id_x, id_y in pairs]
+    if cfg.weighted:
+        partners = {img_id: [] for img_id in indexed}
+        for (id_x, id_y), searched in zip(pairs, live):
+            if searched:
+                partners[id_x].append(indexed[id_y].tree)
+                partners[id_y].append(indexed[id_x].tree)
+        for img_id, trees in partners.items():
+            _fit_reached(by_id[img_id], indexed[img_id], trees, cfg)
+    full = {}  # oracle only: view id -> backproject(view)
     records = []
-    for id_x, id_y in pairs:
-        a, b = indexed[id_x], indexed[id_y]
-        rec = _pair_nso(a, b, id_x, id_y, cfg, threads)
+    for (id_x, id_y), searched in zip(pairs, live):
+        if searched:
+            rec = _pair_nso(indexed[id_x], indexed[id_y], id_x, id_y, cfg, threads)
+        else:
+            rec = OverlapRecord(id_x, id_y, 0.0, 0.0)
         if oracle:
-            ref = nso_from_clouds(a.cloud, b.cloud, id_x, id_y, cfg, brute_force=True)
+            for img_id in (id_x, id_y):
+                if img_id not in full:
+                    full[img_id] = backproject(by_id[img_id])
+            ref = nso_from_clouds(full[id_x], full[id_y], id_x, id_y, cfg, brute_force=True)
             if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):
                 raise OracleMismatchError(
                     f"accelerated overlap diverges from brute force on "

@@ -121,7 +121,10 @@ class BoxIndex:
         if len(self.ids) == 0:
             self.key_dims = np.arange(0)
             return
-        spread = self.lowers.var(axis=0) + self.uppers.var(axis=0)
+        # Bounds wider than about 1e154 square past the float range: their
+        # spread is inf, which ranks that dimension first.
+        with np.errstate(over="ignore"):
+            spread = self.lowers.var(axis=0) + self.uppers.var(axis=0)
         self.key_dims = np.argsort(-spread, kind="stable")[:3]
         self._key_lo = self.lowers[:, self.key_dims]
         self._key_hi = self.uppers[:, self.key_dims]

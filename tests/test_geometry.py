@@ -351,6 +351,69 @@ def test_oracle_checks_culled_pairs(monkeypatch):
         all_pairs_nso(views, NSOConfig(seed=3, n_sub=300), oracle=True)
 
 
+def spy_eigh(monkeypatch):
+    """The number of matrices of each np.linalg.eigh call, one normal fit each."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def test_unweighted_all_pairs_fits_no_normal(monkeypatch):
+    fits = spy_eigh(monkeypatch)
+    records = all_pairs_nso(grid_views(2, seed=4, spacing=1.0),
+                            NSOConfig(seed=4, weighted=False))
+    assert any(rec.nso_xy > 0 for rec in records)
+    assert fits == []
+
+
+def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
+    # At spacing 6 a view meets at most two others, so only the strips in
+    # reach of a live partner get normals, and a view with none gets none.
+    # Each fitted normal, in the cloud and in its subsample, is backproject's.
+    views = grid_views(4, seed=2, spacing=6.0)
+    cfg = NSOConfig(seed=2, n_sub=400)
+    fits = spy_eigh(monkeypatch)
+    fit_reached = geometry._fit_reached
+    seen = {}
+
+    def spy(view, ix, partners, cfg):
+        fit_reached(view, ix, partners, cfg)
+        seen[view.id] = (len(partners), ix)
+
+    monkeypatch.setattr(geometry, "_fit_reached", spy)
+    all_pairs_nso(views, cfg)
+    n_fits = sum(fits)
+    fitted = kept = 0
+    for view in views:
+        n_partners, ix = seen[view.id]
+        full = backproject(view)
+        rows = ~np.isnan(ix.cloud.normals).any(axis=1)
+        assert np.array_equal(ix.cloud.normals[rows], full.normals[rows])
+        assert np.array_equal(ix.sub.normals, subsample(ix.cloud, cfg.n_sub, cfg.seed).normals,
+                              equal_nan=True)
+        if n_partners == 0:
+            assert not rows.any()
+        fitted += rows.sum()
+        kept += len(full)
+    assert any(n_partners == 0 for n_partners, _ in seen.values())
+    assert n_fits == fitted < kept
+
+
+def test_normal_out_of_reach_fails_loudly(monkeypatch):
+    # A reach test that misses a point some pair matches leaves its normal
+    # NaN, and the overlap that reads it is rejected rather than returned.
+    monkeypatch.setattr(geometry, "_in_reach",
+                        lambda points, tree, radius: np.zeros(len(points), dtype=bool))
+    with pytest.raises(ValueError, match="nan"):
+        all_pairs_nso(grid_views(2, seed=4, spacing=1.0), NSOConfig(seed=4))
+
+
 def slab_cloud(x, n=8, spacing=0.25):
     ys, zs = np.meshgrid(np.arange(n) * spacing, np.arange(n) * spacing)
     points = np.stack([np.full(n * n, x), ys.ravel(), zs.ravel()], axis=1)

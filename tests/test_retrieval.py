@@ -292,6 +292,16 @@ def test_nan_scores_rank_last_as_in_exhaustive_scan():
                 index.query_topk_exhaustive(q, k, cfg))
 
 
+@pytest.mark.filterwarnings("error")
+def test_index_over_wide_bounds_builds_without_warning():
+    # Bounds of 1e200 square past the float range, so the spread of their
+    # dimension is inf and ranks it first; building the index warns of nothing.
+    big = 1e200
+    lowers = np.array([[0.0, -big, 0.0], [1.0, 0.0, 5.0], [2.0, big, 0.0]])
+    index = BoxIndex(["a", "b", "c"], lowers, lowers + 1.0)
+    assert index.key_dims.tolist() == [1, 2, 0]
+
+
 def test_one_index_across_smoothings():
     index, queries = random_gallery(np.random.default_rng(44))
     for rho in (5.0, 0.0, 0.5, 5.0):
