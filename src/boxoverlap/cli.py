@@ -5,6 +5,8 @@ Subcommands compose into a pipeline:
     synth -> nso -> train -> eval / query / scale
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O or data error.
+`main` is the one place a failure, parse errors included, becomes an exit
+code and one `error:` line on stderr; only `--help` exits through argparse.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose parse errors raise UsageError for main to report."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _nso_config(args) -> NSOConfig:
@@ -63,13 +68,6 @@ def _check_ids(ids, known, path=None):
             raise UsageError(f"unknown image id{where}: {img_id}")
 
 
-def _load_views(dataset_dir):
-    views = dataset_io.read_scene(dataset_dir)
-    if not views:
-        raise DataError(f"dataset {dataset_dir} holds no views")
-    return views
-
-
 def cmd_synth(args) -> int:
     if args.pattern == "default":
         surface = synth.default_surface(args.seed)
@@ -87,7 +85,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_nso(args) -> int:
-    views = _load_views(args.dataset)
+    views = dataset_io.read_scene(args.dataset)
     cfg = _nso_config(args)
     if args.pairs:
         # One output row per pair: train rejects a pairs.csv that repeats one.
@@ -109,16 +107,8 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _read_overlaps(path):
-    """read_overlaps; a CSV without rows is a data error, as train and eval need one."""
-    records = dataset_io.read_overlaps(path)
-    if not records:
-        raise DataError(f"overlap CSV {path} holds no rows")
-    return records
-
-
 def cmd_train(args) -> int:
-    records = _read_overlaps(args.pairs)
+    records = dataset_io.read_overlaps(args.pairs)
     dataset = PairDataset(records)
     cfg = _train_config(args)
     table, trace = train(dataset, cfg, kind=args.kind)
@@ -142,8 +132,9 @@ def _load_checkpoint(path, box=False):
     is a data error; with box=True, a table of another kind is a usage error."""
     try:
         table, cfg = load_checkpoint(path)
-    except (ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError) as exc:
-        raise DataError(f"not a valid checkpoint {path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, RecursionError, zipfile.BadZipFile,
+            EOFError) as exc:
+        raise dataset_io.DatasetFormatError(f"not a valid checkpoint {path}: {exc}") from None
     if box and table.kind != "box":
         raise UsageError(f"a box-kind checkpoint is required, {path} is {table.kind}-kind")
     return table, cfg
@@ -158,18 +149,11 @@ def _write_lines(path, lines):
         sys.stdout.write(text)
 
 
-# Commands that read a box checkpoint: a box volume too large for float64 is
-# inf, which predict and the query check reject where it would divide an
-# overlap, so numpy's overflow warnings would only add lines to stderr.
-@np.errstate(over="ignore")
 def cmd_eval(args) -> int:
     table, cfg = _load_checkpoint(args.checkpoint)
-    records = _read_overlaps(args.pairs)
+    records = dataset_io.read_overlaps(args.pairs)
     _check_ids((i for r in records for i in (r.id_x, r.id_y)), table.row, args.pairs)
-    try:
-        metrics = evaluate(table, records, cfg)
-    except boxes.DegenerateBoxError as exc:
-        raise DataError(f"{exc} in checkpoint {args.checkpoint}") from None
+    metrics = evaluate(table, records, cfg)
     _write_lines(args.output, [json.dumps(metrics, indent=2, sort_keys=True)])
     return EXIT_OK
 
@@ -177,7 +161,7 @@ def cmd_eval(args) -> int:
 def _pixel_counts(args, ids):
     """Valid-pixel count per id from --dataset; None without one (no scale)."""
     if args.dataset:
-        views = {v.id: v for v in _load_views(args.dataset)}
+        views = {v.id: v for v in dataset_io.read_scene(args.dataset)}
         _check_ids(ids, views, Path(args.dataset) / "scene.json")
         return {img_id: views[img_id].n_valid for img_id in ids}
     return None
@@ -190,16 +174,13 @@ def _scale(counts, id_x, id_y, nbo_xy, nbo_yx):
     return retrieval.estimate_scale(nbo_xy, nbo_yx, counts[id_x], counts[id_y])
 
 
-@np.errstate(over="ignore")
 def cmd_query(args) -> int:
     table, cfg = _load_checkpoint(args.checkpoint, box=True)
     _check_ids([args.query_id], table.row)
     smoothing = SmoothingConfig(0.0 if args.hard else cfg.rho)
     query = table.box(args.query_id)
-    try:  # the query box's volume divides every enclosure
-        boxes.check_volume(boxes.volumes(query.lower, query.upper, smoothing), args.query_id)
-    except boxes.DegenerateBoxError as exc:
-        raise DataError(f"{exc} in checkpoint {args.checkpoint}") from None
+    # The query box's volume divides every enclosure; checked here to name the id.
+    boxes.check_volume(boxes.volumes(query.lower, query.upper, smoothing), args.query_id)
     results = retrieval.BoxIndex.build(table).query_topk(query, args.k, smoothing)
     counts = _pixel_counts(args, [args.query_id] + [r.id for r in results])
     _write_lines(args.output, (json.dumps({
@@ -214,17 +195,13 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-@np.errstate(over="ignore")
 def cmd_scale(args) -> int:
     table, cfg = _load_checkpoint(args.checkpoint, box=True)
     pairs = dataset_io.read_id_pairs(args.pairs)
     ids = sorted({i for p in pairs for i in p})
     _check_ids(ids, table.row, args.pairs)
     counts = _pixel_counts(args, ids)
-    try:
-        preds = predict(table, pairs, cfg.smoothing).tolist()
-    except boxes.DegenerateBoxError as exc:
-        raise DataError(f"{exc} in checkpoint {args.checkpoint}") from None
+    preds = predict(table, pairs, cfg.smoothing).tolist()
     _write_lines(args.output, (json.dumps({
         "id_x": id_x, "id_y": id_y, "nbo_xy": xy, "nbo_yx": yx,
         "scale": _scale(counts, id_x, id_y, xy, yx),
@@ -232,28 +209,28 @@ def cmd_scale(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxoverlap",
         description="Surface-overlap ground truth, box embeddings and retrieval.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     def add_geometry(p):
-        p.add_argument("--threads", type=_positive_int, default=1,
+        p.add_argument("--threads", type=_int_at_least(1), default=1,
                        help="k-d tree query workers for NSO")
         p.add_argument("--radius", type=float, default=0.1)
         p.add_argument("--n-sub", type=int, default=5000)
@@ -314,20 +291,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (UsageError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (dataset_io.DatasetFormatError, DataError, OracleMismatchError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        # Commands that read a box checkpoint: a box volume too large for
+        # float64 is inf, which predict and the query check reject where it
+        # would divide an overlap, so numpy's overflow warnings would only
+        # add lines to stderr.
+        with np.errstate(over="ignore"):
+            return args.func(args)
+    except boxes.DegenerateBoxError as exc:  # only a checkpoint's boxes divide overlaps
+        message, code = f"{exc} in checkpoint {args.checkpoint}", EXIT_IO
+    except (dataset_io.DatasetFormatError, OracleMismatchError, OSError) as exc:
+        message, code = exc, EXIT_IO
+    # Each ValueError left is a usage error: an option value that NSOConfig,
+    # TrainConfig, the --pattern or query_topk's k check rejects.
+    except (UsageError, TrainingDivergedError, ValueError) as exc:
+        message, code = exc, EXIT_USAGE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

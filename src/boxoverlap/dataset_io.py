@@ -22,7 +22,7 @@ DEPTH_MAGIC = b"DPTH"
 
 
 class DatasetFormatError(ValueError):
-    """Malformed scene.json, depth raster or overlap CSV."""
+    """Malformed scene.json, depth raster, overlap or id-pair CSV, or checkpoint."""
 
 
 def write_depth(path, depth: np.ndarray):
@@ -83,11 +83,14 @@ def read_scene(dataset_dir) -> list[CameraView]:
         doc = json.loads(scene_path.read_text())
     except FileNotFoundError:
         raise DatasetFormatError(f"missing scene.json in {dataset_dir}")
-    except json.JSONDecodeError as exc:
+    # Bytes that do not decode, text that is not JSON, or JSON nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"invalid JSON in {scene_path}: {exc}")
     entries = doc.get("views", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise DatasetFormatError(f"{scene_path} must be an object with a list of views")
+    if not entries:
+        raise DatasetFormatError(f"{scene_path} holds no views")
     views = []
     seen = set()
     for i, entry in enumerate(entries):
@@ -107,7 +110,7 @@ def read_scene(dataset_dir) -> list[CameraView]:
         seen.add(entry["id"])
         try:
             views.append(_read_view(dataset_dir, entry))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise DatasetFormatError(
                 f"view {entry['id']!r} in {scene_path}: {exc}"
             ) from None
@@ -115,7 +118,8 @@ def read_scene(dataset_dir) -> list[CameraView]:
 
 
 def _read_view(dataset_dir, entry) -> CameraView:
-    """The view of one scene.json entry; a bad value raises ValueError or TypeError."""
+    """The view of one scene.json entry; a bad value raises ValueError,
+    TypeError or, for an infinite width or height, OverflowError."""
     rotation = np.asarray(entry["rotation"], dtype=np.float64)
     if rotation.size != 9:
         raise ValueError("rotation must hold 9 floats")
@@ -141,25 +145,39 @@ def write_overlaps(path, records) -> None:
             writer.writerow([rec.id_x, rec.id_y, repr(rec.nso_xy), repr(rec.nso_yx)])
 
 
-def read_overlaps(path) -> list[OverlapRecord]:
-    """Overlap records of a pairs CSV; each unordered id pair may appear on one row."""
-    records = []
-    first_row = {}  # unordered id pair -> row number
+def _csv_rows(path):
+    """(line number, row) of each row of a CSV; bytes that do not decode and a
+    row csv cannot split (a field past its size limit) are format errors."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id_x", "id_y", "nso_xy", "nso_yx"]:
-            raise DatasetFormatError(f"bad overlap CSV header in {path}: {header}")
-        for row in reader:
-            try:
-                id_x, id_y, nso_xy, nso_yx = row
-                # OverlapRecord rejects NaN and values outside [0, 1].
-                records.append(OverlapRecord(id_x, id_y, float(nso_xy), float(nso_yx)))
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"bad overlap CSV row {reader.line_num} in {path}: {row} ({exc})"
-                ) from None
-            _note_pair(first_row, id_x, id_y, reader.line_num, path, "overlap")
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DatasetFormatError(f"unreadable CSV {path}: {exc}") from None
+
+
+def read_overlaps(path) -> list[OverlapRecord]:
+    """Overlap records of a pairs CSV, at least one; each unordered id pair may
+    appear on one row."""
+    records = []
+    first_row = {}  # unordered id pair -> row number
+    rows = _csv_rows(path)
+    _, header = next(rows, (0, None))
+    if header != ["id_x", "id_y", "nso_xy", "nso_yx"]:
+        raise DatasetFormatError(f"bad overlap CSV header in {path}: {header}")
+    for line, row in rows:
+        try:
+            id_x, id_y, nso_xy, nso_yx = row
+            # OverlapRecord rejects NaN and values outside [0, 1].
+            records.append(OverlapRecord(id_x, id_y, float(nso_xy), float(nso_yx)))
+        except ValueError as exc:
+            raise DatasetFormatError(
+                f"bad overlap CSV row {line} in {path}: {row} ({exc})"
+            ) from None
+        _note_pair(first_row, id_x, id_y, line, path, "overlap")
+    if not records:
+        raise DatasetFormatError(f"overlap CSV {path} holds no rows")
     return records
 
 
@@ -183,16 +201,12 @@ def read_id_pairs(path, distinct: bool = False) -> list[tuple[str, str]]:
     """
     pairs = []
     first_row = {}  # unordered id pair -> row number
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0] == "id_x":
-                continue
-            if len(row) < 2 or not row[0] or not row[1]:
-                raise DatasetFormatError(
-                    f"bad id-pair CSV row {reader.line_num} in {path}: {row}"
-                )
-            if distinct:
-                _note_pair(first_row, row[0], row[1], reader.line_num, path, "id-pair")
-            pairs.append((row[0], row[1]))
+    for line, row in _csv_rows(path):
+        if not row or row[0] == "id_x":
+            continue
+        if len(row) < 2 or not row[0] or not row[1]:
+            raise DatasetFormatError(f"bad id-pair CSV row {line} in {path}: {row}")
+        if distinct:
+            _note_pair(first_row, row[0], row[1], line, path, "id-pair")
+        pairs.append((row[0], row[1]))
     return pairs

@@ -77,8 +77,7 @@ def estimate_scale(nbo_qr: float, nbo_rq: float, n_q: int, n_r: int) -> float:
 
 def _directed(inter, vol_q, vol_r):
     """(enclosure, concentration): the intersection over each box's volume."""
-    if vol_q == 0.0:
-        raise boxes.DegenerateBoxError("degenerate query box")
+    boxes.check_volume(vol_q)
     concentration = np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
     return inter / vol_q, concentration
 
@@ -115,6 +114,10 @@ class BoxIndex:
         self.ids = [ids[i] for i in order]
         self.lowers = np.asarray(lowers, dtype=np.float64)[order]
         self.uppers = np.asarray(uppers, dtype=np.float64)[order]
+        # A NaN bound compares false. An infinite one is legal: finite params make one.
+        if not (self.lowers <= self.uppers).all():
+            row = np.argmin((self.lowers <= self.uppers).all(axis=1))
+            raise ValueError(f"box {self.ids[row]}: a bound is NaN or lower > upper")
         self.lowers.setflags(write=False)
         self.uppers.setflags(write=False)
         self._volumes = {}  # SmoothingConfig -> (n,) gallery box volumes
@@ -122,8 +125,9 @@ class BoxIndex:
             self.key_dims = np.arange(0)
             return
         # Bounds wider than about 1e154 square past the float range: their
-        # spread is inf, which ranks that dimension first.
-        with np.errstate(over="ignore"):
+        # spread is inf, which ranks that dimension first. An infinite bound
+        # makes it NaN, which ranks that dimension last.
+        with np.errstate(over="ignore", invalid="ignore"):
             spread = self.lowers.var(axis=0) + self.uppers.var(axis=0)
         self.key_dims = np.argsort(-spread, kind="stable")[:3]
         self._key_lo = self.lowers[:, self.key_dims]
@@ -132,8 +136,6 @@ class BoxIndex:
     @classmethod
     def build(cls, table) -> "BoxIndex":
         """Index every entry of a box-kind embedding table."""
-        if table.kind != "box":
-            raise ValueError("index requires a box-kind table")
         lowers, uppers = table.bounds()
         return cls(table.ids, lowers, uppers)
 

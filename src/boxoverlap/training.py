@@ -103,13 +103,13 @@ class EmbeddingTable:
 
     def box(self, img_id: str) -> BoxEmbedding:
         if self.kind != "box":
-            raise ValueError("not a box table")
+            raise ValueError("not a box table: a box-kind table is required")
         row = self.params[self._index(img_id)]
         return BoxEmbedding(*params_to_bounds(row[: self.dim], row[self.dim :]))
 
     def bounds(self):
         if self.kind != "box":
-            raise ValueError("not a box table")
+            raise ValueError("not a box table: a box-kind table is required")
         return params_to_bounds(self.params[:, : self.dim], self.params[:, self.dim :])
 
 

@@ -16,6 +16,9 @@ A default of a public function, method or dataclass field counts as set
 when a call in the same files, matched by name, passes its value by keyword
 or by position. A default that no such call sets is an option nobody
 chooses: make it a constant.
+
+`cli.main` is the one place a CLI failure becomes an exit code: no `cmd_*`
+function catches an error or silences numpy's warnings itself.
 """
 
 import ast
@@ -211,3 +214,16 @@ def test_every_default_is_set_by_a_caller():
                    for attribute in ((True,) if is_method else (False, True))
                    for key in (arg, pos) if key is not None))
     assert unset == sorted(ALLOWED_DEFAULTS)
+
+
+def test_main_is_the_only_exit_path():
+    # cli.main maps every failure to its exit code and holds the one
+    # np.errstate; a command that caught or silenced an error itself would
+    # make a second exit path.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 6
+    for func in commands:
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(func)), func.name
+        assert not any("errstate" in ast.unparse(dec) for dec in func.decorator_list), func.name

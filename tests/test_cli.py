@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from boxoverlap import dataset_io, geometry
-from boxoverlap.cli import main
+from boxoverlap.cli import build_parser, main
 from boxoverlap.training import EmbeddingTable, TrainConfig, save_checkpoint
 
 
@@ -45,11 +46,17 @@ def test_synth_outputs(dataset):
     assert len(list(dataset.glob("*.dpth"))) == 4
 
 
+def one_error_line(capsys):
+    """stderr of a failed run, checked to be its only output: one `error:` line."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 def test_synth_missing_out_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["synth", "--pattern", "grid:2"])
-    assert err.value.code == 2
-    capsys.readouterr()
+    assert main(["synth", "--pattern", "grid:2"]) == 2
+    assert "--out" in one_error_line(capsys)
 
 
 def test_synth_bad_pattern(capsys):
@@ -141,11 +148,9 @@ def test_oracle_mismatch_exits_3(command, dataset, tmp_path, monkeypatch, capsys
 
 
 def test_threads_only_for_nso_commands(run_dir, dataset, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
-              "--pairs", str(dataset / "pairs.csv"), "--threads", "2"])
-    assert err.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                 "--pairs", str(dataset / "pairs.csv"), "--threads", "2"]) == 2
+    assert "--threads" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("command", ["eval", "query", "scale"])
@@ -155,20 +160,58 @@ def test_seed_only_for_commands_that_read_it(command, run_dir, dataset, capsys):
         "query": ["--query-id", "g000"],
         "scale": ["--pairs", str(dataset / "pairs.csv")],
     }[command]
-    with pytest.raises(SystemExit) as err:
-        main([command, "--checkpoint", str(run_dir / "checkpoint.npz"), *argv,
-              "--seed", "9"])
-    assert err.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert main([command, "--checkpoint", str(run_dir / "checkpoint.npz"), *argv,
+                 "--seed", "9"]) == 2
+    assert "--seed" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_usage_error(threads, dataset, tmp_path, capsys):
+    assert main(["nso", "--dataset", str(dataset), "--output", str(tmp_path / "o.csv"),
+                 "--threads", threads]) == 2
+    assert "--threads" in one_error_line(capsys)
+
+
+def numeric_options():
+    """(command, flag) of each option of each subcommand that converts its value."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in commands.items()
+            for action in parser._actions if action.type is not None]
+
+
+# Every numeric option of every subcommand, with values each must reject
+# (0 is a valid seed, the default). No value exceeds an option's default, so
+# none starts more threads or steps than a default run.
+NUMERIC_OPTIONS = numeric_options()
+BAD_NUMBERS = [(command, flag, value) for command, flag in NUMERIC_OPTIONS
+               for value in ("nan", "inf", "-inf", "0", "-1", "x")
+               if (flag, value) != ("--seed", "0")]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_NUMBERS,
+                         ids=[f"{c}{f}={v}" for c, f, v in BAD_NUMBERS])
+def test_bad_numeric_option_is_one_line_usage_error(command, flag, value, dataset, run_dir,
+                                                    tmp_path, capsys):
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "ds"), "--pattern", "grid:2"],
+        "nso": ["nso", "--dataset", str(dataset), "--output", str(tmp_path / "o.csv")],
+        "train": ["train", "--pairs", str(dataset / "pairs.csv"), "--out", str(tmp_path / "run"),
+                  "--steps", "10"],
+        "query": ["query", "--checkpoint", str(run_dir / "checkpoint.npz"), "--query-id", "g000"],
+    }[command]
+    # The `=` form hands "-inf" and "-1" to the option, not to the parser as a flag.
+    assert main(argv + [f"{flag}={value}"]) == 2
+    err = one_error_line(capsys)
+    assert flag in err or flag[2:].replace("-", "_") in err
+
+
+def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["nso", "--dataset", str(dataset), "--output", str(tmp_path / "o.csv"),
-              "--threads", threads])
-    assert err.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+        main(["nso", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: boxoverlap nso")
 
 
 def test_nso_missing_dataset(tmp_path, capsys):
@@ -212,6 +255,44 @@ def test_nso_malformed_scene_is_data_error(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "view 'g001'" in err and "scene.json" in err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("case", ["overlaps-not-utf8", "id-pairs-field-too-long",
+                                  "scene-not-utf8", "scene-width-inf", "scene-too-deep",
+                                  "checkpoint-config-too-deep"])
+def test_unreadable_input_is_data_error(case, dataset, run_dir, tmp_path, capsys):
+    # Each raised an exception that main did not read as a data error: a
+    # UnicodeDecodeError (a ValueError, so exit 2), csv.Error, OverflowError
+    # or RecursionError.
+    ckpt = run_dir / "checkpoint.npz"
+    bad = tmp_path / "bad.csv"
+    if case == "overlaps-not-utf8":
+        bad.write_bytes(b"id_x,id_y,nso_xy,nso_yx\ng000,g\xff01,0.5,0.5\n")
+        argv = ["eval", "--checkpoint", str(ckpt), "--pairs", str(bad)]
+    elif case == "id-pairs-field-too-long":
+        bad.write_text("id_x,id_y\ng000," + "g" * 200_000 + "\n")
+        argv = ["scale", "--checkpoint", str(ckpt), "--pairs", str(bad)]
+    elif case == "checkpoint-config-too-deep":
+        with np.load(ckpt) as data:
+            fields = dict(data)
+        bad = tmp_path / "deep.npz"
+        np.savez(bad, **{**fields, "config": DEEP_JSON})
+        argv = ["eval", "--checkpoint", str(bad), "--pairs", str(dataset / "pairs.csv")]
+    else:
+        bad = tmp_path / "ds" / "scene.json"
+        shutil.copytree(dataset, bad.parent)
+        text = bad.read_bytes()
+        bad.write_bytes({
+            "scene-not-utf8": text.replace(b'"g001"', b'"g\xff01"'),
+            "scene-width-inf": text.replace(b'"width": 64', b'"width": 1e400', 1),
+            "scene-too-deep": DEEP_JSON.encode(),
+        }[case])
+        argv = ["nso", "--dataset", str(bad.parent), "--output", str(tmp_path / "o.csv")]
+    assert main(argv) == 3
+    assert str(bad) in one_error_line(capsys)
 
 
 def test_nso_depth_header_past_file_end_is_data_error(dataset, tmp_path, capsys):

@@ -90,6 +90,12 @@ def test_scene_invalid_json(tmp_path):
         dataset_io.read_scene(tmp_path)
 
 
+def test_scene_without_views(tmp_path):
+    (tmp_path / "scene.json").write_text('{"views": []}')
+    with pytest.raises(DatasetFormatError, match=r"scene\.json holds no views"):
+        dataset_io.read_scene(tmp_path)
+
+
 def test_scene_missing_field_named(tmp_path):
     dataset_io.write_scene(tmp_path, sample_views())
     doc = json.loads((tmp_path / "scene.json").read_text())

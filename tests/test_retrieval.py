@@ -12,6 +12,7 @@ from boxoverlap.retrieval import (
     ZOOM_IN,
     ZOOM_OUT,
     BoxIndex,
+    _top,
     classify_relation,
     estimate_scale,
 )
@@ -269,27 +270,46 @@ def test_index_equals_exhaustive_scan_property(data):
     assert index.query_topk(q, k, cfg) == index.query_topk_exhaustive(q, k, cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_nan_scores_rank_last_as_in_exhaustive_scan():
-    # Volumes overflow to inf for the wide boxes, so their scores are
-    # inf / inf = NaN; the full sort puts NaN last.
+    # A query whose volume overflows divides no overlap: both paths reject it.
     big = 1e200
-    lowers = np.array([[-big, -big], [0.0, 0.0], [-big, -big], [0.5, 0.5], [1.0, 0.0]])
-    uppers = np.array([[big, big], [1.0, 1.0], [big, big], [1.5, 1.5], [2.0, 1.0]])
-    index = BoxIndex([f"b{i}" for i in range(5)], lowers, uppers)
-    q = box([-big, -big], [big, big])
-
-    def spelled(results):
-        return [(r.id, repr(r.enclosure), repr(r.concentration), repr(r.score))
-                for r in results]
-
+    index = BoxIndex(["a", "b"], [[0.0, 0.0], [-big, -big]], [[1.0, 1.0], [big, big]])
     for cfg in (HARD, RHO5):
-        full = index.query_topk_exhaustive(q, 5, cfg)
-        assert sum(np.isnan(r.score) for r in full) == 2
-        for k in range(1, 7):
-            assert spelled(index.query_topk(q, k, cfg)) == spelled(
-                index.query_topk_exhaustive(q, k, cfg))
+        for query in (index.query_topk, index.query_topk_exhaustive):
+            with pytest.raises(boxes.DegenerateBoxError, match="overflowing volume"):
+                query(box([-big, -big], [big, big]), 2, cfg)
+    # _top still sorts a NaN score last, as the full stable sort does.
+    rng = np.random.default_rng(3)
+    for score in (np.array([np.nan, 0.5, np.nan, 0.5, 1.0]),
+                  np.array([np.nan, np.nan, 0.2]),
+                  np.where(rng.random(40) < 0.3, np.nan, rng.integers(0, 4, 40) / 4.0)):
+        for k in range(1, len(score) + 2):
+            assert _top(score, k).tolist() == np.argsort(-score, kind="stable")[:k].tolist()
+
+
+@pytest.mark.parametrize("side, value", [("lower", np.nan), ("upper", np.nan), ("lower", 2.0)],
+                         ids=["nan-lower", "nan-upper", "inverted"])
+def test_index_rejects_nan_bound_naming_the_box(side, value):
+    # A NaN bound made the hard index score 0 where the exhaustive scan scored NaN.
+    lowers, uppers = np.zeros((3, 4)), np.ones((3, 4))
+    {"lower": lowers, "upper": uppers}[side][1, 2] = value
+    with pytest.raises(ValueError, match=r"box b1: a bound is NaN or lower > upper"):
+        BoxIndex(["b2", "b1", "b0"], lowers, uppers)
+
+
+@pytest.mark.filterwarnings("error")
+def test_index_accepts_infinite_bounds():
+    # Finite checkpoint params can make an infinite bound: its box has an
+    # infinite volume, so its concentration is 0.
+    lowers = np.array([[0.0, 0.0], [-np.inf, 0.0]])
+    uppers = np.array([[1.0, 1.0], [1.0, np.inf]])
+    index = BoxIndex(["a", "b"], lowers, uppers)
+    q = box([0.0, 0.0], [1.0, 1.0])
+    for cfg in (HARD, RHO5):
+        results = index.query_topk(q, 2, cfg)
+        assert results == index.query_topk_exhaustive(q, 2, cfg)
+        assert results[1].id == "b" and results[1].concentration == 0.0
 
 
 @pytest.mark.filterwarnings("error")
