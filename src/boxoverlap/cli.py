@@ -69,16 +69,8 @@ def _check_ids(ids, known, path=None):
 
 
 def cmd_synth(args) -> int:
-    if args.pattern == "default":
-        surface = synth.default_surface(args.seed)
-        script = synth.default_script(args.seed)
-    elif args.pattern.startswith("grid:"):
-        surface = synth.default_surface(args.seed)
-        script = synth.grid_script(int(args.pattern.split(":", 1)[1]), seed=args.seed)
-    else:
-        raise UsageError(f"unknown pattern {args.pattern!r} (use default or grid:N)")
     synth.generate_dataset(
-        surface, script, args.out, args.seed,
+        synth.default_surface(args.seed), args.pattern(args.seed), args.out, args.seed,
         nso_cfg=_nso_config(args), oracle=args.oracle, threads=args.threads,
     )
     return EXIT_OK
@@ -219,6 +211,16 @@ def _int_at_least(low: int):
     return integer
 
 
+def _pattern(text: str):
+    """argparse type: the camera script, by seed, of `default` or `grid:N`."""
+    if text == "default":
+        return synth.default_script
+    kind, _, size = text.partition(":")
+    if kind == "grid" and size.isdecimal() and int(size) >= 2:
+        return lambda seed: synth.grid_script(int(size), seed=seed)
+    raise argparse.ArgumentTypeError(f"unknown pattern {text!r} (use default or grid:N, N >= 2)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="boxoverlap",
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--pattern", default="default")
+    p.add_argument("--pattern", type=_pattern, default="default")
     add_common(p)
     add_geometry(p)
     p.set_defaults(func=cmd_synth)
@@ -304,7 +306,7 @@ def main(argv=None) -> int:
     except (dataset_io.DatasetFormatError, OracleMismatchError, OSError) as exc:
         message, code = exc, EXIT_IO
     # Each ValueError left is a usage error: an option value that NSOConfig,
-    # TrainConfig, the --pattern or query_topk's k check rejects.
+    # TrainConfig or query_topk's k check rejects.
     except (UsageError, TrainingDivergedError, ValueError) as exc:
         message, code = exc, EXIT_USAGE
     print(f"error: {message}", file=sys.stderr)

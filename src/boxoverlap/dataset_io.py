@@ -110,7 +110,7 @@ def read_scene(dataset_dir) -> list[CameraView]:
         seen.add(entry["id"])
         try:
             views.append(_read_view(dataset_dir, entry))
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, OSError) as exc:
             raise DatasetFormatError(
                 f"view {entry['id']!r} in {scene_path}: {exc}"
             ) from None
@@ -118,8 +118,8 @@ def read_scene(dataset_dir) -> list[CameraView]:
 
 
 def _read_view(dataset_dir, entry) -> CameraView:
-    """The view of one scene.json entry; a bad value raises ValueError,
-    TypeError or, for an infinite width or height, OverflowError."""
+    """The view of one scene.json entry; a bad value raises ValueError or
+    TypeError, an infinite size OverflowError, an unreadable raster OSError."""
     rotation = np.asarray(entry["rotation"], dtype=np.float64)
     if rotation.size != 9:
         raise ValueError("rotation must hold 9 floats")

@@ -286,35 +286,35 @@ def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig) -> _IndexedCloud:
     )
 
 
-def _disjoint(a: _IndexedCloud, b: _IndexedCloud, radius: float) -> bool:
-    """True when the bounds of a and b are apart by more than radius on an axis."""
-    gap = np.maximum(a.tree.mins - b.tree.maxes, b.tree.mins - a.tree.maxes)
-    return bool(np.any(gap > radius * (1.0 + _CULL_SLACK)))
+def _bounds(cloud: SurfelCloud):
+    """(mins, maxes) of the cloud's points, as its `cKDTree` computes them."""
+    return cloud.points.min(axis=0), cloud.points.max(axis=0)
 
 
-def _in_reach(points: np.ndarray, tree: cKDTree, radius: float) -> np.ndarray:
-    """Mask of the points not apart from tree's bounds by more than radius on
-    any axis, as `_disjoint` tests two bounds: no other point can lie within
-    the radius of one of tree's points."""
-    gap = np.maximum(points - tree.maxes, tree.mins - points)
-    return np.all(gap <= radius * (1.0 + _CULL_SLACK), axis=1)
+def _near(lo, hi, bounds, radius: float):
+    """Whether the box [lo, hi] is within radius of the box `bounds` on every
+    axis, a mask for rows of points (lo is hi). Nothing that is not near a
+    view's bounds lies within the radius of one of its points."""
+    mins, maxes = bounds
+    gap = np.maximum(lo - maxes, mins - hi)
+    return np.all(gap <= radius * (1.0 + _CULL_SLACK), axis=-1)
 
 
-def _fit_reached(view: CameraView, ix: _IndexedCloud, partners, cfg: NSOConfig) -> None:
-    """Fit the normals of the points of ix, an `_unfitted_cloud` of view, that
-    lie in reach of one of the partner trees; the others stay NaN.
+def _fit_reached(view: CameraView, cloud: SurfelCloud, partner_bounds, radius) -> None:
+    """Fit the normals of the points of cloud, an `_unfitted_cloud` of view,
+    `_near` the bounds of one of its live partners; the others stay NaN.
 
-    A point out of reach of every live partner is never within the radius
-    of a point of the other view of a pair, so no pair reads its normal.
+    A point not near any live partner is never within the radius of a
+    point of the other view of a pair, so no pair reads its normal.
     Each fitted normal has the bits `backproject` gives it.
     """
-    points = ix.cloud.points
-    todo = np.arange(len(points))
-    for tree in partners:
-        todo = todo[~_in_reach(points[todo], tree, cfg.radius)]
+    todo = np.arange(len(cloud))
+    for bounds in partner_bounds:
+        points = cloud.points[todo]
+        todo = todo[~_near(points, points, bounds, radius)]
         if todo.size == 0:
             break
-    reached = np.ones(len(points), dtype=bool)
+    reached = np.ones(len(cloud), dtype=bool)
     reached[todo] = False
     if not reached.any():
         return
@@ -323,10 +323,8 @@ def _fit_reached(view: CameraView, ix: _IndexedCloud, partners, cfg: NSOConfig) 
     pts, count, keep = _kept_pixels(view)
     fit = np.zeros_like(keep)
     fit[keep] = reached
-    ix.cloud.normals[reached] = (_fit_normals(pts, view.valid_mask, count, fit)
-                                 @ view.pose.rotation.T)
-    if ix.sub is not ix.cloud:
-        ix.sub.normals[:] = subsample(ix.cloud, cfg.n_sub, cfg.seed).normals
+    cloud.normals[reached] = (_fit_normals(pts, view.valid_mask, count, fit)
+                              @ view.pose.rotation.T)
 
 
 def _use_join(a: _IndexedCloud, b: _IndexedCloud) -> bool:
@@ -402,10 +400,10 @@ def nso_from_clouds(
     compares every point pair and never culls.
     """
     if not brute_force:
-        a, b = _index_cloud(cloud_x, cfg), _index_cloud(cloud_y, cfg)
-        if _disjoint(a, b, cfg.radius):
+        if not _near(*_bounds(cloud_x), _bounds(cloud_y), cfg.radius):
             return OverlapRecord(id_x, id_y, 0.0, 0.0)
-        return _pair_nso(a, b, id_x, id_y, cfg)
+        return _pair_nso(_index_cloud(cloud_x, cfg), _index_cloud(cloud_y, cfg),
+                         id_x, id_y, cfg)
     sub_x = subsample(cloud_x, cfg.n_sub, cfg.seed)
     sub_y = subsample(cloud_y, cfg.n_sub, cfg.seed)
     nso_xy = overlap_count_brute(sub_x, cloud_y, cfg.radius, cfg.weighted) / len(sub_x)
@@ -417,38 +415,39 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
               threads: int = 1) -> list[OverlapRecord]:
     """Directed NSO for the given (id_x, id_y) pairs, in their order.
 
-    Only the views the pairs name are backprojected. Each gets one k-d tree
-    and one bounding box, shared by all its pairs and freed on return. A
-    pair whose bounds, padded by the radius, are disjoint is recorded as
-    (0.0, 0.0) without a search. Any other pair is one radius join of its
-    two trees, which serves both directions, when neither view is
-    subsampled and the sparser one has few neighbours per point within the
-    radius; else one nearest-neighbour query per subsampled source point,
-    split by point over `threads` query workers. The result does not
-    depend on the route or on `threads`. Normals are fitted only when
-    cfg.weighted, and then only for the points inside the padded bounds of
-    a view that a pair not culled joins them with; no pair reads any other
-    normal, and those hold NaN. With oracle=True every pair,
-    culled ones included, is recomputed brute-force from full `backproject`
-    clouds and must match exactly, else OracleMismatchError.
+    Each view the pairs name is backprojected once and bounded. A pair
+    whose bounds, padded by the radius, are disjoint is recorded as
+    (0.0, 0.0) without a search. Normals are fitted only when cfg.weighted,
+    and then only for the points inside the padded bounds of a view that a
+    live pair (one not culled) joins them with; no pair reads any other
+    normal, and those hold NaN. Then each view in a live pair gets one k-d
+    tree, shared by its pairs and freed on return. A live pair is one
+    radius join of its two trees, which serves both directions, when
+    neither view is subsampled and the sparser one has few neighbours per
+    point within the radius; else one nearest-neighbour query per
+    subsampled source point, split by point over `threads` query workers.
+    The result does not depend on the route or on `threads`. With
+    oracle=True every pair, culled ones included, is recomputed brute-force
+    from full `backproject` clouds and must match exactly, else
+    OracleMismatchError.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     by_id = {view.id: view for view in views}
-    indexed = {}
-    for pair in pairs:
-        for img_id in pair:
-            if img_id not in indexed:
-                indexed[img_id] = _index_cloud(_unfitted_cloud(by_id[img_id]), cfg)
-    live = [not _disjoint(indexed[id_x], indexed[id_y], cfg.radius) for id_x, id_y in pairs]
+    named = dict.fromkeys(img_id for pair in pairs for img_id in pair)
+    clouds = {img_id: _unfitted_cloud(by_id[img_id]) for img_id in named}
+    bounds = {img_id: _bounds(cloud) for img_id, cloud in clouds.items()}
+    live = [_near(*bounds[id_x], bounds[id_y], cfg.radius) for id_x, id_y in pairs]
+    partners = {img_id: [] for img_id in clouds}
+    for (id_x, id_y), searched in zip(pairs, live):
+        if searched:
+            partners[id_x].append(bounds[id_y])
+            partners[id_y].append(bounds[id_x])
     if cfg.weighted:
-        partners = {img_id: [] for img_id in indexed}
-        for (id_x, id_y), searched in zip(pairs, live):
-            if searched:
-                partners[id_x].append(indexed[id_y].tree)
-                partners[id_y].append(indexed[id_x].tree)
-        for img_id, trees in partners.items():
-            _fit_reached(by_id[img_id], indexed[img_id], trees, cfg)
+        for img_id, partner_bounds in partners.items():
+            _fit_reached(by_id[img_id], clouds[img_id], partner_bounds, cfg.radius)
+    indexed = {img_id: _index_cloud(clouds[img_id], cfg)
+               for img_id, partner_bounds in partners.items() if partner_bounds}
     full = {}  # oracle only: view id -> backproject(view)
     records = []
     for (id_x, id_y), searched in zip(pairs, live):

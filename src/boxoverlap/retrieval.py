@@ -126,9 +126,10 @@ class BoxIndex:
             return
         # Bounds wider than about 1e154 square past the float range: their
         # spread is inf, which ranks that dimension first. An infinite bound
-        # makes it NaN, which ranks that dimension last.
+        # makes it NaN, which ranks as inf: that dimension is the widest too.
         with np.errstate(over="ignore", invalid="ignore"):
             spread = self.lowers.var(axis=0) + self.uppers.var(axis=0)
+        spread[np.isnan(spread)] = np.inf
         self.key_dims = np.argsort(-spread, kind="stable")[:3]
         self._key_lo = self.lowers[:, self.key_dims]
         self._key_hi = self.uppers[:, self.key_dims]

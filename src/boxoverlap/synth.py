@@ -1,6 +1,6 @@
 """Synthetic posed-depth scenes with analytically known overlap structure.
 
-Surfaces are analytic (plane, sinusoidal heightfield, sphere) and every
+Surfaces are analytic (plane, sinusoidal heightfield) and every
 depth value is the exact ray-surface intersection, so pair generators can
 state expected overlap intervals in closed form. The world is scaled so a
 camera footprint spans a few units and the 0.1 match radius is ~1% of the
@@ -94,29 +94,6 @@ class HeightfieldSurface:
         return np.where(descending & (t > 0), t, np.nan)
 
 
-class SphereSurface:
-    def __init__(self, center, radius: float):
-        self.center = np.asarray(center, dtype=np.float64)
-        self.radius = float(radius)
-
-    def min_camera_z(self) -> float:
-        return self.center[2] + self.radius
-
-    def intersect(self, origin, dirs):
-        oc = origin - self.center
-        a = np.einsum("...i,...i->...", dirs, dirs)
-        b = 2.0 * dirs @ oc
-        c = oc @ oc - self.radius**2
-        disc = b**2 - 4 * a * c
-        with np.errstate(invalid="ignore"):
-            sq = np.sqrt(disc)
-            t1 = (-b - sq) / (2 * a)
-            t2 = (-b + sq) / (2 * a)
-            t = np.where(t1 > 0, t1, t2)
-            t = np.where((disc >= 0) & (t > 0), t, np.nan)
-        return t
-
-
 @dataclass(frozen=True)
 class Placement:
     """One camera: position, look-at target, focal length in pixels."""
@@ -142,10 +119,6 @@ class ExpectedOverlap:
 
     xy: tuple
     yx: tuple
-
-    def contains(self, record) -> bool:
-        return (self.xy[0] <= record.nso_xy <= self.xy[1]
-                and self.yx[0] <= record.nso_yx <= self.yx[1])
 
 
 def look_at_pose(position, target) -> Pose:

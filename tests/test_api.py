@@ -27,17 +27,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "boxoverlap"
 
-# Test fixtures kept in the package with no caller outside the unit tests.
-ALLOWED = {
-    "synth.SphereSurface": "drives the curved-surface normal test",
-    "synth.ExpectedOverlap.contains": "the interval check for make_pair",
-}
+# Public names kept in the package with no caller outside the unit tests.
+ALLOWED = {}
 
 # Defaults kept settable though no caller outside the unit tests sets them.
 ALLOWED_DEFAULTS = {
     "synth.Placement.width": "larger views for a subsampled-view workload",
     "synth.Placement.height": "larger views for a subsampled-view workload",
-    "synth.make_pair.surface": "a test fixture, like SphereSurface",
+    "synth.make_pair.surface": "the oblique-weighting test renders on a curved surface",
 }
 
 

@@ -64,6 +64,14 @@ def test_synth_bad_pattern(capsys):
     assert "unknown pattern" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern", ["grid:x", "grid:0", "grid:1", "grid:"])
+def test_synth_bad_grid_size_names_pattern(pattern, tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "ds"), "--pattern", pattern]) == 2
+    err = one_error_line(capsys)
+    assert "argument --pattern: unknown pattern" in err and repr(pattern) in err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_synth_deterministic(tmp_path):
     for name in ("a", "b"):
         assert main(["synth", "--out", str(tmp_path / name),
@@ -255,6 +263,19 @@ def test_nso_malformed_scene_is_data_error(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "view 'g001'" in err and "scene.json" in err
+
+
+def test_nso_depth_file_naming_a_directory_is_data_error(dataset, tmp_path, capsys):
+    # Opening the raster raises IsADirectoryError, an OSError: the message
+    # names the view and the scene.json that points at the directory.
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    doc = json.loads((bad / "scene.json").read_text())
+    doc["views"][1]["depth_file"] = "."
+    (bad / "scene.json").write_text(json.dumps(doc))
+    assert main(["nso", "--dataset", str(bad), "--output", str(tmp_path / "o.csv")]) == 3
+    err = one_error_line(capsys)
+    assert err.startswith(f"error: view 'g001' in {bad / 'scene.json'}: ")
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

@@ -21,12 +21,12 @@ from boxoverlap.geometry import (
 from boxoverlap.synth import (
     PlaneSurface,
     Placement,
-    SphereSurface,
     default_surface,
     grid_script,
     render_depth,
     render_script,
 )
+from synth_fixtures import SphereSurface
 
 IDENTITY = Pose(np.eye(3), np.zeros(3))
 
@@ -324,14 +324,16 @@ def test_all_pairs_oracle_on_sparse_grid(monkeypatch):
     # At spacing 6 most footprints are apart, so most pairs are culled.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
-    disjoint = geometry._disjoint
+    near = geometry._near
     culled = []
 
-    def counting(a, b, radius):
-        culled.append(disjoint(a, b, radius))
-        return culled[-1]
+    def counting(lo, hi, bounds, radius):
+        result = near(lo, hi, bounds, radius)
+        if lo.ndim == 1:  # the bounds of a view, not its points
+            culled.append(not result)
+        return result
 
-    monkeypatch.setattr(geometry, "_disjoint", counting)
+    monkeypatch.setattr(geometry, "_near", counting)
     records = all_pairs_nso(views, cfg, oracle=True)
     assert len(records) == len(culled) == 120
     assert sum(culled) >= 80
@@ -345,7 +347,7 @@ def test_all_pairs_oracle_on_sparse_grid(monkeypatch):
 
 def test_oracle_checks_culled_pairs(monkeypatch):
     # A cull that drops overlapping pairs must be caught by the oracle.
-    monkeypatch.setattr(geometry, "_disjoint", lambda a, b, radius: True)
+    monkeypatch.setattr(geometry, "_near", lambda lo, hi, bounds, radius: False)
     views = grid_views(2, seed=3, spacing=1.0)
     with pytest.raises(geometry.OracleMismatchError, match="brute force"):
         all_pairs_nso(views, NSOConfig(seed=3, n_sub=300), oracle=True)
@@ -375,28 +377,26 @@ def test_unweighted_all_pairs_fits_no_normal(monkeypatch):
 def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
     # At spacing 6 a view meets at most two others, so only the strips in
     # reach of a live partner get normals, and a view with none gets none.
-    # Each fitted normal, in the cloud and in its subsample, is backproject's.
+    # Each fitted normal is backproject's.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
     fits = spy_eigh(monkeypatch)
     fit_reached = geometry._fit_reached
     seen = {}
 
-    def spy(view, ix, partners, cfg):
-        fit_reached(view, ix, partners, cfg)
-        seen[view.id] = (len(partners), ix)
+    def spy(view, cloud, partner_bounds, radius):
+        fit_reached(view, cloud, partner_bounds, radius)
+        seen[view.id] = (len(partner_bounds), cloud)
 
     monkeypatch.setattr(geometry, "_fit_reached", spy)
     all_pairs_nso(views, cfg)
     n_fits = sum(fits)
     fitted = kept = 0
     for view in views:
-        n_partners, ix = seen[view.id]
+        n_partners, cloud = seen[view.id]
         full = backproject(view)
-        rows = ~np.isnan(ix.cloud.normals).any(axis=1)
-        assert np.array_equal(ix.cloud.normals[rows], full.normals[rows])
-        assert np.array_equal(ix.sub.normals, subsample(ix.cloud, cfg.n_sub, cfg.seed).normals,
-                              equal_nan=True)
+        rows = ~np.isnan(cloud.normals).any(axis=1)
+        assert np.array_equal(cloud.normals[rows], full.normals[rows])
         if n_partners == 0:
             assert not rows.any()
         fitted += rows.sum()
@@ -405,11 +405,45 @@ def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
     assert n_fits == fitted < kept
 
 
+def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
+    # At spacing 6 some views have no live partner: they are bounded and
+    # culled, but get no k-d tree. Every view's normals are fitted before
+    # the first tree is built.
+    views = grid_views(4, seed=2, spacing=6.0)
+    cfg = NSOConfig(seed=2, n_sub=400)
+    clouds = {view.id: backproject(view) for view in views}
+    fit_reached, index_cloud = geometry._fit_reached, geometry._index_cloud
+    events = []
+
+    def spy_fit(view, cloud, partner_bounds, radius):
+        events.append(("fit", view.id, len(partner_bounds)))
+        fit_reached(view, cloud, partner_bounds, radius)
+
+    def spy_index(cloud, cfg):
+        events.append(("index", next(img_id for img_id, full in clouds.items()
+                                     if np.array_equal(full.points, cloud.points))))
+        return index_cloud(cloud, cfg)
+
+    monkeypatch.setattr(geometry, "_fit_reached", spy_fit)
+    monkeypatch.setattr(geometry, "_index_cloud", spy_index)
+    all_pairs_nso(views, cfg)
+    n = len(views)
+    fits, indexed = events[:n], events[n:]
+    assert [kind for kind, *_ in fits] == ["fit"] * n
+    live = sorted(img_id for _, img_id, n_partners in fits if n_partners)
+    assert sorted(img_id for _, img_id in indexed) == live
+    assert 0 < len(live) < n
+
+
 def test_normal_out_of_reach_fails_loudly(monkeypatch):
     # A reach test that misses a point some pair matches leaves its normal
     # NaN, and the overlap that reads it is rejected rather than returned.
-    monkeypatch.setattr(geometry, "_in_reach",
-                        lambda points, tree, radius: np.zeros(len(points), dtype=bool))
+    near = geometry._near
+
+    def points_never_near(lo, hi, bounds, radius):
+        return near(lo, hi, bounds, radius) if lo.ndim == 1 else np.zeros(len(lo), dtype=bool)
+
+    monkeypatch.setattr(geometry, "_near", points_never_near)
     with pytest.raises(ValueError, match="nan"):
         all_pairs_nso(grid_views(2, seed=4, spacing=1.0), NSOConfig(seed=4))
 
@@ -426,8 +460,7 @@ def test_cull_keeps_pair_exactly_radius_apart(weighted):
     # Nearest points are exactly `radius` apart along x: a match, not a cull.
     cfg = NSOConfig(radius=0.5, seed=0, weighted=weighted)
     a, b = slab_cloud(0.0), slab_cloud(0.5)
-    ia, ib = geometry._index_cloud(a, cfg), geometry._index_cloud(b, cfg)
-    assert not geometry._disjoint(ia, ib, cfg.radius)
+    assert geometry._near(*geometry._bounds(a), geometry._bounds(b), cfg.radius)
     rec = nso_from_clouds(a, b, "a", "b", cfg)
     assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
     assert (rec.nso_xy, rec.nso_yx) == (1.0, 1.0)
@@ -436,11 +469,27 @@ def test_cull_keeps_pair_exactly_radius_apart(weighted):
 def test_cull_drops_pair_just_beyond_radius():
     cfg = NSOConfig(radius=0.5, seed=0)
     a, b = slab_cloud(0.0), slab_cloud(0.5 * (1 + 1e-5))
-    ia, ib = geometry._index_cloud(a, cfg), geometry._index_cloud(b, cfg)
-    assert geometry._disjoint(ia, ib, cfg.radius)
+    assert not geometry._near(*geometry._bounds(a), geometry._bounds(b), cfg.radius)
     rec = nso_from_clouds(a, b, "a", "b", cfg)
     assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
     assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
+
+
+def test_culled_pair_builds_no_tree(monkeypatch):
+    built = []
+    tree = geometry.cKDTree
+
+    def spy(points):
+        built.append(len(points))
+        return tree(points)
+
+    monkeypatch.setattr(geometry, "cKDTree", spy)
+    cfg = NSOConfig(radius=0.5, seed=0)
+    rec = nso_from_clouds(slab_cloud(0.0), slab_cloud(0.5 * (1 + 1e-5)), "a", "b", cfg)
+    assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
+    assert built == []
+    nso_from_clouds(slab_cloud(0.0), slab_cloud(0.5), "a", "b", cfg)
+    assert built == [64, 64]
 
 
 def point_cloud(points, normals):

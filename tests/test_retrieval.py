@@ -312,6 +312,19 @@ def test_index_accepts_infinite_bounds():
         assert results[1].id == "b" and results[1].concentration == 0.0
 
 
+def test_infinite_bound_ranks_its_dimension_first():
+    # Dimension 1 holds -inf, so its spread is inf - inf = NaN: it is still
+    # the widest, and the first key dimension.
+    rng = np.random.default_rng(46)
+    lowers = rng.uniform(-1.0, 0.0, size=(40, 4))
+    uppers = lowers + rng.uniform(0.5, 1.5, size=(40, 4))
+    lowers[3, 1] = -np.inf
+    index = BoxIndex([f"b{i:02d}" for i in range(40)], lowers, uppers)
+    assert index.key_dims[0] == 1
+    for q in [random_query(rng, 4) for _ in range(10)]:
+        assert index.query_topk(q, 5, HARD) == index.query_topk_exhaustive(q, 5, HARD)
+
+
 @pytest.mark.filterwarnings("error")
 def test_index_over_wide_bounds_builds_without_warning():
     # Bounds of 1e200 square past the float range, so the spread of their
