@@ -67,12 +67,23 @@ def softplus_grad(x):
     return expit(x)
 
 
-def sigma(v, cfg: SmoothingConfig):
-    """Edge function: max(0, v) or its rho-smoothed version (overflow-safe)."""
+def sigma(v, cfg: SmoothingConfig, out=None):
+    """Edge function: max(0, v) or its rho-smoothed version (overflow-safe).
+
+    Writes into `out` when given, which may be v itself. The smoothing term
+    rho * ln(1 + exp(-|v| / rho)) is built in one scratch array.
+    """
     v = np.asarray(v, dtype=np.float64)
     if cfg.hard:
-        return np.maximum(0.0, v)
-    return np.maximum(0.0, v) + cfg.rho * np.log1p(np.exp(-np.abs(v) / cfg.rho))
+        return np.maximum(0.0, v, out=out)
+    soft = np.abs(v, out=np.empty_like(v))
+    soft /= -cfg.rho
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    soft *= cfg.rho
+    out = np.maximum(0.0, v, out=out)
+    out += soft
+    return out
 
 
 def sigma_grad(v, cfg: SmoothingConfig):
@@ -82,15 +93,22 @@ def sigma_grad(v, cfg: SmoothingConfig):
     return expit(v / cfg.rho)
 
 
-def intersection(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):
-    """Intersection volume of boxes given by bounds broadcast over (..., D)."""
-    v = np.minimum(upper_x, upper_y) - np.maximum(lower_x, lower_y)
-    return np.prod(sigma(v, cfg), axis=-1)
+def intersection(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig, axis=-1):
+    """Intersection volume of boxes given by bounds broadcast over (..., D),
+    each box's lower and upper bounds of one shape.
+
+    `axis` is the dimension axis, reduced in order: (D, n) bounds with
+    axis=0 give the same bits as their (n, D) transpose with axis=-1.
+    """
+    v = np.minimum(upper_x, upper_y, dtype=np.float64)
+    v -= np.maximum(lower_x, lower_y)
+    return np.prod(sigma(v, cfg, out=v), axis=axis)
 
 
-def volumes(lower, upper, cfg: SmoothingConfig):
-    """Volume of boxes given by bounds over (..., D), last axis reduced."""
-    return np.prod(sigma(np.subtract(upper, lower), cfg), axis=-1)
+def volumes(lower, upper, cfg: SmoothingConfig, axis=-1):
+    """Volume of boxes given by bounds over (..., D), the dimension `axis` reduced."""
+    v = np.subtract(upper, lower, dtype=np.float64)
+    return np.prod(sigma(v, cfg, out=v), axis=axis)
 
 
 def overlap(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):

@@ -355,9 +355,8 @@ def _join_nso(src: _IndexedCloud, dst: _IndexedCloud, i, j, dist, weighted: bool
     n, unmatched = len(src.cloud), len(dst.cloud)
     best = np.full(n, np.inf)
     np.minimum.at(best, i, dist)
-    tie = dist == best[i]
     nn = np.full(n, unmatched)
-    np.minimum.at(nn, i[tie], j[tie])
+    np.minimum.at(nn, i, np.where(dist == best[i], j, unmatched))
     rows = np.flatnonzero(nn < unmatched)
     return _weighted_sum(src.cloud, dst.cloud, rows, nn[rows], weighted) / n
 

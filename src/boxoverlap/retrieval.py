@@ -4,6 +4,9 @@ Hard-overlap queries keep only the boxes that meet the query in a few key
 dimensions, tested in one vectorised pass over the gallery, and score them
 exactly in full dimension; smoothed-overlap queries score the whole
 gallery against its box volumes, computed once per index and smoothing.
+The whole-gallery scan reads dimension-major (D, n) copies of the bounds,
+so its product over dimensions runs over contiguous rows of n boxes, in
+the same order and with the same bits as the row-major exact scores.
 The top k are selected without sorting the whole gallery, so results are
 always identical to a full scan.
 """
@@ -104,22 +107,30 @@ class BoxIndex:
 
     Hard-overlap queries are filtered on the (up to) 3 dimensions with the
     widest endpoint spread across the gallery; surviving candidates are
-    scored exactly in full dimension. Full-gallery scans reuse the gallery's
-    box volumes, kept per smoothing; the bounds are read-only, so the kept
-    volumes cannot go stale.
+    scored exactly in full dimension. Full-gallery scans read dimension-major
+    copies of the bounds and reuse the gallery's box volumes, kept per
+    smoothing; the bounds are read-only, so the kept volumes cannot go
+    stale. Ids must be unique.
     """
 
     def __init__(self, ids, lowers, uppers):
-        order = np.argsort(np.asarray(ids, dtype=object))
+        order = sorted(range(len(ids)), key=ids.__getitem__)
         self.ids = [ids[i] for i in order]
-        self.lowers = np.asarray(lowers, dtype=np.float64)[order]
-        self.uppers = np.asarray(uppers, dtype=np.float64)[order]
+        for a, b in zip(self.ids, self.ids[1:]):
+            if a == b:
+                raise ValueError(f"repeated image id: {a}")
+        self.lowers = np.asarray(lowers, dtype=np.float64).take(order, axis=0)
+        self.uppers = np.asarray(uppers, dtype=np.float64).take(order, axis=0)
         # A NaN bound compares false. An infinite one is legal: finite params make one.
         if not (self.lowers <= self.uppers).all():
             row = np.argmin((self.lowers <= self.uppers).all(axis=1))
             raise ValueError(f"box {self.ids[row]}: a bound is NaN or lower > upper")
-        self.lowers.setflags(write=False)
-        self.uppers.setflags(write=False)
+        # Dimension-major copies for the full-gallery scan: its product over
+        # dimensions then runs over contiguous rows of n.
+        self._lowers_t = np.ascontiguousarray(self.lowers.T)
+        self._uppers_t = np.ascontiguousarray(self.uppers.T)
+        for bounds in (self.lowers, self.uppers, self._lowers_t, self._uppers_t):
+            bounds.setflags(write=False)
         self._volumes = {}  # SmoothingConfig -> (n,) gallery box volumes
         if len(self.ids) == 0:
             self.key_dims = np.arange(0)
@@ -159,8 +170,10 @@ class BoxIndex:
         """_exact_scores of the whole gallery, with its volumes computed once per cfg."""
         vol_r = self._volumes.get(cfg)
         if vol_r is None:
-            vol_r = self._volumes[cfg] = boxes.volumes(self.lowers, self.uppers, cfg)
-        inter = boxes.intersection(q.lower, q.upper, self.lowers, self.uppers, cfg)
+            vol_r = self._volumes[cfg] = boxes.volumes(self._lowers_t, self._uppers_t,
+                                                       cfg, axis=0)
+        inter = boxes.intersection(q.lower[:, None], q.upper[:, None],
+                                   self._lowers_t, self._uppers_t, cfg, axis=0)
         return _directed(inter, boxes.volumes(q.lower, q.upper, cfg), vol_r)
 
     def _scores(self, q: BoxEmbedding, cfg: SmoothingConfig):

@@ -11,6 +11,7 @@ from boxoverlap.boxes import (
     DegenerateBoxError,
     SmoothingConfig,
     box_table_to_json,
+    intersection,
     nbo,
     nbo_batch,
     nbo_grad_batch,
@@ -110,6 +111,62 @@ def test_volume_smooth_unit_square():
     expected = (5.0 * math.log(1.0 + math.exp(0.2))) ** 2
     assert volumes([0, 0], [1, 1], RHO5) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(15.9256, abs=1e-4)
+
+
+def test_integer_list_bounds():
+    assert intersection([0, 0], [2, 2], [1, 1], [3, 3], HARD) == 1.0
+    assert intersection([0], [2], [1], [3], RHO5) == volumes([1], [2], RHO5)
+
+
+def edge_values():
+    edges = [-np.inf, -1e300, -7.5, -0.25, -0.0, 0.0, 1e-300, 0.5, 3.0, 1e300, np.inf]
+    return np.concatenate([edges, np.random.default_rng(12).normal(0.0, 3.0, 200)])
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
+def test_sigma_out_equals_fresh_result(rho):
+    cfg = SmoothingConfig(rho)
+    v = edge_values()
+    kept = v.copy()
+    fresh = sigma(v, cfg)
+    assert v.tobytes() == kept.tobytes()  # the input is left as it was
+    if rho:
+        formula = np.maximum(0.0, v) + rho * np.log1p(np.exp(-np.abs(v) / rho))
+    else:
+        formula = np.maximum(0.0, v)
+    assert fresh.tobytes() == formula.tobytes()
+    assert sigma(v, cfg, out=v) is v
+    assert v.tobytes() == fresh.tobytes()
+
+
+def test_sigma_zero_d():
+    for value in (np.float64(-2.0), np.array(3.0), 1):
+        for cfg in (HARD, RHO5):
+            assert sigma(value, cfg) == sigma(np.array([value], float), cfg)[0]
+    out = np.empty(())
+    assert sigma(np.array(0.0), RHO5, out=out) is out
+    assert out == sigma(0.0, RHO5)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
+def test_dimension_major_axis_equals_last_axis(rho):
+    # (D, n) bounds reduced over axis 0 give the bits of (n, D) bounds
+    # reduced over the last axis: infinite bounds and zero widths included
+    # (a hard volume of inf * 0 is NaN on both paths).
+    cfg = SmoothingConfig(rho)
+    rng = np.random.default_rng(11)
+    n, dim = 400, 12
+    lowers = rng.normal(0.0, 2.0, size=(n, dim))
+    uppers = lowers + rng.choice([0.0, 0.1, 1.0, 4.0], size=(n, dim))
+    lowers[rng.random((n, dim)) < 0.02] = -np.inf
+    uppers[rng.random((n, dim)) < 0.02] = np.inf
+    lo_t, hi_t = np.ascontiguousarray(lowers.T), np.ascontiguousarray(uppers.T)
+    assert volumes(lo_t, hi_t, cfg, axis=0).tobytes() == volumes(lowers, uppers, cfg).tobytes()
+    for q in [random_box(rng, dim) for _ in range(5)] + [box([0.0] * dim, [0.0] * dim)]:
+        by_row = intersection(q.lower, q.upper, lowers, uppers, cfg)
+        by_dim = intersection(q.lower[:, None], q.upper[:, None], lo_t, hi_t, cfg, axis=0)
+        assert by_dim.tobytes() == by_row.tobytes()
 
 
 def test_nbo_identical():

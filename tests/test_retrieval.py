@@ -226,6 +226,17 @@ def far_gallery(rng):
     return index, queries
 
 
+def infinite_gallery(rng):
+    # Some bounds are infinite, as finite checkpoint params can make them:
+    # those boxes have infinite volume and concentration 0.
+    n, dim = 200, 6
+    lowers, uppers = random_table(rng, n, dim).bounds()
+    lowers[rng.random((n, dim)) < 0.05] = -np.inf
+    uppers[rng.random((n, dim)) < 0.05] = np.inf
+    index = BoxIndex([f"b{i:04d}" for i in range(n)], lowers, uppers)
+    return index, [random_query(rng, dim) for _ in range(20)]
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
 @pytest.mark.parametrize("gallery, k", [
     (random_gallery, 10),
@@ -238,8 +249,9 @@ def far_gallery(rng):
     (quantised_gallery, 300),
     (quantised_gallery, 301),
     (far_gallery, 10),
+    (infinite_gallery, 10),
 ], ids=["random", "overlapping", "d1", "d2", "off-key-disjoint", "quantised",
-        "quantised-k-n-minus-1", "quantised-k-n", "quantised-k-n-plus-1", "far"])
+        "quantised-k-n-minus-1", "quantised-k-n", "quantised-k-n-plus-1", "far", "infinite"])
 def test_index_equals_exhaustive_scan(gallery, k, rho):
     index, queries = gallery(np.random.default_rng(42))
     cfg = SmoothingConfig(rho)
@@ -247,6 +259,20 @@ def test_index_equals_exhaustive_scan(gallery, k, rho):
         via_index = index.query_topk(q, k, cfg)
         via_scan = index.query_topk_exhaustive(q, k, cfg)
         assert via_index == via_scan
+
+
+@pytest.mark.parametrize("rho", [0.5, 5.0])
+@pytest.mark.parametrize("gallery", [random_gallery, quantised_gallery,
+                                     off_key_disjoint_gallery, infinite_gallery],
+                         ids=["random", "quantised", "off-key-disjoint", "infinite"])
+def test_dimension_major_scan_equals_row_major_scores(gallery, rho):
+    # The whole-gallery scan reads the (D, n) copies of the bounds; its
+    # enclosures and concentrations are the row-major exact scores, bit for bit.
+    index, queries = gallery(np.random.default_rng(43))
+    cfg = SmoothingConfig(rho)
+    for q in queries:
+        for scan, exact in zip(index._scan_scores(q, cfg), index._exact_scores(q, cfg)):
+            assert np.array_equal(scan, exact)
 
 
 corner = st.integers(-2, 1)
@@ -286,6 +312,12 @@ def test_nan_scores_rank_last_as_in_exhaustive_scan():
                   np.where(rng.random(40) < 0.3, np.nan, rng.integers(0, 4, 40) / 4.0)):
         for k in range(1, len(score) + 2):
             assert _top(score, k).tolist() == np.argsort(-score, kind="stable")[:k].tolist()
+
+
+def test_index_rejects_repeated_id():
+    # Two boxes under one id would return two results under that id.
+    with pytest.raises(ValueError, match="repeated image id: b1"):
+        BoxIndex(["b1", "b0", "b1"], np.zeros((3, 2)), np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("side, value", [("lower", np.nan), ("upper", np.nan), ("lower", 2.0)],
@@ -350,9 +382,9 @@ def test_gallery_volumes_computed_once_per_smoothing(monkeypatch):
     fills = []
     real = boxes.volumes
 
-    def spy(lower, upper, cfg):
-        fills.extend((i, cfg.rho) for i, ix in enumerate(indexes) if lower is ix.lowers)
-        return real(lower, upper, cfg)
+    def spy(lower, upper, cfg, axis=-1):
+        fills.extend((i, cfg.rho) for i, ix in enumerate(indexes) if lower is ix._lowers_t)
+        return real(lower, upper, cfg, axis)
 
     monkeypatch.setattr(boxes, "volumes", spy)
     # The second query meets every box, so the key-dimension test keeps all rows.
