@@ -2,7 +2,10 @@
 
 Hard-overlap queries keep only the boxes that meet the query in a few key
 dimensions, tested in one vectorised pass over the gallery, and score them
-exactly in full dimension; smoothed-overlap queries score the whole
+exactly in full dimension. Every other box scores 0, so a hard top k ranks
+the candidates scoring above 0 and fills the places left with the lowest
+other ids, in ascending order: past the key-dimension test its work follows
+the candidates, not the gallery. Smoothed-overlap queries score the whole
 gallery against its box volumes, computed once per index and smoothing.
 The whole-gallery scan reads dimension-major (D, n) copies of the bounds,
 so its product over dimensions runs over contiguous rows of n boxes, in
@@ -85,6 +88,16 @@ def _directed(inter, vol_q, vol_r):
     return inter / vol_q, concentration
 
 
+def _variance(a):
+    """a.var(axis=0), from the ufunc steps numpy's var runs, so with its bits
+    but without its Python-level overhead."""
+    mean = a.sum(axis=0)
+    mean /= len(a)
+    dev = a - mean
+    np.multiply(dev, dev, out=dev)
+    return dev.sum(axis=0) / len(a)
+
+
 def _top(score, k):
     """The first k of np.argsort(-score, kind="stable"), without sorting every row.
 
@@ -107,20 +120,27 @@ class BoxIndex:
 
     Hard-overlap queries are filtered on the (up to) 3 dimensions with the
     widest endpoint spread across the gallery; surviving candidates are
-    scored exactly in full dimension. Full-gallery scans read dimension-major
-    copies of the bounds and reuse the gallery's box volumes, kept per
-    smoothing; the bounds are read-only, so the kept volumes cannot go
-    stale. Ids must be unique.
+    scored exactly in full dimension, and every other row scores 0. A hard
+    top k ranks the candidates scoring above 0 and fills the places left
+    with the lowest other ids, so its cost follows the candidates, not the
+    gallery. Full-gallery scans read dimension-major copies of the bounds
+    and reuse the gallery's box volumes, kept per smoothing; the bounds are
+    read-only, so the kept volumes cannot go stale. Ids must be unique.
     """
 
     def __init__(self, ids, lowers, uppers):
+        lowers = np.asarray(lowers, dtype=np.float64)
+        uppers = np.asarray(uppers, dtype=np.float64)
+        if lowers.ndim != 2 or lowers.shape != uppers.shape or len(lowers) != len(ids):
+            raise ValueError(f"bounds must be two (n, D) arrays with one row per id: "
+                             f"{len(ids)} ids, lowers {lowers.shape}, uppers {uppers.shape}")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         self.ids = [ids[i] for i in order]
         for a, b in zip(self.ids, self.ids[1:]):
             if a == b:
                 raise ValueError(f"repeated image id: {a}")
-        self.lowers = np.asarray(lowers, dtype=np.float64).take(order, axis=0)
-        self.uppers = np.asarray(uppers, dtype=np.float64).take(order, axis=0)
+        self.lowers = lowers.take(order, axis=0)
+        self.uppers = uppers.take(order, axis=0)
         # A NaN bound compares false. An infinite one is legal: finite params make one.
         if not (self.lowers <= self.uppers).all():
             row = np.argmin((self.lowers <= self.uppers).all(axis=1))
@@ -139,7 +159,7 @@ class BoxIndex:
         # spread is inf, which ranks that dimension first. An infinite bound
         # makes it NaN, which ranks as inf: that dimension is the widest too.
         with np.errstate(over="ignore", invalid="ignore"):
-            spread = self.lowers.var(axis=0) + self.uppers.var(axis=0)
+            spread = _variance(self.lowers) + _variance(self.uppers)
         spread[np.isnan(spread)] = np.inf
         self.key_dims = np.argsort(-spread, kind="stable")[:3]
         self._key_lo = self.lowers[:, self.key_dims]
@@ -159,7 +179,7 @@ class BoxIndex:
         q_lo = q.lower[self.key_dims]
         q_hi = q.upper[self.key_dims]
         hit = (self._key_lo <= q_hi) & (self._key_hi >= q_lo)
-        return np.flatnonzero(hit.all(axis=1))
+        return hit.all(axis=1).nonzero()[0]
 
     def _exact_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, rows=slice(None)):
         """Exact (enclosure, concentration) of the query against the given rows."""
@@ -176,18 +196,15 @@ class BoxIndex:
                                    self._lowers_t, self._uppers_t, cfg, axis=0)
         return _directed(inter, boxes.volumes(q.lower, q.upper, cfg), vol_r)
 
-    def _scores(self, q: BoxEmbedding, cfg: SmoothingConfig):
-        """Scores of every entry; hard queries score only the key-dimension candidates."""
-        if not cfg.hard:
-            return self._scan_scores(q, cfg)
-        cand = self._candidates(q)
-        if len(cand) == len(self.ids):
-            return self._exact_scores(q, cfg)
-        enclosure = np.zeros(len(self.ids))
-        concentration = np.zeros(len(self.ids))
-        if len(cand):
-            enclosure[cand], concentration[cand] = self._exact_scores(q, cfg, cand)
-        return enclosure, concentration
+    def _check_query(self, q: BoxEmbedding, k: int) -> bool:
+        """Reject a bad k or query box; False when the index is empty."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if len(self.ids) == 0:
+            return False
+        if q.dim != self.lowers.shape[1]:
+            raise ValueError(f"dimension mismatch: {q.dim} vs {self.lowers.shape[1]}")
+        return True
 
     def query_topk(self, q: BoxEmbedding, k: int,
                    cfg: SmoothingConfig = HARD) -> list[QueryResult]:
@@ -195,29 +212,66 @@ class BoxIndex:
 
         Ties are broken by ascending id; identical to an exhaustive scan.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self.ids) == 0:
+        if not self._check_query(q, k):
             return []
-        enclosure, concentration = self._scores(q, cfg)
+        if not cfg.hard:
+            return self._ranked(*self._scan_scores(q, cfg), k)
+        cand = self._candidates(q)
+        if len(cand) == len(self.ids):
+            return self._ranked(*self._exact_scores(q, cfg), k)
+        return self._ranked_candidates(q, cand, k)
+
+    def _ranked(self, enclosure, concentration, k):
+        """Top k of every row's scores."""
         score = 0.5 * (enclosure + concentration)
-        return self._results(enclosure, concentration, score, _top(score, k))
+        order = _top(score, k)
+        return self._results(order.tolist(), enclosure[order], concentration[order],
+                             score[order])
+
+    def _ranked_candidates(self, q: BoxEmbedding, cand, k):
+        """Hard top k from the scores of the candidate rows alone.
+
+        Every other row scores +0.0. The candidates scoring above 0 rank
+        first, by (-score, row); the places left go to the lowest other rows
+        in ascending order, as in the stable full sort. A candidate among
+        those keeps its own zero score (-0.0 for boxes that touch at -0.0).
+        No hard score is NaN, which would sort after the zeros: the query's
+        volume is checked finite and positive, so each width of its
+        intersection with a box lies in [0, the query's width].
+        """
+        n, m = len(self.ids), len(cand)
+        # One padding slot past the candidates scores +0.0 for every other row.
+        enclosure, concentration = np.zeros(m + 1), np.zeros(m + 1)
+        if m:
+            enclosure[:m], concentration[:m] = self._exact_scores(q, HARD, cand)
+        score = 0.5 * (enclosure + concentration)
+        hit = (score > 0).nonzero()[0]
+        if len(hit) > 1:
+            hit = hit[_top(score[hit], k)]
+        rows = cand[hit].tolist()
+        taken = set(rows)
+        size = min(k, n)
+        fill = [r for r in range(size) if r not in taken][:size - len(rows)]
+        # Every fill row is below size, so only the first size candidates can be one.
+        slot = {r: i for i, r in enumerate(cand[:size].tolist())}
+        pick = np.array(hit.tolist() + [slot.get(r, m) for r in fill])
+        return self._results(rows + fill, enclosure[pick], concentration[pick], score[pick])
 
     def query_topk_exhaustive(self, q: BoxEmbedding, k: int,
                               cfg: SmoothingConfig = HARD) -> list[QueryResult]:
         """Oracle path: full scan with fresh volumes, no pruning and a full sort."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self.ids) == 0:
+        if not self._check_query(q, k):
             return []
         enclosure, concentration = self._exact_scores(q, cfg)
         score = 0.5 * (enclosure + concentration)
         order = np.argsort(-score, kind="stable")[:k]
-        return self._results(enclosure, concentration, score, order)
+        return self._results(order.tolist(), enclosure[order], concentration[order],
+                             score[order])
 
-    def _results(self, enclosure, concentration, score, order):
+    def _results(self, rows, enclosure, concentration, score):
+        """One QueryResult per row, from its scores given in the same order."""
         return [
             QueryResult(self.ids[i], e, c, s)
-            for i, e, c, s in zip(order.tolist(), enclosure[order].tolist(),
-                                  concentration[order].tolist(), score[order].tolist())
+            for i, e, c, s in zip(rows, enclosure.tolist(), concentration.tolist(),
+                                  score.tolist())
         ]

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxoverlap import boxes
+from boxoverlap import boxes, retrieval
 from boxoverlap.boxes import HARD, BoxEmbedding, SmoothingConfig, softplus
 from boxoverlap.retrieval import (
     CLONE_LIKE,
@@ -237,6 +239,35 @@ def infinite_gallery(rng):
     return index, [random_query(rng, dim) for _ in range(20)]
 
 
+def sparse_positive_gallery(rng):
+    # As in the gallery benchmark: random D=32 boxes queried by their own
+    # boxes. Few rows meet a query in every dimension, so fewer than 10 score
+    # above 0 and a hard top k is mostly filled with zero-score rows.
+    n = 500
+    table = random_table(rng, n, 32)
+    index = BoxIndex.build(table)
+    queries = [table.box(table.ids[i]) for i in range(0, n, 25)]
+    assert all(len(index._candidates(q)) < n for q in queries)
+    for q in queries:
+        assert sum(r.score > 0 for r in index.query_topk_exhaustive(q, n)) < 10
+    return index, queries
+
+
+def zero_score_candidate_gallery(rng):
+    # Two candidates score 0 with their own bits: "a" touches the query at
+    # -0.0, and "b" meets it in a 2**-1074 sliver, whose half rounds to a
+    # score of 0 under an enclosure of 5e-324. "c" is no candidate.
+    sliver = 2.0 ** -537
+    index = BoxIndex(["a", "b", "c"],
+                     [[-1.0, 0.0], [-1e10, -1e10], [100.0, 100.0]],
+                     [[-0.0, 1.0], [sliver, sliver], [101.0, 101.0]])
+    q = box([0.0, 0.0], [1.0, 1.0])
+    assert index._candidates(q).tolist() == [0, 1]
+    slim = index.query_topk_exhaustive(q, 3)[1]
+    assert slim.enclosure > 0.0 and slim.score == 0.0
+    return index, [q]
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
 @pytest.mark.parametrize("gallery, k", [
     (random_gallery, 10),
@@ -250,8 +281,17 @@ def infinite_gallery(rng):
     (quantised_gallery, 301),
     (far_gallery, 10),
     (infinite_gallery, 10),
+    (sparse_positive_gallery, 10),
+    (sparse_positive_gallery, 499),
+    (sparse_positive_gallery, 500),
+    (sparse_positive_gallery, 501),
+    (zero_score_candidate_gallery, 2),
+    (zero_score_candidate_gallery, 3),
 ], ids=["random", "overlapping", "d1", "d2", "off-key-disjoint", "quantised",
-        "quantised-k-n-minus-1", "quantised-k-n", "quantised-k-n-plus-1", "far", "infinite"])
+        "quantised-k-n-minus-1", "quantised-k-n", "quantised-k-n-plus-1", "far", "infinite",
+        "sparse-positive", "sparse-positive-k-n-minus-1", "sparse-positive-k-n",
+        "sparse-positive-k-n-plus-1", "zero-score-candidates-k-n-minus-1",
+        "zero-score-candidates"])
 def test_index_equals_exhaustive_scan(gallery, k, rho):
     index, queries = gallery(np.random.default_rng(42))
     cfg = SmoothingConfig(rho)
@@ -259,6 +299,79 @@ def test_index_equals_exhaustive_scan(gallery, k, rho):
         via_index = index.query_topk(q, k, cfg)
         via_scan = index.query_topk_exhaustive(q, k, cfg)
         assert via_index == via_scan
+        # == takes -0.0 for 0.0; repr tells them apart.
+        assert [bits(r) for r in via_index] == [bits(r) for r in via_scan]
+
+
+def bits(result):
+    return tuple(map(repr, (result.enclosure, result.concentration, result.score)))
+
+
+def test_hard_scores_are_never_nan():
+    # A hard top k ranks a candidate scoring 0 or less with the non-candidates,
+    # which is exact only because no hard score is NaN: the query's volume is
+    # checked finite and positive, so each width of its intersection with any
+    # box, infinite bounds included, lies in [0, the query's width].
+    index, queries = infinite_gallery(np.random.default_rng(42))
+    assert np.isinf(index.lowers).any() and np.isinf(index.uppers).any()
+    for q in queries:
+        for scores in index._exact_scores(q, HARD):
+            assert not np.isnan(scores).any()
+
+
+extreme = st.sampled_from([-np.inf, -1e300, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e300, np.inf])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hard_scores_are_never_nan_property(data):
+    dim = data.draw(st.integers(1, 3))
+    corners = st.lists(st.lists(extreme, min_size=dim, max_size=dim), min_size=2, max_size=2)
+    lowers, uppers = [], []
+    for _ in range(data.draw(st.integers(1, 5))):
+        a, b = np.array(data.draw(corners))
+        lowers.append(np.minimum(a, b))
+        uppers.append(np.maximum(a, b))
+    index = BoxIndex([f"b{i}" for i in range(len(lowers))], lowers, uppers)
+    a, b = np.array(data.draw(corners))
+    try:
+        scores = index._exact_scores(box(np.minimum(a, b), np.maximum(a, b)), HARD)
+    except boxes.DegenerateBoxError:
+        return
+    for s in scores:
+        assert not np.isnan(s).any()
+
+
+def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
+    # On a sparse gallery a hard top k costs what its candidates cost: it
+    # scores only them and never ranks a gallery-long array.
+    rng = np.random.default_rng(47)
+    table = random_table(rng, 500, 32)
+    index = BoxIndex.build(table)
+    scored, ranked = [], []
+    real_overlap, real_top = boxes.overlap, retrieval._top
+
+    def overlap_spy(lower_x, upper_x, lower_y, upper_y, cfg):
+        scored.append(len(lower_y))
+        return real_overlap(lower_x, upper_x, lower_y, upper_y, cfg)
+
+    def top_spy(score, k):
+        ranked.append(len(score))
+        return real_top(score, k)
+
+    monkeypatch.setattr(boxes, "overlap", overlap_spy)
+    monkeypatch.setattr(retrieval, "_top", top_spy)
+    partial = 0
+    for q in [table.box(table.ids[i]) for i in range(0, 500, 10)]:
+        cand = index._candidates(q)
+        partial += len(cand) < len(index)
+        scored.clear()
+        ranked.clear()
+        assert index.query_topk(q, 10, HARD) == index.query_topk_exhaustive(q, 10, HARD)
+        assert scored[0] == len(cand) and scored[1] == len(index)  # then the oracle
+        assert len(index) not in ranked
+    assert partial == 50
 
 
 @pytest.mark.parametrize("rho", [0.5, 5.0])
@@ -318,6 +431,29 @@ def test_index_rejects_repeated_id():
     # Two boxes under one id would return two results under that id.
     with pytest.raises(ValueError, match="repeated image id: b1"):
         BoxIndex(["b1", "b0", "b1"], np.zeros((3, 2)), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("lowers, uppers", [
+    (np.zeros((2, 3)), np.ones((2, 3))),
+    (np.zeros(3), np.ones(3)),
+    (np.zeros((1, 3)), np.ones((1, 4))),
+], ids=["two-rows-one-id", "one-dimensional", "unequal-shapes"])
+def test_index_rejects_malformed_bounds(lowers, uppers):
+    # Two rows for one id dropped the second; 1-D bounds raised a TypeError.
+    with pytest.raises(ValueError, match=re.escape(
+            f"one row per id: 1 ids, lowers {lowers.shape}, uppers {uppers.shape}")):
+        BoxIndex(["a"], lowers, uppers)
+
+
+@pytest.mark.parametrize("rho", [0.0, 5.0])
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_query_of_another_dimension_is_rejected(dim, rho):
+    # A 1-D query broadcast against all 4 dimensions, to enclosures above 1.
+    index = BoxIndex.build(random_table(np.random.default_rng(48), 20, 4))
+    q = box([0.0] * dim, [1.0] * dim)
+    for query in (index.query_topk, index.query_topk_exhaustive):
+        with pytest.raises(ValueError, match=f"dimension mismatch: {dim} vs 4"):
+            query(q, 5, SmoothingConfig(rho))
 
 
 @pytest.mark.parametrize("side, value", [("lower", np.nan), ("upper", np.nan), ("lower", 2.0)],
