@@ -49,8 +49,9 @@ class BoxEmbedding:
         upper = np.asarray(self.upper, dtype=np.float64)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
-        if np.any(upper < lower):
-            raise ValueError("upper must be >= lower in every dimension")
+        # A NaN bound compares false, as in BoxIndex.
+        if not (lower <= upper).all():
+            raise ValueError("a bound is NaN or lower > upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

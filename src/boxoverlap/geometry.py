@@ -169,30 +169,42 @@ def _fit_normals(pts: np.ndarray, mask: np.ndarray, count: np.ndarray,
     return normal
 
 
-def _kept_pixels(view: CameraView):
-    """(pts, count, keep): every pixel's camera-frame point, `normal_support`'s
-    count and the pixels that get a surfel; raises when there is none."""
+def _surfels(view: CameraView, near=None, radius: float = 0.0) -> SurfelCloud:
+    """One world-space surfel per valid pixel with a well-determined normal;
+    raises when there is none.
+
+    near=None fits every normal. A list of view bounds fits only the points
+    `_near` one of them within radius, none for an empty list: no pair reads
+    the normal of a point near no live partner of its view. Every normal not
+    fitted is NaN, and a fitted one has the same bits whichever are fitted.
+    """
     count, keep = normal_support(view.valid_mask)
     if not keep.any():
         raise ValueError(f"no valid depth in view {view.id!r}")
-    return _camera_points(view), count, keep
+    pts = _camera_points(view)
+    rotation = view.pose.rotation
+    points = pts[keep] @ rotation.T + view.pose.translation
+    if near is None:
+        return SurfelCloud(points, _fit_normals(pts, view.valid_mask, count, keep) @ rotation.T)
+    todo = np.arange(len(points))
+    for bounds in near:
+        rest = points[todo]
+        todo = todo[~_near(rest, rest, bounds, radius)]
+        if todo.size == 0:
+            break
+    reached = np.ones(len(points), dtype=bool)
+    reached[todo] = False
+    normals = np.full(points.shape, np.nan)
+    if reached.any():
+        fit = np.zeros_like(keep)
+        fit[keep] = reached
+        normals[reached] = _fit_normals(pts, view.valid_mask, count, fit) @ rotation.T
+    return SurfelCloud(points, normals)
 
 
 def backproject(view: CameraView) -> SurfelCloud:
     """One world-space surfel per valid pixel with a well-determined normal."""
-    pts, count, keep = _kept_pixels(view)
-    rotation = view.pose.rotation
-    return SurfelCloud(
-        points=pts[keep] @ rotation.T + view.pose.translation,
-        normals=_fit_normals(pts, view.valid_mask, count, keep) @ rotation.T,
-    )
-
-
-def _unfitted_cloud(view: CameraView) -> SurfelCloud:
-    """`backproject`'s points with every normal NaN, for `_fit_reached` to fill."""
-    pts, _, keep = _kept_pixels(view)
-    points = pts[keep] @ view.pose.rotation.T + view.pose.translation
-    return SurfelCloud(points, np.full(points.shape, np.nan))
+    return _surfels(view)
 
 
 def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
@@ -300,33 +312,6 @@ def _near(lo, hi, bounds, radius: float):
     return np.all(gap <= radius * (1.0 + _CULL_SLACK), axis=-1)
 
 
-def _fit_reached(view: CameraView, cloud: SurfelCloud, partner_bounds, radius) -> None:
-    """Fit the normals of the points of cloud, an `_unfitted_cloud` of view,
-    `_near` the bounds of one of its live partners; the others stay NaN.
-
-    A point not near any live partner is never within the radius of a
-    point of the other view of a pair, so no pair reads its normal.
-    Each fitted normal has the bits `backproject` gives it.
-    """
-    todo = np.arange(len(cloud))
-    for bounds in partner_bounds:
-        points = cloud.points[todo]
-        todo = todo[~_near(points, points, bounds, radius)]
-        if todo.size == 0:
-            break
-    reached = np.ones(len(cloud), dtype=bool)
-    reached[todo] = False
-    if not reached.any():
-        return
-    # Made again rather than kept from `_unfitted_cloud`, so that no view
-    # holds its (h, w) arrays while the pairs are culled.
-    pts, count, keep = _kept_pixels(view)
-    fit = np.zeros_like(keep)
-    fit[keep] = reached
-    cloud.normals[reached] = (_fit_normals(pts, view.valid_mask, count, fit)
-                              @ view.pose.rotation.T)
-
-
 def _use_join(a: _IndexedCloud, b: _IndexedCloud) -> bool:
     return (a.sub is a.cloud and b.sub is b.cloud
             and min(a.neighbours, b.neighbours) <= _JOIN_MAX_NEIGHBOURS)
@@ -414,18 +399,18 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
               threads: int = 1) -> list[OverlapRecord]:
     """Directed NSO for the given (id_x, id_y) pairs, in their order.
 
-    Each view the pairs name is backprojected once and bounded. A pair
-    whose bounds, padded by the radius, are disjoint is recorded as
-    (0.0, 0.0) without a search. Normals are fitted only when cfg.weighted,
-    and then only for the points inside the padded bounds of a view that a
-    live pair (one not culled) joins them with; no pair reads any other
-    normal, and those hold NaN. Then each view in a live pair gets one k-d
-    tree, shared by its pairs and freed on return. A live pair is one
-    radius join of its two trees, which serves both directions, when
-    neither view is subsampled and the sparser one has few neighbours per
-    point within the radius; else one nearest-neighbour query per
-    subsampled source point, split by point over `threads` query workers.
-    The result does not depend on the route or on `threads`. With
+    Each view the pairs name is backprojected without normals and bounded.
+    A pair whose bounds, padded by the radius, are disjoint is recorded as
+    (0.0, 0.0) without a search. When cfg.weighted, each view in a live
+    pair (one not culled) is backprojected again, with normals fitted only
+    for its points inside the padded bounds of one of its live partners;
+    no pair reads any other normal, and those hold NaN. Then each view in
+    a live pair gets one k-d tree, shared by its pairs and freed on return.
+    A live pair is one radius join of its two trees, which serves both
+    directions, when neither view is subsampled and the sparser one has few
+    neighbours per point within the radius; else one nearest-neighbour
+    query per subsampled source point, split by point over `threads` query
+    workers. The result does not depend on the route or on `threads`. With
     oracle=True every pair, culled ones included, is recomputed brute-force
     from full `backproject` clouds and must match exactly, else
     OracleMismatchError.
@@ -434,7 +419,7 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
         raise ValueError("threads must be >= 1")
     by_id = {view.id: view for view in views}
     named = dict.fromkeys(img_id for pair in pairs for img_id in pair)
-    clouds = {img_id: _unfitted_cloud(by_id[img_id]) for img_id in named}
+    clouds = {img_id: _surfels(by_id[img_id], near=[]) for img_id in named}
     bounds = {img_id: _bounds(cloud) for img_id, cloud in clouds.items()}
     live = [_near(*bounds[id_x], bounds[id_y], cfg.radius) for id_x, id_y in pairs]
     partners = {img_id: [] for img_id in clouds}
@@ -443,8 +428,11 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
             partners[id_x].append(bounds[id_y])
             partners[id_y].append(bounds[id_x])
     if cfg.weighted:
+        # Made again rather than kept from the points-only pass, so that no
+        # view holds its (h, w) arrays while the pairs are culled.
         for img_id, partner_bounds in partners.items():
-            _fit_reached(by_id[img_id], clouds[img_id], partner_bounds, cfg.radius)
+            if partner_bounds:
+                clouds[img_id] = _surfels(by_id[img_id], partner_bounds, cfg.radius)
     indexed = {img_id: _index_cloud(clouds[img_id], cfg)
                for img_id, partner_bounds in partners.items() if partner_bounds}
     full = {}  # oracle only: view id -> backproject(view)

@@ -38,8 +38,6 @@ RELATION_NOISE_FLOOR = 0.05
 @dataclass(frozen=True)
 class RelationLabel:
     label: str
-    nbo_qr: float
-    nbo_rq: float
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def classify_relation(nbo_qr: float, nbo_rq: float) -> RelationLabel:
         label = OBLIQUE_OR_CROP_OUT
     else:
         label = UNRELATED
-    return RelationLabel(label, nbo_qr, nbo_rq)
+    return RelationLabel(label)
 
 
 def estimate_scale(nbo_qr: float, nbo_rq: float, n_q: int, n_r: int) -> float:
@@ -83,7 +81,6 @@ def estimate_scale(nbo_qr: float, nbo_rq: float, n_q: int, n_r: int) -> float:
 
 def _directed(inter, vol_q, vol_r):
     """(enclosure, concentration): the intersection over each box's volume."""
-    boxes.check_volume(vol_q)
     concentration = np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
     return inter / vol_q, concentration
 
@@ -181,12 +178,14 @@ class BoxIndex:
         hit = (self._key_lo <= q_hi) & (self._key_hi >= q_lo)
         return hit.all(axis=1).nonzero()[0]
 
-    def _exact_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, rows=slice(None)):
-        """Exact (enclosure, concentration) of the query against the given rows."""
-        return _directed(*boxes.overlap(q.lower, q.upper,
-                                        self.lowers[rows], self.uppers[rows], cfg))
+    def _exact_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q, rows=slice(None)):
+        """Exact (enclosure, concentration) of the query, of volume vol_q,
+        against the given rows."""
+        lowers, uppers = self.lowers[rows], self.uppers[rows]
+        return _directed(boxes.intersection(q.lower, q.upper, lowers, uppers, cfg), vol_q,
+                         boxes.volumes(lowers, uppers, cfg))
 
-    def _scan_scores(self, q: BoxEmbedding, cfg: SmoothingConfig):
+    def _scan_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q):
         """_exact_scores of the whole gallery, with its volumes computed once per cfg."""
         vol_r = self._volumes.get(cfg)
         if vol_r is None:
@@ -194,17 +193,20 @@ class BoxIndex:
                                                        cfg, axis=0)
         inter = boxes.intersection(q.lower[:, None], q.upper[:, None],
                                    self._lowers_t, self._uppers_t, cfg, axis=0)
-        return _directed(inter, boxes.volumes(q.lower, q.upper, cfg), vol_r)
+        return _directed(inter, vol_q, vol_r)
 
-    def _check_query(self, q: BoxEmbedding, k: int) -> bool:
-        """Reject a bad k or query box; False when the index is empty."""
+    def _check_query(self, q: BoxEmbedding, k: int, cfg: SmoothingConfig):
+        """The query box's volume under cfg, checked even if no box is scored;
+        None when the index is empty. Rejects a bad k or query box."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if len(self.ids) == 0:
-            return False
+            return None
         if q.dim != self.lowers.shape[1]:
             raise ValueError(f"dimension mismatch: {q.dim} vs {self.lowers.shape[1]}")
-        return True
+        vol_q = boxes.volumes(q.lower, q.upper, cfg)
+        boxes.check_volume(vol_q)
+        return vol_q
 
     def query_topk(self, q: BoxEmbedding, k: int,
                    cfg: SmoothingConfig = HARD) -> list[QueryResult]:
@@ -212,14 +214,15 @@ class BoxIndex:
 
         Ties are broken by ascending id; identical to an exhaustive scan.
         """
-        if not self._check_query(q, k):
+        vol_q = self._check_query(q, k, cfg)
+        if vol_q is None:
             return []
         if not cfg.hard:
-            return self._ranked(*self._scan_scores(q, cfg), k)
+            return self._ranked(*self._scan_scores(q, cfg, vol_q), k)
         cand = self._candidates(q)
         if len(cand) == len(self.ids):
-            return self._ranked(*self._exact_scores(q, cfg), k)
-        return self._ranked_candidates(q, cand, k)
+            return self._ranked(*self._exact_scores(q, cfg, vol_q), k)
+        return self._ranked_candidates(q, vol_q, cand, k)
 
     def _ranked(self, enclosure, concentration, k):
         """Top k of every row's scores."""
@@ -228,7 +231,7 @@ class BoxIndex:
         return self._results(order.tolist(), enclosure[order], concentration[order],
                              score[order])
 
-    def _ranked_candidates(self, q: BoxEmbedding, cand, k):
+    def _ranked_candidates(self, q: BoxEmbedding, vol_q, cand, k):
         """Hard top k from the scores of the candidate rows alone.
 
         Every other row scores +0.0. The candidates scoring above 0 rank
@@ -243,7 +246,7 @@ class BoxIndex:
         # One padding slot past the candidates scores +0.0 for every other row.
         enclosure, concentration = np.zeros(m + 1), np.zeros(m + 1)
         if m:
-            enclosure[:m], concentration[:m] = self._exact_scores(q, HARD, cand)
+            enclosure[:m], concentration[:m] = self._exact_scores(q, HARD, vol_q, cand)
         score = 0.5 * (enclosure + concentration)
         hit = (score > 0).nonzero()[0]
         if len(hit) > 1:
@@ -260,9 +263,10 @@ class BoxIndex:
     def query_topk_exhaustive(self, q: BoxEmbedding, k: int,
                               cfg: SmoothingConfig = HARD) -> list[QueryResult]:
         """Oracle path: full scan with fresh volumes, no pruning and a full sort."""
-        if not self._check_query(q, k):
+        vol_q = self._check_query(q, k, cfg)
+        if vol_q is None:
             return []
-        enclosure, concentration = self._exact_scores(q, cfg)
+        enclosure, concentration = self._exact_scores(q, cfg, vol_q)
         score = 0.5 * (enclosure + concentration)
         order = np.argsort(-score, kind="stable")[:k]
         return self._results(order.tolist(), enclosure[order], concentration[order],

@@ -35,9 +35,6 @@ LR_FINAL_SCALE = 0.01
 # boxes stall; see the softplus floor rho * ln 2 per dimension.
 INIT_CENTER_STD = 10.0
 INIT_SIZE_RAW = 100.0
-# Fields of configs written before the constants above left TrainConfig.
-_RETIRED_CONFIG_KEYS = ("beta1", "beta2", "eps", "lr_final_scale",
-                        "init_center_std", "init_size_raw")
 
 
 @dataclass
@@ -307,15 +304,11 @@ def save_checkpoint(path, table: EmbeddingTable, cfg: TrainConfig, step: int):
 
 def load_checkpoint(path):
     """(table, cfg) of a checkpoint; fields it does not read (`step` among
-    them), and the config keys of retired TrainConfig fields, are ignored."""
+    them) are ignored, and a config key TrainConfig lacks is an error."""
     with np.load(path, allow_pickle=False) as data:
         table = EmbeddingTable(str(data["kind"]), [str(s) for s in data["ids"]],
                                data["params"])
-        config = json.loads(str(data["config"]))
-        if isinstance(config, dict):
-            for key in _RETIRED_CONFIG_KEYS:
-                config.pop(key, None)
-        cfg = TrainConfig(**config)
+        cfg = TrainConfig(**json.loads(str(data["config"])))
     if not np.isfinite(table.params).all():
         raise ValueError("params hold non-finite values")
     return table, cfg

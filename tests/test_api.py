@@ -12,6 +12,10 @@ does not call it. A name that only unit tests call is a second path to
 work a batched path already does: delete it and point its tests at that
 path.
 
+A field of a public dataclass counts as read when its name appears as an
+attribute, other than `self.<name>`, in the same files. A field nothing
+reads is data nobody uses: delete it.
+
 A default of a public function, method or dataclass field counts as set
 when a call in the same files, matched by name, passes its value by keyword
 or by position. A default that no such call sets is an option nobody
@@ -29,6 +33,12 @@ PACKAGE = ROOT / "src" / "boxoverlap"
 
 # Public names kept in the package with no caller outside the unit tests.
 ALLOWED = {}
+
+# Dataclass fields kept though no caller outside the unit tests reads them.
+ALLOWED_FIELDS = dict.fromkeys(
+    ["synth.ExpectedOverlap.xy", "synth.ExpectedOverlap.yx"],
+    "only the synth unit tests read the expected intervals; acceptance 8 "
+    "unpacks make_pair's 3-tuple")
 
 # Defaults kept settable though no caller outside the unit tests sets them.
 ALLOWED_DEFAULTS = {
@@ -132,6 +142,22 @@ def test_every_public_name_has_a_caller():
 
 def is_dataclass(node):
     return any(ast.unparse(dec).startswith("dataclass") for dec in node.decorator_list)
+
+
+def dataclass_fields():
+    """(qualified name, name) of each field of a public module-level dataclass."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if is_public(node, ast.ClassDef) and is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign):
+                        yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    attributes = references()[1]
+    unread = sorted(qual for qual, name in dataclass_fields() if name not in attributes)
+    assert unread == sorted(ALLOWED_FIELDS)
 
 
 def function_defaults(func, skip_first):

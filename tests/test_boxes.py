@@ -250,8 +250,10 @@ def test_hard_nbo_one_iff_contained(dim):
 
 
 def test_box_embedding_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        box([0, 0], [1, -1])
+    # A NaN bound is rejected too: it compares false against anything.
+    for lower, upper in (([0, 0], [1, -1]), ([np.nan, 0], [1, 1]), ([0, 0], [1, np.nan])):
+        with pytest.raises(ValueError, match="a bound is NaN or lower > upper"):
+            box(lower, upper)
 
 
 # -- params --------------------------------------------------------------------

@@ -380,57 +380,61 @@ def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
     # Each fitted normal is backproject's.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
+    full = {view.id: backproject(view) for view in views}
     fits = spy_eigh(monkeypatch)
-    fit_reached = geometry._fit_reached
-    seen = {}
+    surfels = geometry._surfels
+    seen = {}  # view id -> (live partners, the cloud its pairs read)
 
-    def spy(view, cloud, partner_bounds, radius):
-        fit_reached(view, cloud, partner_bounds, radius)
-        seen[view.id] = (len(partner_bounds), cloud)
+    def spy(view, near=None, radius=0.0):
+        cloud = surfels(view, near, radius)
+        seen[view.id] = (len(near), cloud)
+        return cloud
 
-    monkeypatch.setattr(geometry, "_fit_reached", spy)
+    monkeypatch.setattr(geometry, "_surfels", spy)
     all_pairs_nso(views, cfg)
-    n_fits = sum(fits)
     fitted = kept = 0
     for view in views:
         n_partners, cloud = seen[view.id]
-        full = backproject(view)
         rows = ~np.isnan(cloud.normals).any(axis=1)
-        assert np.array_equal(cloud.normals[rows], full.normals[rows])
+        assert np.array_equal(cloud.points, full[view.id].points)
+        assert np.array_equal(cloud.normals[rows], full[view.id].normals[rows])
         if n_partners == 0:
             assert not rows.any()
         fitted += rows.sum()
-        kept += len(full)
+        kept += len(cloud)
     assert any(n_partners == 0 for n_partners, _ in seen.values())
-    assert n_fits == fitted < kept
+    assert sum(fits) == fitted < kept
 
 
 def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
     # At spacing 6 some views have no live partner: they are bounded and
-    # culled, but get no k-d tree. Every view's normals are fitted before
-    # the first tree is built.
+    # culled, but get no normals and no k-d tree. Every view is bounded, and
+    # every normal fitted, before the first tree is built.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
     clouds = {view.id: backproject(view) for view in views}
-    fit_reached, index_cloud = geometry._fit_reached, geometry._index_cloud
+    surfels, index_cloud = geometry._surfels, geometry._index_cloud
     events = []
 
-    def spy_fit(view, cloud, partner_bounds, radius):
-        events.append(("fit", view.id, len(partner_bounds)))
-        fit_reached(view, cloud, partner_bounds, radius)
+    def spy_surfels(view, near=None, radius=0.0):
+        events.append(("surfels", view.id, len(near)))
+        return surfels(view, near, radius)
 
     def spy_index(cloud, cfg):
         events.append(("index", next(img_id for img_id, full in clouds.items()
                                      if np.array_equal(full.points, cloud.points))))
         return index_cloud(cloud, cfg)
 
-    monkeypatch.setattr(geometry, "_fit_reached", spy_fit)
+    monkeypatch.setattr(geometry, "_surfels", spy_surfels)
     monkeypatch.setattr(geometry, "_index_cloud", spy_index)
     all_pairs_nso(views, cfg)
     n = len(views)
-    fits, indexed = events[:n], events[n:]
-    assert [kind for kind, *_ in fits] == ["fit"] * n
-    live = sorted(img_id for _, img_id, n_partners in fits if n_partners)
+    built = [event for event in events if event[0] == "surfels"]
+    assert events[:len(built)] == built
+    bounded, fitted, indexed = built[:n], built[n:], events[len(built):]
+    assert [n_partners for *_, n_partners in bounded] == [0] * n
+    assert all(n_partners for *_, n_partners in fitted)
+    live = sorted(img_id for _, img_id, _ in fitted)
     assert sorted(img_id for _, img_id in indexed) == live
     assert 0 < len(live) < n
 

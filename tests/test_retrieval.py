@@ -307,6 +307,11 @@ def bits(result):
     return tuple(map(repr, (result.enclosure, result.concentration, result.score)))
 
 
+def exact_scores(index, q, cfg):
+    """index._exact_scores of the whole gallery, after the query's check."""
+    return index._exact_scores(q, cfg, index._check_query(q, 1, cfg))
+
+
 def test_hard_scores_are_never_nan():
     # A hard top k ranks a candidate scoring 0 or less with the non-candidates,
     # which is exact only because no hard score is NaN: the query's volume is
@@ -315,7 +320,7 @@ def test_hard_scores_are_never_nan():
     index, queries = infinite_gallery(np.random.default_rng(42))
     assert np.isinf(index.lowers).any() and np.isinf(index.uppers).any()
     for q in queries:
-        for scores in index._exact_scores(q, HARD):
+        for scores in exact_scores(index, q, HARD):
             assert not np.isnan(scores).any()
 
 
@@ -336,7 +341,7 @@ def test_hard_scores_are_never_nan_property(data):
     index = BoxIndex([f"b{i}" for i in range(len(lowers))], lowers, uppers)
     a, b = np.array(data.draw(corners))
     try:
-        scores = index._exact_scores(box(np.minimum(a, b), np.maximum(a, b)), HARD)
+        scores = exact_scores(index, box(np.minimum(a, b), np.maximum(a, b)), HARD)
     except boxes.DegenerateBoxError:
         return
     for s in scores:
@@ -350,17 +355,17 @@ def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
     table = random_table(rng, 500, 32)
     index = BoxIndex.build(table)
     scored, ranked = [], []
-    real_overlap, real_top = boxes.overlap, retrieval._top
+    real_intersection, real_top = boxes.intersection, retrieval._top
 
-    def overlap_spy(lower_x, upper_x, lower_y, upper_y, cfg):
+    def intersection_spy(lower_x, upper_x, lower_y, upper_y, cfg, axis=-1):
         scored.append(len(lower_y))
-        return real_overlap(lower_x, upper_x, lower_y, upper_y, cfg)
+        return real_intersection(lower_x, upper_x, lower_y, upper_y, cfg, axis)
 
     def top_spy(score, k):
         ranked.append(len(score))
         return real_top(score, k)
 
-    monkeypatch.setattr(boxes, "overlap", overlap_spy)
+    monkeypatch.setattr(boxes, "intersection", intersection_spy)
     monkeypatch.setattr(retrieval, "_top", top_spy)
     partial = 0
     for q in [table.box(table.ids[i]) for i in range(0, 500, 10)]:
@@ -384,7 +389,8 @@ def test_dimension_major_scan_equals_row_major_scores(gallery, rho):
     index, queries = gallery(np.random.default_rng(43))
     cfg = SmoothingConfig(rho)
     for q in queries:
-        for scan, exact in zip(index._scan_scores(q, cfg), index._exact_scores(q, cfg)):
+        vol_q = index._check_query(q, 1, cfg)
+        for scan, exact in zip(index._scan_scores(q, cfg, vol_q), exact_scores(index, q, cfg)):
             assert np.array_equal(scan, exact)
 
 
@@ -425,6 +431,23 @@ def test_nan_scores_rank_last_as_in_exhaustive_scan():
                   np.where(rng.random(40) < 0.3, np.nan, rng.integers(0, 4, 40) / 4.0)):
         for k in range(1, len(score) + 2):
             assert _top(score, k).tolist() == np.argsort(-score, kind="stable")[:k].tolist()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_degenerate_query_meeting_no_box_is_rejected():
+    # Far from every box, no candidate is scored, yet the query's volume is
+    # checked as the exhaustive scan checks it. A zero width is degenerate
+    # only when hard: rho > 0 gives it a positive volume.
+    index = BoxIndex.build(random_table(np.random.default_rng(49), 50, 4))
+    flat = box([100.0] * 4, [101.0, 101.0, 101.0, 100.0])
+    huge = box([100.0] * 4, [1e100] * 4)
+    for q, cfg, message in ((flat, HARD, "zero volume"), (huge, HARD, "overflowing volume"),
+                            (huge, RHO5, "overflowing volume")):
+        assert len(index._candidates(q)) == 0
+        for query in (index.query_topk, index.query_topk_exhaustive):
+            with pytest.raises(boxes.DegenerateBoxError, match=message):
+                query(q, 10, cfg)
+    assert index.query_topk(flat, 10, RHO5) == index.query_topk_exhaustive(flat, 10, RHO5)
 
 
 def test_index_rejects_repeated_id():
