@@ -158,8 +158,8 @@ def _csv_rows(path):
 
 
 def read_overlaps(path) -> list[OverlapRecord]:
-    """Overlap records of a pairs CSV, at least one; each unordered id pair may
-    appear on one row."""
+    """Overlap records of a pairs CSV, at least one; no id is empty, and each
+    unordered id pair may appear on one row."""
     records = []
     first_row = {}  # unordered id pair -> row number
     rows = _csv_rows(path)
@@ -169,6 +169,8 @@ def read_overlaps(path) -> list[OverlapRecord]:
     for line, row in rows:
         try:
             id_x, id_y, nso_xy, nso_yx = row
+            if not id_x or not id_y:
+                raise ValueError("empty image id")
             # OverlapRecord rejects NaN and values outside [0, 1].
             records.append(OverlapRecord(id_x, id_y, float(nso_xy), float(nso_yx)))
         except ValueError as exc:
@@ -195,14 +197,15 @@ def _note_pair(first_row, id_x, id_y, row, path, what):
 def read_id_pairs(path, distinct: bool = False) -> list[tuple[str, str]]:
     """(id_x, id_y) from the first two columns of each row of a CSV.
 
-    Blank rows and an `id_x` header row are skipped; further columns, such
-    as the overlap values of a pairs.csv, are ignored. With distinct=True a
-    row naming an earlier row's pair, in either order, is a format error.
+    Blank rows are skipped, and so is the first row if its first cell is
+    `id_x` (a header); further columns, such as the overlap values of a
+    pairs.csv, are ignored. With distinct=True a row naming an earlier
+    row's pair, in either order, is a format error.
     """
     pairs = []
     first_row = {}  # unordered id pair -> row number
     for line, row in _csv_rows(path):
-        if not row or row[0] == "id_x":
+        if not row or (line == 1 and row[0] == "id_x"):
             continue
         if len(row) < 2 or not row[0] or not row[1]:
             raise DatasetFormatError(f"bad id-pair CSV row {line} in {path}: {row}")

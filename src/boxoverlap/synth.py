@@ -1,10 +1,10 @@
 """Synthetic posed-depth scenes with analytically known overlap structure.
 
-Surfaces are analytic (plane, sinusoidal heightfield) and every
-depth value is the exact ray-surface intersection, so pair generators can
-state expected overlap intervals in closed form. The world is scaled so a
-camera footprint spans a few units and the 0.1 match radius is ~1% of the
-scene extent.
+Surfaces are analytic sinusoidal heightfields (a plane is one with no
+terms) and every depth value is the exact ray-surface intersection, so pair
+generators can state expected overlap intervals in closed form. The world
+is scaled so a camera footprint spans a few units and the 0.1 match radius
+is ~1% of the scene extent.
 """
 
 from __future__ import annotations
@@ -35,25 +35,9 @@ DEFAULT_WIDTH = 64
 DEFAULT_HEIGHT_PX = 48
 
 
-class PlaneSurface:
-    """Horizontal plane z = z0."""
-
-    def __init__(self, z0: float = 0.0):
-        self.z0 = z0
-
-    def min_camera_z(self) -> float:
-        return self.z0
-
-    def intersect(self, origin, dirs):
-        dz = dirs[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (self.z0 - origin[2]) / dz
-        t = np.where((dz < 0) & (t > 0), t, np.nan)
-        return t
-
-
 class HeightfieldSurface:
-    """z = z0 + sum_k amp_k * sin(kx_k * x + ky_k * y + phase_k)."""
+    """z = z0 + sum_k amp_k * sin(kx_k * x + ky_k * y + phase_k); with no
+    terms, the plane z = z0, its bracket closed at the exact (z0 - oz) / dz."""
 
     def __init__(self, z0: float = 0.0, terms=()):
         self.z0 = z0
@@ -184,29 +168,26 @@ def _zoom_cameras(ids, center, factor):
             _down_camera(ids[1], center, DEFAULT_HEIGHT, focal=DEFAULT_FOCAL * factor))
 
 
-def _oblique_cameras(ids, center, angle_deg, offset):
-    """A downward camera, and one tilted angle_deg from vertical towards a
-    target `offset` along x from the first camera's."""
-    angle = np.deg2rad(angle_deg)
-    target = (center[0] + offset, center[1], 0.0)
+def _oblique_cameras(ids, center):
+    """A downward camera, and one tilted 60 degrees from vertical towards a
+    target 1.8 along x from the first camera's."""
+    angle = np.deg2rad(60.0)
+    target = (center[0] + 1.8, center[1], 0.0)
     position = (target[0] + DEFAULT_HEIGHT * np.sin(angle), center[1],
                 DEFAULT_HEIGHT * np.cos(angle))
     return (_down_camera(ids[0], center, DEFAULT_HEIGHT),
             Placement(id=ids[1], position=position, target=target))
 
 
-def make_pair(pattern: str, params: dict, seed: int, surface=None):
-    """Two views plus the analytic expected overlap interval.
+def make_pair(pattern: str, params: dict, seed: int):
+    """Two views of the plane z = 0, ids "x" and "y", plus the analytic
+    expected overlap interval.
 
     Patterns: "zoom" (params: factor > 1), "clone" (params: jitter >= 0),
-    "oblique" (params: angle_deg), "disjoint".
+    "oblique".
     """
-    if surface is None:
-        surface = PlaneSurface(0.0)
-    rng = np.random.default_rng(seed)
-    center = params.get("center", (0.0, 0.0))
-    ids = params.get("ids", ("x", "y"))
-    h = DEFAULT_HEIGHT
+    surface = HeightfieldSurface(0.0)
+    ids, center = ("x", "y"), (0.0, 0.0)
 
     if pattern == "zoom":
         f = float(params["factor"])
@@ -221,30 +202,23 @@ def make_pair(pattern: str, params: dict, seed: int, surface=None):
 
     if pattern == "clone":
         jitter = float(params.get("jitter", 0.0))
-        view_x = render_depth(surface, _down_camera(ids[0], center, h))
+        view_x = render_depth(surface, _down_camera(ids[0], center, DEFAULT_HEIGHT))
+        rng = np.random.default_rng(seed)
         off = rng.normal(0.0, jitter, size=3) if jitter > 0 else np.zeros(3)
         placement_y = Placement(
             id=ids[1],
-            position=(center[0] + off[0], center[1] + off[1], h + off[2]),
-            target=(center[0] + off[0], center[1] + off[1], 0.0),
+            position=(off[0], off[1], DEFAULT_HEIGHT + off[2]),
+            target=(off[0], off[1], 0.0),
         )
         view_y = render_depth(surface, placement_y)
         lo = 1.0 if jitter == 0 else 0.8
         return view_x, view_y, ExpectedOverlap(xy=(lo, 1.0), yx=(lo, 1.0))
 
     if pattern == "oblique":
-        cameras = _oblique_cameras(ids, center, float(params.get("angle_deg", 60.0)),
-                                   float(params.get("offset", 1.8)))
-        view_x, view_y = (render_depth(surface, p) for p in cameras)
+        view_x, view_y = (render_depth(surface, p) for p in _oblique_cameras(ids, center))
         # Slanted view of a laterally shifted target: moderate overlap both
         # ways, concentration held inside the oblique band of the classifier.
         return view_x, view_y, ExpectedOverlap(xy=(0.60, 0.90), yx=(0.28, 0.50))
-
-    if pattern == "disjoint":
-        view_x = render_depth(surface, _down_camera(ids[0], center, h))
-        far = (center[0] + 50.0, center[1] + 50.0)
-        view_y = render_depth(surface, _down_camera(ids[1], far, h))
-        return view_x, view_y, ExpectedOverlap(xy=(0.0, 0.0), yx=(0.0, 0.0))
 
     raise ValueError(f"unknown pair pattern: {pattern}")
 
@@ -296,14 +270,13 @@ def default_script(seed: int = 7) -> CameraScript:
     for i in range(8):
         cx, cy = rng.uniform(-2.0, 2.0, size=2)
         ids = (f"o{i}a", f"o{i}b")
-        script.placements.extend(_oblique_cameras(ids, (cx, cy), 60.0, 1.8))
+        script.placements.extend(_oblique_cameras(ids, (cx, cy)))
         script.labeled_pairs.append((ids[0], ids[1], "oblique-or-crop-out", 60.0))
     return script
 
 
 @dataclass
 class SyntheticScene:
-    surface: object
     views: list
     seed: int
 
@@ -318,20 +291,19 @@ def render_script(surface, script: CameraScript, seed: int) -> SyntheticScene:
     for view in views:
         if view.valid_mask.mean() < 0.5:
             raise ValueError(f"view {view.id!r} sees under 50% valid pixels")
-    return SyntheticScene(surface=surface, views=views, seed=seed)
+    return SyntheticScene(views=views, seed=seed)
 
 
 def generate_dataset(surface, script: CameraScript, out_dir, seed: int,
-                     nso_cfg: NSOConfig | None = None, oracle: bool = False,
+                     nso_cfg: NSOConfig, oracle: bool = False,
                      threads: int = 1) -> Path:
     """Render, compute all-pairs overlap and write the dataset directory."""
     if len(script.placements) < 2:
         raise ValueError("need at least 2 cameras")
     out_dir = Path(out_dir)
-    cfg = nso_cfg if nso_cfg is not None else NSOConfig(seed=seed)
     scene = render_script(surface, script, seed)
     dataset_io.write_scene(out_dir, scene.views)
-    records = all_pairs_nso(scene.views, cfg, oracle=oracle, threads=threads)
+    records = all_pairs_nso(scene.views, nso_cfg, oracle=oracle, threads=threads)
     dataset_io.write_overlaps(out_dir / "pairs.csv", records)
     meta = {
         "seed": seed,

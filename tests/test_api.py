@@ -44,7 +44,6 @@ ALLOWED_FIELDS = dict.fromkeys(
 ALLOWED_DEFAULTS = {
     "synth.Placement.width": "larger views for a subsampled-view workload",
     "synth.Placement.height": "larger views for a subsampled-view workload",
-    "synth.make_pair.surface": "the oblique-weighting test renders on a curved surface",
 }
 
 

@@ -384,6 +384,20 @@ def test_bad_overlap_value_is_data_error(command, values, run_dir, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_overlap_id_is_data_error(command, run_dir, tmp_path, capsys):
+    pairs = tmp_path / "bad.csv"
+    pairs.write_text("id_x,id_y,nso_xy,nso_yx\ng000,g001,0.5,0.5\n,g002,0.5,0.5\n")
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "run"), "--steps", "10"]
+    else:
+        argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.npz")]
+    assert main(argv + ["--pairs", str(pairs)]) == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "bad.csv" in err and "empty image id" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_repeated_pair_is_data_error(command, run_dir, tmp_path, capsys):
     pairs = tmp_path / "rep.csv"
     pairs.write_text("id_x,id_y,nso_xy,nso_yx\ng000,g001,0.5,0.5\ng001,g000,0.5,0.5\n")

@@ -19,7 +19,7 @@ from boxoverlap.geometry import (
     subsample,
 )
 from boxoverlap.synth import (
-    PlaneSurface,
+    HeightfieldSurface,
     Placement,
     default_surface,
     grid_script,
@@ -235,7 +235,7 @@ def plane_pair(area_ratio=0.25):
     The base focal keeps the ground sample distance off the 0.1 match
     radius, so no point pair sits exactly on the threshold.
     """
-    surface = PlaneSurface(0.0)
+    surface = HeightfieldSurface(0.0)
     focal = 320.0 / 3.0
     wide = render_depth(surface, Placement(
         "wide", position=(0, 0, 10.0), target=(0, 0, 0.0), focal=focal))

@@ -6,11 +6,11 @@ import pytest
 from boxoverlap import dataset_io
 from boxoverlap.dataset_io import DatasetFormatError
 from boxoverlap.geometry import OverlapRecord
-from boxoverlap.synth import PlaneSurface, Placement, render_depth
+from boxoverlap.synth import HeightfieldSurface, Placement, render_depth
 
 
 def sample_views():
-    surface = PlaneSurface(0.0)
+    surface = HeightfieldSurface(0.0)
     return [
         render_depth(surface, Placement(
             f"v{i}", position=(float(i), 0.0, 10.0), target=(float(i), 0.0, 0.0)))
@@ -205,6 +205,14 @@ def test_overlaps_repeated_pair_named(repeat, tmp_path):
         dataset_io.read_overlaps(path)
 
 
+@pytest.mark.parametrize("row", [",b,0.5,0.5", "a,,0.5,0.5"], ids=["x", "y"])
+def test_overlaps_empty_id_named(row, tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text(f"id_x,id_y,nso_xy,nso_yx\na,b,0.5,0.25\n{row}\n")
+    with pytest.raises(DatasetFormatError, match=r"row 3 in .*pairs\.csv.*empty image id"):
+        dataset_io.read_overlaps(path)
+
+
 def test_overlaps_distinct_pairs_sharing_ids(tmp_path):
     records = [OverlapRecord("a", "b", 0.5, 0.5), OverlapRecord("a", "a", 1.0, 1.0),
                OverlapRecord("b", "c", 0.2, 0.1), OverlapRecord("c", "a", 0.0, 0.0)]
@@ -220,6 +228,13 @@ def test_id_pairs_skip_header_and_extra_columns(tmp_path):
     path = tmp_path / "req.csv"
     path.write_text("id_x,id_y,nso_xy,nso_yx\na,b,0.5,0.25\n\nc,d\n")
     assert dataset_io.read_id_pairs(path) == [("a", "b"), ("c", "d")]
+
+
+def test_id_pairs_skip_only_a_leading_header(tmp_path):
+    # Past the first row, `id_x` is a view id like any other.
+    path = tmp_path / "req.csv"
+    path.write_text("id_x,id_y\nid_x,b\n\na,id_x\n")
+    assert dataset_io.read_id_pairs(path) == [("id_x", "b"), ("a", "id_x")]
 
 
 @pytest.mark.parametrize("row", ["a", "a,", ",b"])
