@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     # TrainConfig or query_topk's k check rejects.
     except (UsageError, TrainingDivergedError, ValueError) as exc:
         message, code = exc, EXIT_USAGE
+    # A size option (--steps, --dim, --batch-size, ...) beyond this machine.
+    except MemoryError as exc:
+        message, code = f"out of memory: {str(exc) or 'an allocation failed'}", EXIT_USAGE
     print(f"error: {message}", file=sys.stderr)
     return code
 

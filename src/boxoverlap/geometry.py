@@ -119,21 +119,22 @@ class NSOConfig:
             raise ValueError("n_sub must be >= 1")
 
 
-def _camera_points(view: CameraView) -> np.ndarray:
-    """Backproject every pixel into the camera frame (invalid pixels -> NaN)."""
+def _camera_points(view: CameraView, rows=None, cols=None) -> np.ndarray:
+    """Camera-frame points of the pixels at (rows, cols), index arrays that
+    broadcast, or of every pixel by default (invalid pixels -> NaN)."""
     intr = view.intrinsics
-    cols, rows = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
-    z = view.depth
+    if rows is None:
+        rows, cols = np.ogrid[:intr.height, :intr.width]
+    z = view.depth[rows, cols]
     x = (cols - intr.cx) / intr.fx * z
     y = (rows - intr.cy) / intr.fy * z
     return np.stack([x, y, z], axis=-1)
 
 
-def _window_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over each pixel's 3x3 window of the first two axes; zero outside."""
-    h, w = a.shape[:2]
-    padded = np.pad(a, [(1, 1), (1, 1)] + [(0, 0)] * (a.ndim - 2))
-    out = np.zeros_like(a)
+def _window_sum(padded: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Sum over each 3x3 window of the first two axes of `padded`, for the
+    (h, w) pixels inside its one-pixel border."""
+    out = np.zeros((h, w) + padded.shape[2:])
     for r in (2, 1, 0):
         for c in (2, 1, 0):
             out += padded[r:r + h, c:c + w]
@@ -144,8 +145,15 @@ def normal_support(mask: np.ndarray):
     """(count, fits): the valid pixels in each pixel's 3x3 window, its own
     included, and the valid pixels whose window holds the 4 points a normal
     fit needs."""
-    count = _window_sum(mask.astype(np.float64))
+    count = _window_sum(np.pad(mask.astype(np.float64), 1), *mask.shape)
     return count, mask & (count >= 4)
+
+
+# A point's first moments x, y, z are followed by its distinct second
+# moments xx xy xz yy yz zz (the coordinate pairs _FIRST, _SECOND), which
+# _MIRROR places in the 3x3 outer product.
+_FIRST, _SECOND = np.triu_indices(3)
+_MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def _fit_normals(pts: np.ndarray, mask: np.ndarray, count: np.ndarray,
@@ -155,13 +163,25 @@ def _fit_normals(pts: np.ndarray, mask: np.ndarray, count: np.ndarray,
     Each is the smallest eigenvector of the covariance of the valid points
     in the pixel's 3x3 window, a total-least-squares plane fit, oriented
     toward the camera center. `count` is `normal_support(mask)`'s, and every
-    pixel of `fit` must be one it says fits. A pixel's normal does not
-    depend on which other pixels `fit` selects.
+    pixel of `fit` must be one it says fits. Windows are summed only over
+    the bounding box of `fit`, and each sum adds the same terms in the same
+    order wherever the box lies, so a pixel's normal does not depend on
+    which other pixels `fit` selects.
     """
-    p = np.where(mask[..., None], pts, 0.0)
+    h, w = fit.shape
+    rows, cols = np.flatnonzero(fit.any(axis=1)), np.flatnonzero(fit.any(axis=0))
+    top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    # The box's windows read one pixel around it, zero outside the image.
+    ring = np.s_[max(top - 1, 0):bottom + 1, max(left - 1, 0):right + 1]
+    p = np.where(mask[ring][..., None], pts[ring], 0.0)
+    moments = np.pad(np.concatenate([p, p[..., _FIRST] * p[..., _SECOND]], axis=-1),
+                     [(int(top == 0), int(bottom == h)), (int(left == 0), int(right == w)),
+                      (0, 0)])
+    box = fit[top:bottom, left:right]
+    sums = _window_sum(moments, *box.shape)[box]
     n_points = count[fit]
-    mean = _window_sum(p)[fit] / n_points[:, None]
-    cov = (_window_sum(p[..., :, None] * p[..., None, :])[fit] / n_points[:, None, None]
+    mean = sums[:, :3] / n_points[:, None]
+    cov = (sums[:, 3:][:, _MIRROR] / n_points[:, None, None]
            - mean[:, :, None] * mean[:, None, :])
     normal = np.linalg.eigh(cov)[1][:, :, 0]
     # Orient toward the camera center (origin of the camera frame).
@@ -169,42 +189,46 @@ def _fit_normals(pts: np.ndarray, mask: np.ndarray, count: np.ndarray,
     return normal
 
 
-def _surfels(view: CameraView, near=None, radius: float = 0.0) -> SurfelCloud:
-    """One world-space surfel per valid pixel with a well-determined normal;
-    raises when there is none.
-
-    near=None fits every normal. A list of view bounds fits only the points
-    `_near` one of them within radius, none for an empty list: no pair reads
-    the normal of a point near no live partner of its view. Every normal not
-    fitted is NaN, and a fitted one has the same bits whichever are fitted.
-    """
+def _kept_surfels(view: CameraView):
+    """(count, keep, cloud): `normal_support(view.valid_mask)` and the cloud
+    of its kept pixels' world points in row-major order, every normal NaN;
+    raises when no pixel is kept."""
     count, keep = normal_support(view.valid_mask)
     if not keep.any():
         raise ValueError(f"no valid depth in view {view.id!r}")
-    pts = _camera_points(view)
-    rotation = view.pose.rotation
-    points = pts[keep] @ rotation.T + view.pose.translation
-    if near is None:
-        return SurfelCloud(points, _fit_normals(pts, view.valid_mask, count, keep) @ rotation.T)
-    todo = np.arange(len(points))
+    points = (_camera_points(view, *np.nonzero(keep)) @ view.pose.rotation.T
+              + view.pose.translation)
+    return count, keep, SurfelCloud(points, np.full(points.shape, np.nan))
+
+
+def _fit_reached(view: CameraView, keep: np.ndarray, cloud: SurfelCloud, near,
+                 radius: float) -> None:
+    """Fit in place the normals of the cloud `_kept_surfels(view)` gives with
+    `keep`, for its points `_near` one of the view bounds in `near` within
+    radius: no pair reads the normal of a point near no live partner of its
+    view, and those stay NaN. A fitted normal has the bits `backproject`
+    gives it."""
+    todo = np.arange(len(cloud))
     for bounds in near:
-        rest = points[todo]
+        rest = cloud.points[todo]
         todo = todo[~_near(rest, rest, bounds, radius)]
         if todo.size == 0:
             break
-    reached = np.ones(len(points), dtype=bool)
+    reached = np.ones(len(cloud), dtype=bool)
     reached[todo] = False
-    normals = np.full(points.shape, np.nan)
     if reached.any():
         fit = np.zeros_like(keep)
         fit[keep] = reached
-        normals[reached] = _fit_normals(pts, view.valid_mask, count, fit) @ rotation.T
-    return SurfelCloud(points, normals)
+        count = normal_support(view.valid_mask)[0]
+        cloud.normals[reached] = (_fit_normals(_camera_points(view), view.valid_mask,
+                                               count, fit) @ view.pose.rotation.T)
 
 
 def backproject(view: CameraView) -> SurfelCloud:
     """One world-space surfel per valid pixel with a well-determined normal."""
-    return _surfels(view)
+    count, keep, cloud = _kept_surfels(view)
+    normals = _fit_normals(_camera_points(view), view.valid_mask, count, keep)
+    return SurfelCloud(cloud.points, normals @ view.pose.rotation.T)
 
 
 def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
@@ -300,16 +324,41 @@ def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig) -> _IndexedCloud:
 
 def _bounds(cloud: SurfelCloud):
     """(mins, maxes) of the cloud's points, as its `cKDTree` computes them."""
-    return cloud.points.min(axis=0), cloud.points.max(axis=0)
+    # Reduced one coordinate column at a time: numpy's min(axis=0) over rows
+    # of 3 takes several times as long.
+    axes = cloud.points.T
+    return np.array([a.min() for a in axes]), np.array([a.max() for a in axes])
 
 
 def _near(lo, hi, bounds, radius: float):
     """Whether the box [lo, hi] is within radius of the box `bounds` on every
-    axis, a mask for rows of points (lo is hi). Nothing that is not near a
-    view's bounds lies within the radius of one of its points."""
+    axis, a mask for rows of points (lo is hi) or of boxes stacked in
+    `bounds`. Nothing that is not near a view's bounds lies within the
+    radius of one of its points."""
     mins, maxes = bounds
-    gap = np.maximum(lo - maxes, mins - hi)
-    return np.all(gap <= radius * (1.0 + _CULL_SLACK), axis=-1)
+    near = np.maximum(lo - maxes, mins - hi) <= radius * (1.0 + _CULL_SLACK)
+    # Joined axis by axis: all(axis=-1) over rows of 3 takes several times as long.
+    return near[..., 0] & near[..., 1] & near[..., 2]
+
+
+def _cull(pairs, bounds, radius: float) -> np.ndarray:
+    """Per pair, whether its two views' `bounds` are `_near` within radius.
+
+    `_near` is called once per first view of a pair, with that view's box as
+    [lo, hi] against the stacked boxes of all its partners.
+    """
+    index = {img_id: k for k, img_id in enumerate(bounds)}
+    mins = np.array([lo for lo, _ in bounds.values()])
+    maxes = np.array([hi for _, hi in bounds.values()])
+    second = np.array([index[id_y] for _, id_y in pairs], dtype=np.intp)
+    by_first = {}
+    for row, (id_x, _) in enumerate(pairs):
+        by_first.setdefault(id_x, []).append(row)
+    live = np.zeros(len(pairs), dtype=bool)
+    for id_x, rows in by_first.items():
+        k, partners = index[id_x], second[rows]
+        live[rows] = _near(mins[k], maxes[k], (mins[partners], maxes[partners]), radius)
+    return live
 
 
 def _use_join(a: _IndexedCloud, b: _IndexedCloud) -> bool:
@@ -399,12 +448,13 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
               threads: int = 1) -> list[OverlapRecord]:
     """Directed NSO for the given (id_x, id_y) pairs, in their order.
 
-    Each view the pairs name is backprojected without normals and bounded.
-    A pair whose bounds, padded by the radius, are disjoint is recorded as
-    (0.0, 0.0) without a search. When cfg.weighted, each view in a live
-    pair (one not culled) is backprojected again, with normals fitted only
-    for its points inside the padded bounds of one of its live partners;
-    no pair reads any other normal, and those hold NaN. Then each view in
+    Each view the pairs name is backprojected once, without normals, and
+    bounded. A pair whose bounds, padded by the radius, are disjoint is
+    recorded as (0.0, 0.0) without a search. When cfg.weighted, each view
+    in a live pair (one not culled) gets normals fitted only for its points
+    inside the padded bounds of one of its live partners, over the bounding
+    box of those pixels; no pair reads any other normal, and those hold
+    NaN. Then each view in
     a live pair gets one k-d tree, shared by its pairs and freed on return.
     A live pair is one radius join of its two trees, which serves both
     directions, when neither view is subsampled and the sparser one has few
@@ -419,20 +469,22 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
         raise ValueError("threads must be >= 1")
     by_id = {view.id: view for view in views}
     named = dict.fromkeys(img_id for pair in pairs for img_id in pair)
-    clouds = {img_id: _surfels(by_id[img_id], near=[]) for img_id in named}
+    # Each view keeps its bool keep mask, not its float support count, until
+    # its normals are fitted; the count is made again for a fitted view.
+    kept = {img_id: _kept_surfels(by_id[img_id])[1:] for img_id in named}
+    clouds = {img_id: cloud for img_id, (_, cloud) in kept.items()}
     bounds = {img_id: _bounds(cloud) for img_id, cloud in clouds.items()}
-    live = [_near(*bounds[id_x], bounds[id_y], cfg.radius) for id_x, id_y in pairs]
+    live = _cull(pairs, bounds, cfg.radius)
     partners = {img_id: [] for img_id in clouds}
     for (id_x, id_y), searched in zip(pairs, live):
         if searched:
             partners[id_x].append(bounds[id_y])
             partners[id_y].append(bounds[id_x])
     if cfg.weighted:
-        # Made again rather than kept from the points-only pass, so that no
-        # view holds its (h, w) arrays while the pairs are culled.
         for img_id, partner_bounds in partners.items():
             if partner_bounds:
-                clouds[img_id] = _surfels(by_id[img_id], partner_bounds, cfg.radius)
+                _fit_reached(by_id[img_id], *kept[img_id], partner_bounds, cfg.radius)
+    del kept
     indexed = {img_id: _index_cloud(clouds[img_id], cfg)
                for img_id, partner_bounds in partners.items() if partner_bounds}
     full = {}  # oracle only: view id -> backproject(view)

@@ -278,20 +278,20 @@ def default_script(seed: int = 7) -> CameraScript:
 @dataclass
 class SyntheticScene:
     views: list
-    seed: int
 
 
 def render_script(surface, script: CameraScript, seed: int) -> SyntheticScene:
     """Each placement's view, its depth rounded to storage (float32) precision.
 
     Overlaps recomputed from a written dataset then match the ones computed
-    at generation time bit for bit.
+    at generation time bit for bit. Rendering draws no random numbers, so
+    the scene does not depend on `seed`.
     """
     views = [_render(surface, p, np.float32) for p in script.placements]
     for view in views:
         if view.valid_mask.mean() < 0.5:
             raise ValueError(f"view {view.id!r} sees under 50% valid pixels")
-    return SyntheticScene(views=views, seed=seed)
+    return SyntheticScene(views=views)
 
 
 def generate_dataset(surface, script: CameraScript, out_dir, seed: int,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxoverlap import dataset_io, geometry
+from boxoverlap import cli, dataset_io, geometry
 from boxoverlap.cli import build_parser, main
 from boxoverlap.training import EmbeddingTable, TrainConfig, save_checkpoint
 
@@ -349,6 +349,24 @@ def test_train_divergence_is_usage_error(dataset, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array with "
+                                     "shape (1000000000000,) and data type float64", ""])
+def test_train_out_of_memory_is_usage_error(message, dataset, tmp_path, monkeypatch,
+                                            capsys):
+    # A size option beyond the machine, such as --steps 1000000000000, makes
+    # numpy raise MemoryError; no real allocation of that size is made here.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "train", out_of_memory)
+    assert main(["train", "--pairs", str(dataset / "pairs.csv"),
+                 "--out", str(tmp_path / "run"), "--steps", "1000000000000"]) == 2
+    err = one_error_line(capsys)
+    assert err.startswith("error: out of memory: ")
+    assert message in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("option", [["train", "--rho", "nan"], ["train", "--lr", "inf"],

@@ -138,6 +138,47 @@ def test_backproject_normals_unit_length():
     assert np.allclose(lengths, 1.0, atol=1e-6)
 
 
+def fit_mask(keep, case):
+    """The pixels a normal-fit case selects, all of them kept pixels."""
+    fit = np.zeros_like(keep)
+    if case == "pixel":
+        rows, cols = np.nonzero(keep)
+        fit[rows[len(rows) // 2], cols[len(rows) // 2]] = True
+    elif case == "top":
+        fit[:2] = keep[:2]
+    elif case == "bottom":
+        fit[-2:] = keep[-2:]
+    elif case == "left":
+        fit[:, :2] = keep[:, :2]
+    elif case == "right":
+        fit[:, -2:] = keep[:, -2:]
+    elif case == "corners":
+        fit[0, -1] = fit[-1, 0] = True
+    else:
+        fit = keep.copy()
+    assert fit.any() and not (fit & ~keep).any()
+    return fit
+
+
+@pytest.mark.parametrize("case", ["pixel", "top", "bottom", "left", "right",
+                                  "corners", "keep", "holes"])
+def test_fitted_normals_are_backprojects_bit_for_bit(case):
+    # A normal fitted for any set of pixels has the bits backproject gives it.
+    view = grid_views(2, seed=4, spacing=1.0)[1]
+    if case == "holes":
+        depth = view.depth.copy()
+        depth[10:14, 20:30] = np.nan
+        depth[30] = np.nan
+        depth[::7, ::5] = np.nan
+        view = CameraView(view.id, view.intrinsics, view.pose, depth)
+    count, keep = geometry.normal_support(view.valid_mask)
+    fit = fit_mask(keep, case)
+    normals = geometry._fit_normals(geometry._camera_points(view), view.valid_mask,
+                                    count, fit) @ view.pose.rotation.T
+    assert normals.shape == (fit.sum(), 3)
+    assert normals.tobytes() == backproject(view).normals[fit[keep]].tobytes()
+
+
 # -- subsample -----------------------------------------------------------------
 
 
@@ -320,24 +361,17 @@ def grid_views(n, seed, spacing):
                          seed).views
 
 
-def test_all_pairs_oracle_on_sparse_grid(monkeypatch):
+def test_all_pairs_oracle_on_sparse_grid():
     # At spacing 6 most footprints are apart, so most pairs are culled.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
-    near = geometry._near
-    culled = []
-
-    def counting(lo, hi, bounds, radius):
-        result = near(lo, hi, bounds, radius)
-        if lo.ndim == 1:  # the bounds of a view, not its points
-            culled.append(not result)
-        return result
-
-    monkeypatch.setattr(geometry, "_near", counting)
     records = all_pairs_nso(views, cfg, oracle=True)
+    clouds = {v.id: backproject(v) for v in views}
+    bounds = {img_id: geometry._bounds(cloud) for img_id, cloud in clouds.items()}
+    culled = [not geometry._near(*bounds[rec.id_x], bounds[rec.id_y], cfg.radius)
+              for rec in records]
     assert len(records) == len(culled) == 120
     assert sum(culled) >= 80
-    clouds = {v.id: backproject(v) for v in views}
     for rec in records:
         for brute_force in (False, True):
             ref = nso_from_clouds(clouds[rec.id_x], clouds[rec.id_y],
@@ -382,15 +416,20 @@ def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
     cfg = NSOConfig(seed=2, n_sub=400)
     full = {view.id: backproject(view) for view in views}
     fits = spy_eigh(monkeypatch)
-    surfels = geometry._surfels
-    seen = {}  # view id -> (live partners, the cloud its pairs read)
+    kept_surfels, fit_reached = geometry._kept_surfels, geometry._fit_reached
+    seen = {}  # view id -> [live partners, the cloud its pairs read]
 
-    def spy(view, near=None, radius=0.0):
-        cloud = surfels(view, near, radius)
-        seen[view.id] = (len(near), cloud)
-        return cloud
+    def spy_kept(view):
+        count, keep, cloud = kept_surfels(view)
+        seen[view.id] = [0, cloud]
+        return count, keep, cloud
 
-    monkeypatch.setattr(geometry, "_surfels", spy)
+    def spy_fit(view, keep, cloud, near, radius):
+        seen[view.id][0] = len(near)
+        fit_reached(view, keep, cloud, near, radius)
+
+    monkeypatch.setattr(geometry, "_kept_surfels", spy_kept)
+    monkeypatch.setattr(geometry, "_fit_reached", spy_fit)
     all_pairs_nso(views, cfg)
     fitted = kept = 0
     for view in views:
@@ -413,19 +452,25 @@ def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
     clouds = {view.id: backproject(view) for view in views}
-    surfels, index_cloud = geometry._surfels, geometry._index_cloud
+    kept_surfels, fit_reached = geometry._kept_surfels, geometry._fit_reached
+    index_cloud = geometry._index_cloud
     events = []
 
-    def spy_surfels(view, near=None, radius=0.0):
+    def spy_kept(view):
+        events.append(("surfels", view.id, 0))
+        return kept_surfels(view)
+
+    def spy_fit(view, keep, cloud, near, radius):
         events.append(("surfels", view.id, len(near)))
-        return surfels(view, near, radius)
+        fit_reached(view, keep, cloud, near, radius)
 
     def spy_index(cloud, cfg):
         events.append(("index", next(img_id for img_id, full in clouds.items()
                                      if np.array_equal(full.points, cloud.points))))
         return index_cloud(cloud, cfg)
 
-    monkeypatch.setattr(geometry, "_surfels", spy_surfels)
+    monkeypatch.setattr(geometry, "_kept_surfels", spy_kept)
+    monkeypatch.setattr(geometry, "_fit_reached", spy_fit)
     monkeypatch.setattr(geometry, "_index_cloud", spy_index)
     all_pairs_nso(views, cfg)
     n = len(views)
@@ -433,6 +478,7 @@ def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
     assert events[:len(built)] == built
     bounded, fitted, indexed = built[:n], built[n:], events[len(built):]
     assert [n_partners for *_, n_partners in bounded] == [0] * n
+    assert sorted(img_id for _, img_id, _ in bounded) == sorted(v.id for v in views)
     assert all(n_partners for *_, n_partners in fitted)
     live = sorted(img_id for _, img_id, _ in fitted)
     assert sorted(img_id for _, img_id in indexed) == live
