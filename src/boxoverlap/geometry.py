@@ -32,6 +32,9 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
+_EYE = np.eye(3)
+
+
 @dataclass(frozen=True)
 class Pose:
     """Camera-to-world rotation and translation."""
@@ -46,9 +49,11 @@ class Pose:
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
         if not np.isfinite(t).all():
             raise ValueError("translation must be finite")
-        if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-9):
+        # np.allclose and np.isclose's test (atol 1e-9, rtol 1e-5), one
+        # elementwise pass each; a NaN or infinite entry fails it.
+        if not (np.abs(rot.T @ rot - _EYE) <= 1e-9 + 1e-5 * _EYE).all():
             raise ValueError("rotation is not orthonormal")
-        if not np.isclose(np.linalg.det(rot), 1.0, atol=1e-9):
+        if not abs(np.linalg.det(rot) - 1.0) <= 1e-9 + 1e-5:
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", t)
@@ -145,7 +150,10 @@ def normal_support(mask: np.ndarray):
     """(count, fits): the valid pixels in each pixel's 3x3 window, its own
     included, and the valid pixels whose window holds the 4 points a normal
     fit needs."""
-    count = _window_sum(np.pad(mask.astype(np.float64), 1), *mask.shape)
+    h, w = mask.shape
+    padded = np.zeros((h + 2, w + 2))
+    padded[1:-1, 1:-1] = mask
+    count = _window_sum(padded, h, w)
     return count, mask & (count >= 4)
 
 
@@ -168,15 +176,17 @@ def _fit_normals(pts: np.ndarray, mask: np.ndarray, count: np.ndarray,
     order wherever the box lies, so a pixel's normal does not depend on
     which other pixels `fit` selects.
     """
-    h, w = fit.shape
     rows, cols = np.flatnonzero(fit.any(axis=1)), np.flatnonzero(fit.any(axis=0))
     top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     # The box's windows read one pixel around it, zero outside the image.
     ring = np.s_[max(top - 1, 0):bottom + 1, max(left - 1, 0):right + 1]
     p = np.where(mask[ring][..., None], pts[ring], 0.0)
-    moments = np.pad(np.concatenate([p, p[..., _FIRST] * p[..., _SECOND]], axis=-1),
-                     [(int(top == 0), int(bottom == h)), (int(left == 0), int(right == w)),
-                      (0, 0)])
+    # Row and column 0 of the moments are the image's top - 1 and left - 1.
+    moments = np.zeros((bottom - top + 2, right - left + 2, 9))
+    r0, c0 = int(top == 0), int(left == 0)
+    inner = moments[r0:r0 + p.shape[0], c0:c0 + p.shape[1]]
+    inner[..., :3] = p
+    np.multiply(p[..., _FIRST], p[..., _SECOND], out=inner[..., 3:])
     box = fit[top:bottom, left:right]
     sums = _window_sum(moments, *box.shape)[box]
     n_points = count[fit]
@@ -242,11 +252,27 @@ def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
     return SurfelCloud(cloud.points[idx], cloud.normals[idx])
 
 
+# The brute-force match compares source rows with the whole destination
+# cloud in blocks of about this many distances (8 MiB), so its memory does
+# not grow with the product of the two cloud sizes.
+_BRUTE_BLOCK = 2 ** 20
+
+
 def _match_brute(src_points, dst_points, radius):
-    dist = cdist(src_points, dst_points)
-    idx = np.argmin(dist, axis=1)
-    within = dist[np.arange(len(src_points)), idx] <= radius
-    return within, np.where(within, idx, 0)
+    """Per source point, whether its nearest destination point, the lowest
+    row on a tie, lies within radius, and that row (0 where none does)."""
+    n = len(src_points)
+    within = np.empty(n, dtype=bool)
+    idx = np.zeros(n, dtype=np.intp)
+    step = max(1, _BRUTE_BLOCK // len(dst_points))
+    for start in range(0, n, step):
+        dist = cdist(src_points[start:start + step], dst_points)
+        nn = np.argmin(dist, axis=1)
+        near = dist[np.arange(len(nn)), nn] <= radius
+        within[start:start + step] = near
+        idx[start:start + step] = np.where(near, nn, 0)
+        del dist  # else it stays alive while the next block is made
+    return within, idx
 
 
 def _weighted_sum(src: SurfelCloud, dst: SurfelCloud, rows, nn, weighted: bool):

@@ -1,7 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from boxoverlap import dataset_io, geometry
 from boxoverlap.geometry import (
@@ -19,6 +21,7 @@ from boxoverlap.geometry import (
     subsample,
 )
 from boxoverlap.synth import (
+    DEFAULT_HEIGHT,
     HeightfieldSurface,
     Placement,
     default_surface,
@@ -58,6 +61,69 @@ def test_pose_rejects_non_orthonormal():
 def test_pose_rejects_reflection():
     with pytest.raises(ValueError):
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+def old_pose_check(rot):
+    """Whether a rotation passes the reference check by np.allclose and
+    np.isclose, with their default rtol of 1e-5."""
+    return bool(np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
+                and np.isclose(np.linalg.det(rot), 1.0, atol=1e-9))
+
+
+def pose_accepts(rot):
+    try:
+        Pose(rot, np.zeros(3))
+    except ValueError:
+        return False
+    return True
+
+
+def turned(angles):
+    """A rotation by each of the angles about the x, y and z axes in turn."""
+    rot = np.eye(3)
+    for axis, angle in enumerate(angles):
+        i, j = [k for k in range(3) if k != axis]
+        turn = np.eye(3)
+        turn[i, i], turn[i, j], turn[j, i], turn[j, j] = (
+            np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle))
+        rot = rot @ turn
+    return rot
+
+
+def test_pose_check_accepts_what_allclose_accepted():
+    # Each perturbation of a rotation is swept across the edge of the
+    # tolerance it meets first, 1e-9 + 1e-5 on the determinant and on the
+    # diagonal of R^T R, 1e-9 off the diagonal: a uniform scale s
+    # (|s^3 - 1|), an opposed stretch of two axes (determinant 1) and a
+    # shear. Each sweep holds rotations the checks accept and reject.
+    rot = turned([0.3, -1.1, 2.0])
+    shear = np.zeros((3, 3))
+    shear[0, 1] = 1.0
+    perturbations = [
+        (lambda e: rot * (1.0 + e), (1.0 + 1.0001e-5) ** (1 / 3) - 1.0),
+        (lambda e: rot @ np.diag([1.0 + e, 1.0, 1.0 / (1.0 + e)]),
+         (1.0 + 1.0001e-5) ** (1 / 2) - 1.0),
+        (lambda e: rot @ (np.eye(3) + e * shear), 1e-9),
+    ]
+
+    def verdicts(cases):
+        old = [old_pose_check(case) for case in cases]
+        assert [pose_accepts(case) for case in cases] == old
+        return old
+
+    assert verdicts([rot, np.eye(3), -rot, np.diag([1.0, 1.0, -1.0])]) == [
+        True, True, False, False]
+    for perturb, edge in perturbations:
+        for sign in (1.0, -1.0):
+            old = verdicts([perturb(sign * edge * (1.0 + step))
+                            for step in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)])
+            assert any(old) and not all(old)
+    broken = []
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in [(0, 0), (1, 2)]:
+            broken.append(rot.copy())
+            broken[-1][entry] = bad
+    assert not any(verdicts(broken))
 
 
 def test_camera_view_derives_mask():
@@ -265,6 +331,62 @@ def test_overlap_empty_cloud():
     empty = SurfelCloud(np.zeros((0, 3)), np.zeros((0, 3)))
     assert overlap_count_brute(cloud, empty, 0.1) == 0.0
     assert overlap_count_brute(empty, cloud, 0.1) == 0.0
+
+
+def one_matrix_match(src, dst, radius, weighted):
+    """(within, idx, overlap) of the brute-force match from one full distance
+    matrix: each source row's first minimum and its `<=` test."""
+    dist = cdist(src.points, dst.points)
+    idx = np.argmin(dist, axis=1)
+    within = dist[np.arange(len(src)), idx] <= radius
+    rows = np.flatnonzero(within)
+    return (within, np.where(within, idx, 0),
+            geometry._weighted_sum(src, dst, rows, idx[rows], weighted))
+
+
+def test_blocked_brute_match_equals_one_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    dst = random_cloud(rng, 3000)
+    step = geometry._BRUTE_BLOCK // len(dst)
+    src = random_cloud(rng, 2 * step + step // 2)  # the last block is partial
+    # The last source point lies apart from every other point, as far from
+    # two destination points on either side of it: a bit-equal tie at 2**-5.
+    src.points[-1] = (5.0, 5.0, 5.0)
+    dst.points[7] = (5.0 + 2.0 ** -5, 5.0, 5.0)
+    dst.points[2990] = (5.0 - 2.0 ** -5, 5.0, 5.0)
+    one = random_cloud(rng, 1)
+    cases = [(src, dst), (dst, src), (one, dst), (src, one), (one, one),
+             (one, SurfelCloud(one.points + 1.0, one.normals))]
+    for a, b in cases:
+        for weighted in (False, True):
+            within, idx, overlap = one_matrix_match(a, b, 0.05, weighted)
+            got = geometry._match_brute(a.points, b.points, 0.05)
+            assert np.array_equal(got[0], within) and np.array_equal(got[1], idx)
+            assert overlap_count_brute(a, b, 0.05, weighted) == overlap
+    within, idx = geometry._match_brute(src.points, dst.points, 0.05)
+    assert within[-1] and idx[-1] == 7
+    assert 0 < within.sum() < len(src) - 1
+    # A destination cloud larger than a block takes one source row at a time.
+    monkeypatch.setattr(geometry, "_BRUTE_BLOCK", len(dst) - 1)
+    got = geometry._match_brute(src.points, dst.points, 0.05)
+    assert np.array_equal(got[0], within) and np.array_equal(got[1], idx)
+
+
+def test_oracle_memory_does_not_grow_with_both_cloud_sizes():
+    # One full distance matrix of 2000 subsampled points by the other view's
+    # 12288 would take about 197 MB.
+    views = [render_depth(default_surface(3), Placement(
+        view_id, position=(x, 0.0, DEFAULT_HEIGHT), target=(x, 0.0, 0.0),
+        width=128, height=96)) for view_id, x in (("a", 0.0), ("b", 0.5))]
+    tracemalloc.start()
+    try:
+        [rec] = geometry.pairs_nso(views, [("a", "b")], NSOConfig(n_sub=2000), oracle=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.nso_xy > 0 and rec.nso_yx > 0
+    assert min(view.n_valid for view in views) > 10000
+    assert peak < 48 * 2 ** 20
 
 
 # -- NSO -----------------------------------------------------------------------
