@@ -304,8 +304,15 @@ def save_checkpoint(path, table: EmbeddingTable, cfg: TrainConfig, step: int):
 
 def load_checkpoint(path):
     """(table, cfg) of a checkpoint; fields it does not read (`step` among
-    them) are ignored, and a config key TrainConfig lacks is an error."""
-    with np.load(path, allow_pickle=False) as data:
+    them) are ignored. A file np.load does not open as an .npz archive, and a
+    config key TrainConfig lacks, are errors."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError):  # neither a zip nor a readable .npy
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive")
+    with data:
         table = EmbeddingTable(str(data["kind"]), [str(s) for s in data["ids"]],
                                data["params"])
         cfg = TrainConfig(**json.loads(str(data["config"])))

@@ -441,17 +441,25 @@ def test_overlap_csv_without_rows_is_data_error(command, run_dir, tmp_path, caps
     assert "empty.csv" in err and "no rows" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("content", ["not-npz", "no-params"])
+@pytest.mark.parametrize("content", ["not-npz", "npy", "empty", "no-params"])
 def test_bad_checkpoint_is_data_error(content, dataset, tmp_path, capsys):
     ckpt = tmp_path / "ckpt.npz"
     if content == "not-npz":
         ckpt.write_text("id_x,id_y\n")
+    elif content == "npy":
+        with ckpt.open("wb") as f:
+            np.save(f, np.zeros(3))
+    elif content == "empty":
+        ckpt.write_bytes(b"")
     else:
         np.savez(ckpt, kind="box", ids=np.array(["g000"]))
     code = main(["eval", "--checkpoint", str(ckpt), "--pairs", str(dataset / "pairs.csv")])
     assert code == 3
     err = capsys.readouterr().err
     assert "ckpt.npz" in err and err.count("\n") == 1
+    assert "allow_pickle" not in err
+    if content != "no-params":
+        assert "not an .npz archive" in err
 
 
 def run_with_g001_depth(command, keep, dataset, run_dir, tmp_path, capsys):

@@ -268,6 +268,27 @@ def zero_score_candidate_gallery(rng):
     return index, [q]
 
 
+def negative_zero_fill_gallery(rng):
+    # b00 lies strictly apart from every query in the first key dimension, so
+    # it is no candidate, and touches each at -0.0 in the one other dimension:
+    # the exhaustive scan scores it -0.0, and a hard top k must fill it so.
+    n, dim = 40, 4
+    lowers, uppers = random_table(rng, n, dim).bounds()
+    lowers[:, 3], uppers[:, 3] = rng.uniform(-0.2, 0.0, n), rng.uniform(0.0, 0.2, n)
+    lowers[0, [0, 3]], uppers[0, [0, 3]] = [100.0, -1.0], [101.0, -0.0]
+    index = BoxIndex([f"b{i:02d}" for i in range(n)], lowers, uppers)
+    assert index.key_dims[0] == 0 and 3 not in index.key_dims
+    queries = []
+    for _ in range(10):
+        q = random_query(rng, dim)
+        queries.append(box(np.r_[q.lower[:3], 0.0], np.r_[q.upper[:3], 1.0]))
+    for q in queries:
+        assert 0 not in index._candidates(q)
+        b00 = [r for r in index.query_topk_exhaustive(q, 10) if r.id == "b00"]
+        assert [bits(r) for r in b00] == [("-0.0",) * 3]
+    return index, queries
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
 @pytest.mark.parametrize("gallery, k", [
     (random_gallery, 10),
@@ -287,11 +308,12 @@ def zero_score_candidate_gallery(rng):
     (sparse_positive_gallery, 501),
     (zero_score_candidate_gallery, 2),
     (zero_score_candidate_gallery, 3),
+    (negative_zero_fill_gallery, 10),
 ], ids=["random", "overlapping", "d1", "d2", "off-key-disjoint", "quantised",
         "quantised-k-n-minus-1", "quantised-k-n", "quantised-k-n-plus-1", "far", "infinite",
         "sparse-positive", "sparse-positive-k-n-minus-1", "sparse-positive-k-n",
         "sparse-positive-k-n-plus-1", "zero-score-candidates-k-n-minus-1",
-        "zero-score-candidates"])
+        "zero-score-candidates", "negative-zero-fill"])
 def test_index_equals_exhaustive_scan(gallery, k, rho):
     index, queries = gallery(np.random.default_rng(42))
     cfg = SmoothingConfig(rho)
@@ -350,7 +372,9 @@ def test_hard_scores_are_never_nan_property(data):
 
 def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
     # On a sparse gallery a hard top k costs what its candidates cost: it
-    # scores only them and never ranks a gallery-long array.
+    # scores only those that meet the query in every dimension (all of them,
+    # when few), and the first k rows a fill can take, and never ranks a
+    # gallery-long array.
     rng = np.random.default_rng(47)
     table = random_table(rng, 500, 32)
     index = BoxIndex.build(table)
@@ -374,7 +398,11 @@ def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
         scored.clear()
         ranked.clear()
         assert index.query_topk(q, 10, HARD) == index.query_topk_exhaustive(q, 10, HARD)
-        assert scored[0] == len(cand) and scored[1] == len(index)  # then the oracle
+        met = [r for r in cand
+               if ((index.lowers[r] <= q.upper) & (index.uppers[r] >= q.lower)).all()]
+        tested = len(cand) >= retrieval._MEET_TEST_MIN_CANDIDATES
+        want = len(set(met if tested else cand.tolist()) | set(range(10)))
+        assert scored[0] == want and scored[1] == len(index)  # then the oracle
         assert len(index) not in ranked
     assert partial == 50
 
@@ -394,25 +422,32 @@ def test_dimension_major_scan_equals_row_major_scores(gallery, rho):
             assert np.array_equal(scan, exact)
 
 
-corner = st.integers(-2, 1)
+corner = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_index_equals_exhaustive_scan_property(data):
-    # Small integer galleries, zero-width boxes included, tie often.
+    # Small integer galleries, zero-width boxes and both signed zeros
+    # included, tie often; a box touching the query at -0.0 scores -0.0.
     n = data.draw(st.integers(1, 30))
     dim = data.draw(st.integers(1, 4))
     rows = st.lists(corner, min_size=dim, max_size=dim)
-    lowers = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), float)
-    widths = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, 2), min_size=dim, max_size=dim), min_size=n, max_size=n)))
-    index = BoxIndex([f"b{i:02d}" for i in range(n)], lowers, lowers + widths)
-    q_lo = np.array(data.draw(rows), float)
+    a, b = (np.array(data.draw(st.lists(rows, min_size=n, max_size=n))) for _ in range(2))
+    # Not np.minimum, which may pick either zero of a pair; lower <= upper either way.
+    index = BoxIndex([f"b{i:02d}" for i in range(n)], np.where(a <= b, a, b),
+                     np.where(a <= b, b, a))
+    q_lo = np.array(data.draw(rows))
     q = box(q_lo, q_lo + data.draw(st.integers(1, 2)))
     k = data.draw(st.integers(1, n + 1))
     cfg = SmoothingConfig(data.draw(st.sampled_from([0.0, 0.5, 5.0])))
-    assert index.query_topk(q, k, cfg) == index.query_topk_exhaustive(q, k, cfg)
+    # So few candidates reach the every-dimension test only when it takes any.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "_MEET_TEST_MIN_CANDIDATES", data.draw(st.sampled_from([0, 32])))
+        via_index = index.query_topk(q, k, cfg)
+    via_scan = index.query_topk_exhaustive(q, k, cfg)
+    assert via_index == via_scan
+    assert [bits(r) for r in via_index] == [bits(r) for r in via_scan]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
