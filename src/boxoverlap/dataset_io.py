@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, CameraView, OverlapRecord, Pose, normal_support
+from .geometry import CameraIntrinsics, CameraView, OverlapRecord, Pose
 
 DEPTH_MAGIC = b"DPTH"
 
@@ -131,7 +131,7 @@ def _read_view(dataset_dir, entry) -> CameraView:
     depth_path = dataset_dir / entry["depth_file"]
     view = CameraView(entry["id"], intrinsics, pose, read_depth(depth_path))
     # The normal fit keeps only these pixels: a view without one has no surfel.
-    if not normal_support(view.valid_mask)[1].any():
+    if not view.surfel_mask.any():
         raise ValueError(
             f"no valid depth with 3 valid neighbours in its 3x3 window in {depth_path}")
     return view

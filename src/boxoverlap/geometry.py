@@ -68,6 +68,9 @@ class CameraView:
     pose: Pose
     depth: np.ndarray
     valid_mask: np.ndarray = field(init=False)
+    # The valid pixels whose 3x3 window, their own included, holds the 4
+    # valid points a normal fit needs: the pixels that become surfels.
+    surfel_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         depth = np.asarray(self.depth, dtype=np.float64)
@@ -76,6 +79,9 @@ class CameraView:
             raise ValueError("depth dims must match intrinsics")
         self.valid_mask = np.isfinite(depth) & (depth > 0)
         self.depth = np.where(self.valid_mask, depth, np.nan)
+        padded = np.zeros((h + 2, w + 2))
+        padded[1:-1, 1:-1] = self.valid_mask
+        self.surfel_mask = self.valid_mask & (_window_sum(padded, h, w) >= 4)
 
     @property
     def n_valid(self) -> int:
@@ -124,12 +130,10 @@ class NSOConfig:
             raise ValueError("n_sub must be >= 1")
 
 
-def _camera_points(view: CameraView, rows=None, cols=None) -> np.ndarray:
+def _camera_points(view: CameraView, rows, cols) -> np.ndarray:
     """Camera-frame points of the pixels at (rows, cols), index arrays that
-    broadcast, or of every pixel by default (invalid pixels -> NaN)."""
+    broadcast (invalid pixels -> NaN)."""
     intr = view.intrinsics
-    if rows is None:
-        rows, cols = np.ogrid[:intr.height, :intr.width]
     z = view.depth[rows, cols]
     x = (cols - intr.cx) / intr.fx * z
     y = (rows - intr.cy) / intr.fy * z
@@ -146,17 +150,6 @@ def _window_sum(padded: np.ndarray, h: int, w: int) -> np.ndarray:
     return out
 
 
-def normal_support(mask: np.ndarray):
-    """(count, fits): the valid pixels in each pixel's 3x3 window, its own
-    included, and the valid pixels whose window holds the 4 points a normal
-    fit needs."""
-    h, w = mask.shape
-    padded = np.zeros((h + 2, w + 2))
-    padded[1:-1, 1:-1] = mask
-    count = _window_sum(padded, h, w)
-    return count, mask & (count >= 4)
-
-
 # A point's first moments x, y, z are followed by its distinct second
 # moments xx xy xz yy yz zz (the coordinate pairs _FIRST, _SECOND), which
 # _MIRROR places in the 3x3 outer product.
@@ -164,60 +157,61 @@ _FIRST, _SECOND = np.triu_indices(3)
 _MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _fit_normals(pts: np.ndarray, mask: np.ndarray, count: np.ndarray,
-                 fit: np.ndarray) -> np.ndarray:
-    """Camera-frame unit normals of the pixels `fit` selects, in row-major order.
+def _fit_normals(view: CameraView, fit: np.ndarray) -> np.ndarray:
+    """World-frame unit normals of the pixels `fit` selects, in row-major order.
 
     Each is the smallest eigenvector of the covariance of the valid points
     in the pixel's 3x3 window, a total-least-squares plane fit, oriented
-    toward the camera center. `count` is `normal_support(mask)`'s, and every
-    pixel of `fit` must be one it says fits. Windows are summed only over
-    the bounding box of `fit`, and each sum adds the same terms in the same
-    order wherever the box lies, so a pixel's normal does not depend on
-    which other pixels `fit` selects.
+    toward the camera center. Every pixel of `fit` must be in the view's
+    `surfel_mask`. Points and windows are computed only over the bounding
+    box of `fit`, and each sum adds the same terms in the same order
+    wherever the box lies, so a pixel's normal does not depend on which
+    other pixels `fit` selects.
     """
     rows, cols = np.flatnonzero(fit.any(axis=1)), np.flatnonzero(fit.any(axis=0))
     top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     # The box's windows read one pixel around it, zero outside the image.
-    ring = np.s_[max(top - 1, 0):bottom + 1, max(left - 1, 0):right + 1]
-    p = np.where(mask[ring][..., None], pts[ring], 0.0)
+    h, w = fit.shape
+    ring = np.s_[max(top - 1, 0):min(bottom + 1, h), max(left - 1, 0):min(right + 1, w)]
+    valid = view.valid_mask[ring]
+    pts = _camera_points(view, *np.ogrid[ring])
+    p = np.where(valid[..., None], pts, 0.0)
     # Row and column 0 of the moments are the image's top - 1 and left - 1.
-    moments = np.zeros((bottom - top + 2, right - left + 2, 9))
+    # Channel 9 counts the window's valid points: a sum of 0/1, so exact.
+    moments = np.zeros((bottom - top + 2, right - left + 2, 10))
     r0, c0 = int(top == 0), int(left == 0)
     inner = moments[r0:r0 + p.shape[0], c0:c0 + p.shape[1]]
     inner[..., :3] = p
-    np.multiply(p[..., _FIRST], p[..., _SECOND], out=inner[..., 3:])
+    np.multiply(p[..., _FIRST], p[..., _SECOND], out=inner[..., 3:9])
+    inner[..., 9] = valid
     box = fit[top:bottom, left:right]
     sums = _window_sum(moments, *box.shape)[box]
-    n_points = count[fit]
+    n_points = sums[:, 9]
     mean = sums[:, :3] / n_points[:, None]
-    cov = (sums[:, 3:][:, _MIRROR] / n_points[:, None, None]
+    cov = (sums[:, 3:9][:, _MIRROR] / n_points[:, None, None]
            - mean[:, :, None] * mean[:, None, :])
     normal = np.linalg.eigh(cov)[1][:, :, 0]
     # Orient toward the camera center (origin of the camera frame).
-    normal[np.einsum("ij,ij->i", normal, pts[fit]) > 0] *= -1.0
-    return normal
+    normal[np.einsum("ij,ij->i", normal, pts[fit[ring]]) > 0] *= -1.0
+    return normal @ view.pose.rotation.T
 
 
-def _kept_surfels(view: CameraView):
-    """(count, keep, cloud): `normal_support(view.valid_mask)` and the cloud
-    of its kept pixels' world points in row-major order, every normal NaN;
-    raises when no pixel is kept."""
-    count, keep = normal_support(view.valid_mask)
-    if not keep.any():
-        raise ValueError(f"no valid depth in view {view.id!r}")
-    points = (_camera_points(view, *np.nonzero(keep)) @ view.pose.rotation.T
+def _kept_surfels(view: CameraView) -> SurfelCloud:
+    """The cloud of the view's `surfel_mask` pixels' world points in
+    row-major order, every normal NaN; raises when it has none."""
+    if not view.surfel_mask.any():
+        raise ValueError(f"no valid depth with 3 valid neighbours in its 3x3 window "
+                         f"in view {view.id!r}")
+    points = (_camera_points(view, *np.nonzero(view.surfel_mask)) @ view.pose.rotation.T
               + view.pose.translation)
-    return count, keep, SurfelCloud(points, np.full(points.shape, np.nan))
+    return SurfelCloud(points, np.full(points.shape, np.nan))
 
 
-def _fit_reached(view: CameraView, keep: np.ndarray, cloud: SurfelCloud, near,
-                 radius: float) -> None:
-    """Fit in place the normals of the cloud `_kept_surfels(view)` gives with
-    `keep`, for its points `_near` one of the view bounds in `near` within
-    radius: no pair reads the normal of a point near no live partner of its
-    view, and those stay NaN. A fitted normal has the bits `backproject`
-    gives it."""
+def _fit_reached(view: CameraView, cloud: SurfelCloud, near, radius: float) -> None:
+    """Fit in place the normals of the cloud `_kept_surfels(view)` gives, for
+    its points `_near` one of the view bounds in `near` within radius: no
+    pair reads the normal of a point near no live partner of its view, and
+    those stay NaN. A fitted normal has the bits `backproject` gives it."""
     todo = np.arange(len(cloud))
     for bounds in near:
         rest = cloud.points[todo]
@@ -227,18 +221,14 @@ def _fit_reached(view: CameraView, keep: np.ndarray, cloud: SurfelCloud, near,
     reached = np.ones(len(cloud), dtype=bool)
     reached[todo] = False
     if reached.any():
-        fit = np.zeros_like(keep)
-        fit[keep] = reached
-        count = normal_support(view.valid_mask)[0]
-        cloud.normals[reached] = (_fit_normals(_camera_points(view), view.valid_mask,
-                                               count, fit) @ view.pose.rotation.T)
+        fit = np.zeros_like(view.surfel_mask)
+        fit[view.surfel_mask] = reached
+        cloud.normals[reached] = _fit_normals(view, fit)
 
 
 def backproject(view: CameraView) -> SurfelCloud:
-    """One world-space surfel per valid pixel with a well-determined normal."""
-    count, keep, cloud = _kept_surfels(view)
-    normals = _fit_normals(_camera_points(view), view.valid_mask, count, keep)
-    return SurfelCloud(cloud.points, normals @ view.pose.rotation.T)
+    """One world-space surfel, normal fitted, per pixel of the view's `surfel_mask`."""
+    return SurfelCloud(_kept_surfels(view).points, _fit_normals(view, view.surfel_mask))
 
 
 def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
@@ -489,16 +479,14 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     workers. The result does not depend on the route or on `threads`. With
     oracle=True every pair, culled ones included, is recomputed brute-force
     from full `backproject` clouds and must match exactly, else
-    OracleMismatchError.
+    OracleMismatchError; it backprojects the two views of each pair afresh,
+    so it holds at most two full clouds at a time.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     by_id = {view.id: view for view in views}
     named = dict.fromkeys(img_id for pair in pairs for img_id in pair)
-    # Each view keeps its bool keep mask, not its float support count, until
-    # its normals are fitted; the count is made again for a fitted view.
-    kept = {img_id: _kept_surfels(by_id[img_id])[1:] for img_id in named}
-    clouds = {img_id: cloud for img_id, (_, cloud) in kept.items()}
+    clouds = {img_id: _kept_surfels(by_id[img_id]) for img_id in named}
     bounds = {img_id: _bounds(cloud) for img_id, cloud in clouds.items()}
     live = _cull(pairs, bounds, cfg.radius)
     partners = {img_id: [] for img_id in clouds}
@@ -509,11 +497,9 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     if cfg.weighted:
         for img_id, partner_bounds in partners.items():
             if partner_bounds:
-                _fit_reached(by_id[img_id], *kept[img_id], partner_bounds, cfg.radius)
-    del kept
+                _fit_reached(by_id[img_id], clouds[img_id], partner_bounds, cfg.radius)
     indexed = {img_id: _index_cloud(clouds[img_id], cfg)
                for img_id, partner_bounds in partners.items() if partner_bounds}
-    full = {}  # oracle only: view id -> backproject(view)
     records = []
     for (id_x, id_y), searched in zip(pairs, live):
         if searched:
@@ -521,10 +507,8 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
         else:
             rec = OverlapRecord(id_x, id_y, 0.0, 0.0)
         if oracle:
-            for img_id in (id_x, id_y):
-                if img_id not in full:
-                    full[img_id] = backproject(by_id[img_id])
-            ref = nso_from_clouds(full[id_x], full[id_y], id_x, id_y, cfg, brute_force=True)
+            ref = nso_from_clouds(backproject(by_id[id_x]), backproject(by_id[id_y]),
+                                  id_x, id_y, cfg, brute_force=True)
             if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):
                 raise OracleMismatchError(
                     f"accelerated overlap diverges from brute force on "

@@ -118,8 +118,11 @@ def _top(score, k):
 # about 4-7 us of fixed numpy overhead. Per hard top-10 on random D=32
 # galleries of 96 to 5000 boxes (best of 9 per query, 2-core Xeon), it took
 # 59 us with the test and 59 us without at 16-31 candidates, 66 against
-# 68 us at 32-63 and 89 against 110 us at 128-255. At n=96 a query has
-# about 5 candidates, where the test would cost it 53 -> 57 us.
+# 68 us at 32-63 and 89 against 110 us at 128-255. A random gallery of
+# n=96 gives a query about 5 candidates, where the test would cost it
+# 53 -> 57 us. The trained tables of the survey scene and the sparse grid
+# (seed 7) give every query the whole gallery, 96 of 96 and 64 of 64
+# candidates, which query_topk scores without the candidate path.
 _MEET_TEST_MIN_CANDIDATES = 32
 
 
@@ -238,6 +241,10 @@ class BoxIndex:
         if not cfg.hard:
             return self._ranked(*self._scan_scores(q, cfg, vol_q), k)
         cand = self._candidates(q)
+        # Every query of the trained survey and sparse-grid tables lands
+        # here. Sending them through _ranked_candidates instead took a hard
+        # top-10 from 83-103 to 142-147 us (survey) and 64-77 to 86-98 us
+        # (sparse grid; seed 7, best of 7, 2-core Xeon).
         if len(cand) == len(self.ids):
             return self._ranked(*self._exact_scores(q, cfg, vol_q), k)
         return self._ranked_candidates(q, vol_q, cand, k)

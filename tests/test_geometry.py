@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -165,10 +166,94 @@ def test_backproject_no_valid_depth():
         backproject(view)
 
 
+def test_no_surfel_error_names_the_rule():
+    # In a two-row checkerboard each valid pixel's 3x3 window holds itself
+    # and at most two valid diagonal neighbours: valid depth, but no surfel.
+    depth = np.where(np.indices((2, 6)).sum(axis=0) % 2 == 0, 1.0, np.nan)
+    view = CameraView("v", CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 6, 2), IDENTITY, depth)
+    assert view.valid_mask.any() and not view.surfel_mask.any()
+    rule = "no valid depth with 3 valid neighbours in its 3x3 window in view 'v'"
+    with pytest.raises(ValueError, match=rule):
+        backproject(view)
+    with pytest.raises(ValueError, match=rule):
+        geometry.pairs_nso([view, flat_view("w")], [("v", "w")], NSOConfig())
+
+
+def brute_surfel_mask(valid):
+    """Valid pixels with at least 4 valid pixels in their 3x3 window, counted
+    one pixel at a time over the part of the window inside the image."""
+    h, w = valid.shape
+    mask = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            window = valid[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2]
+            mask[r, c] = valid[r, c] and int(window.sum()) >= 4
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (6, 11), (13, 5)])
+def test_surfel_mask_is_a_brute_force_3x3_count(shape):
+    # Random holes (NaN, zero, negative and infinite depth) at every density,
+    # so windows on all four borders and corners, and 1xN images, whose
+    # windows hold at most 3 pixels, are all counted.
+    rng = np.random.default_rng(sum(shape))
+    h, w = shape
+    intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, w, h)
+    for density in (0.2, 0.5, 0.7, 0.9, 1.0):
+        depth = rng.uniform(0.5, 2.0, size=shape)
+        holes = rng.random(shape) >= density
+        depth[holes] = rng.choice([np.nan, 0.0, -1.0, np.inf], size=holes.sum())
+        view = CameraView("v", intr, IDENTITY, depth)
+        assert view.surfel_mask.dtype == bool
+        assert np.array_equal(view.surfel_mask, brute_surfel_mask(view.valid_mask))
+        assert np.array_equal(view.valid_mask, ~holes)
+
+
+def test_rendered_and_read_views_carry_the_surfel_mask(tmp_path):
+    rendered = grid_views(2, seed=4, spacing=1.0)
+    rng = np.random.default_rng(4)
+    holed = []
+    for view in rendered:
+        depth = view.depth.copy()
+        depth[rng.random(depth.shape) < 0.4] = np.nan
+        holed.append(CameraView(view.id, view.intrinsics, view.pose, depth))
+    dataset_io.write_scene(tmp_path, holed)
+    for view in rendered + dataset_io.read_scene(tmp_path):
+        want = brute_surfel_mask(view.valid_mask)
+        assert want.any()
+        assert np.array_equal(view.surfel_mask, want)
+
+
 def test_plane_normals():
     # Fronto-parallel plane at z=2: every normal faces back at the camera.
     cloud = backproject(flat_view(depth_value=2.0, size=7))
     assert np.allclose(cloud.normals, [0.0, 0.0, -1.0], atol=1e-6)
+
+
+def test_normals_near_holes_are_window_plane_fits():
+    # Each normal is the smallest eigenvector of the covariance of its 3x3
+    # window's valid points, fitted here one pixel at a time, so a window
+    # whose valid points are miscounted beside a hole shows.
+    view = grid_views(2, seed=4, spacing=1.0)[1]
+    depth = view.depth.copy()
+    depth[np.random.default_rng(5).random(depth.shape) < 0.4] = np.nan
+    view = CameraView(view.id, view.intrinsics, view.pose, depth)
+    intr = view.intrinsics
+    h, w = view.depth.shape
+    want = []
+    for r, c in zip(*np.nonzero(view.surfel_mask)):
+        rows, cols = np.mgrid[max(r - 1, 0):min(r + 2, h), max(c - 1, 0):min(c + 2, w)]
+        valid = view.valid_mask[rows, cols]
+        rows, cols = rows[valid], cols[valid]
+        z = view.depth[rows, cols]
+        pts = np.stack([(cols - intr.cx) / intr.fx * z, (rows - intr.cy) / intr.fy * z, z],
+                       axis=1)
+        normal = np.linalg.eigh(np.cov(pts.T, bias=True))[1][:, 0]
+        own = pts[(rows == r) & (cols == c)][0]
+        want.append(-normal if normal @ own > 0 else normal)
+    assert 0 < len(want) < view.n_valid
+    got = backproject(view).normals
+    assert np.allclose(got, np.array(want) @ view.pose.rotation.T, atol=1e-6)
 
 
 def test_sphere_normals_match_analytic():
@@ -237,10 +322,9 @@ def test_fitted_normals_are_backprojects_bit_for_bit(case):
         depth[30] = np.nan
         depth[::7, ::5] = np.nan
         view = CameraView(view.id, view.intrinsics, view.pose, depth)
-    count, keep = geometry.normal_support(view.valid_mask)
+    keep = view.surfel_mask
     fit = fit_mask(keep, case)
-    normals = geometry._fit_normals(geometry._camera_points(view), view.valid_mask,
-                                    count, fit) @ view.pose.rotation.T
+    normals = geometry._fit_normals(view, fit)
     assert normals.shape == (fit.sum(), 3)
     assert normals.tobytes() == backproject(view).normals[fit[keep]].tobytes()
 
@@ -509,6 +593,30 @@ def test_oracle_checks_culled_pairs(monkeypatch):
         all_pairs_nso(views, NSOConfig(seed=3, n_sub=300), oracle=True)
 
 
+def test_oracle_holds_at_most_two_full_clouds(monkeypatch):
+    # The oracle backprojects each checked pair's two views afresh, so its
+    # memory does not grow with the number of views.
+    views = grid_views(2, seed=3, spacing=1.0)
+    built, alive = [], []
+    real_backproject, real_nso = geometry.backproject, geometry.nso_from_clouds
+
+    def spy_backproject(view):
+        cloud = real_backproject(view)
+        built.append(weakref.ref(cloud))
+        return cloud
+
+    def spy_nso(*args, brute_force=False, **kwargs):
+        if brute_force:
+            alive.append(sum(ref() is not None for ref in built))
+        return real_nso(*args, brute_force=brute_force, **kwargs)
+
+    monkeypatch.setattr(geometry, "backproject", spy_backproject)
+    monkeypatch.setattr(geometry, "nso_from_clouds", spy_nso)
+    records = all_pairs_nso(views, NSOConfig(seed=3, n_sub=300), oracle=True)
+    assert len(alive) == len(records) == 6
+    assert max(alive) == 2
+
+
 def spy_eigh(monkeypatch):
     """The number of matrices of each np.linalg.eigh call, one normal fit each."""
     sizes = []
@@ -542,13 +650,13 @@ def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
     seen = {}  # view id -> [live partners, the cloud its pairs read]
 
     def spy_kept(view):
-        count, keep, cloud = kept_surfels(view)
+        cloud = kept_surfels(view)
         seen[view.id] = [0, cloud]
-        return count, keep, cloud
+        return cloud
 
-    def spy_fit(view, keep, cloud, near, radius):
+    def spy_fit(view, cloud, near, radius):
         seen[view.id][0] = len(near)
-        fit_reached(view, keep, cloud, near, radius)
+        fit_reached(view, cloud, near, radius)
 
     monkeypatch.setattr(geometry, "_kept_surfels", spy_kept)
     monkeypatch.setattr(geometry, "_fit_reached", spy_fit)
@@ -582,9 +690,9 @@ def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
         events.append(("surfels", view.id, 0))
         return kept_surfels(view)
 
-    def spy_fit(view, keep, cloud, near, radius):
+    def spy_fit(view, cloud, near, radius):
         events.append(("surfels", view.id, len(near)))
-        fit_reached(view, keep, cloud, near, radius)
+        fit_reached(view, cloud, near, radius)
 
     def spy_index(cloud, cfg):
         events.append(("index", next(img_id for img_id, full in clouds.items()
