@@ -479,8 +479,8 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     workers. The result does not depend on the route or on `threads`. With
     oracle=True every pair, culled ones included, is recomputed brute-force
     from full `backproject` clouds and must match exactly, else
-    OracleMismatchError; it backprojects the two views of each pair afresh,
-    so it holds at most two full clouds at a time.
+    OracleMismatchError; it keeps a first view's cloud while its pairs run and
+    backprojects each second view afresh, so it holds at most two at a time.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -500,14 +500,16 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
                 _fit_reached(by_id[img_id], clouds[img_id], partner_bounds, cfg.radius)
     indexed = {img_id: _index_cloud(clouds[img_id], cfg)
                for img_id, partner_bounds in partners.items() if partner_bounds}
-    records = []
+    records, first = [], (None, None)  # the oracle's first view: (id, full cloud)
     for (id_x, id_y), searched in zip(pairs, live):
         if searched:
             rec = _pair_nso(indexed[id_x], indexed[id_y], id_x, id_y, cfg, threads)
         else:
             rec = OverlapRecord(id_x, id_y, 0.0, 0.0)
         if oracle:
-            ref = nso_from_clouds(backproject(by_id[id_x]), backproject(by_id[id_y]),
+            if first[0] != id_x:
+                first = id_x, backproject(by_id[id_x])
+            ref = nso_from_clouds(first[1], backproject(by_id[id_y]),
                                   id_x, id_y, cfg, brute_force=True)
             if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):
                 raise OracleMismatchError(

@@ -5,12 +5,11 @@ dimensions, tested in one vectorised pass over the gallery, then only the
 candidates that meet it in every dimension, and score those exactly, with
 the first k rows. Every other box scores 0, so a hard top k ranks the rows
 scoring above 0 and fills the places left with the lowest other ids, in
-ascending order: past the key-dimension test its work follows the
-candidates, not the gallery. Smoothed-overlap queries score the whole
-gallery against its box volumes, computed once per index and smoothing.
-The whole-gallery scan reads dimension-major (D, n) copies of the bounds,
-so its product over dimensions runs over contiguous rows of n boxes, in
-the same order and with the same bits as the row-major exact scores.
+ascending order: past these tests its work follows the candidates, not the
+gallery. A hard query that keeps every row, and every smoothed one, scans
+the whole gallery against its volumes, stored once per smoothing. The scan
+reads dimension-major (D, n) copies of the bounds, so its product over
+dimensions runs over contiguous rows of n boxes, with the row-major bits.
 The top k are selected without sorting the whole gallery, so results are
 always identical to a full scan.
 """
@@ -80,9 +79,12 @@ def estimate_scale(nbo_qr: float, nbo_rq: float, n_q: int, n_r: int) -> float:
     return math.sqrt((n_r / n_q) * (nbo_rq / nbo_qr))
 
 
-def _directed(inter, vol_q, vol_r):
-    """(enclosure, concentration): the intersection over each box's volume."""
-    concentration = np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
+def _directed(inter, vol_q, vol_r, masked=True):
+    """(enclosure, concentration): the intersection over each box's volume, the
+    concentration +0.0 against a volume that is not positive (0, or NaN from
+    inf * 0). masked=False, for volumes known positive, skips that mask."""
+    concentration = (np.where(vol_r > 0, inter / np.where(vol_r > 0, vol_r, 1.0), 0.0)
+                     if masked else inter / vol_r)
     return inter / vol_q, concentration
 
 
@@ -122,7 +124,7 @@ def _top(score, k):
 # n=96 gives a query about 5 candidates, where the test would cost it
 # 53 -> 57 us. The trained tables of the survey scene and the sparse grid
 # (seed 7) give every query the whole gallery, 96 of 96 and 64 of 64
-# candidates, which query_topk scores without the candidate path.
+# candidates, which query_topk scores by the whole-gallery scan instead.
 _MEET_TEST_MIN_CANDIDATES = 32
 
 
@@ -140,10 +142,11 @@ class BoxIndex:
     scored exactly in full dimension, and every other row scores 0. A hard
     top k ranks the rows scoring above 0 and fills the places left with the
     lowest other ids, so its cost follows the candidates, not the gallery.
-    A query that keeps the whole gallery is scored and ranked whole.
-    Full-gallery scans read dimension-major copies of the bounds and reuse
-    the gallery's box volumes, kept per smoothing; the bounds are read-only,
-    so the kept volumes cannot go stale. Ids must be unique.
+    A hard query that keeps the whole gallery, and every smoothed query, is
+    scored whole by one scan over dimension-major copies of the bounds and
+    the gallery's volumes, stored per smoothing on first use with whether all
+    are positive, so the scan divides by them directly; the bounds are
+    read-only, so the stored volumes cannot go stale. Ids must be unique.
     """
 
     def __init__(self, ids, lowers, uppers):
@@ -169,7 +172,7 @@ class BoxIndex:
         self._uppers_t = np.ascontiguousarray(self.uppers.T)
         for bounds in (self.lowers, self.uppers, self._lowers_t, self._uppers_t):
             bounds.setflags(write=False)
-        self._volumes = {}  # SmoothingConfig -> (n,) gallery box volumes
+        self._volumes = {}  # SmoothingConfig -> ((n,) volumes, whether any is not > 0)
         if len(self.ids) == 0:
             self.key_dims = np.arange(0)
             return
@@ -207,14 +210,14 @@ class BoxIndex:
                          boxes.volumes(lowers, uppers, cfg))
 
     def _scan_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q):
-        """_exact_scores of the whole gallery, with its volumes computed once per cfg."""
-        vol_r = self._volumes.get(cfg)
-        if vol_r is None:
-            vol_r = self._volumes[cfg] = boxes.volumes(self._lowers_t, self._uppers_t,
-                                                       cfg, axis=0)
+        """_exact_scores of the whole gallery, its volumes computed once per cfg."""
+        volumes = self._volumes.get(cfg)
+        if volumes is None:
+            vol_r = boxes.volumes(self._lowers_t, self._uppers_t, cfg, axis=0)
+            volumes = self._volumes[cfg] = vol_r, not (vol_r > 0).all()
         inter = boxes.intersection(q.lower[:, None], q.upper[:, None],
                                    self._lowers_t, self._uppers_t, cfg, axis=0)
-        return _directed(inter, vol_q, vol_r)
+        return _directed(inter, vol_q, *volumes)
 
     def _check_query(self, q: BoxEmbedding, k: int, cfg: SmoothingConfig):
         """The query box's volume under cfg, checked even if no box is scored;
@@ -238,19 +241,14 @@ class BoxIndex:
         vol_q = self._check_query(q, k, cfg)
         if vol_q is None:
             return []
-        if not cfg.hard:
-            return self._ranked(*self._scan_scores(q, cfg, vol_q), k)
-        cand = self._candidates(q)
-        # Every query of the trained survey and sparse-grid tables lands
-        # here. Sending them through _ranked_candidates instead took a hard
-        # top-10 from 83-103 to 142-147 us (survey) and 64-77 to 86-98 us
-        # (sparse grid; seed 7, best of 7, 2-core Xeon).
-        if len(cand) == len(self.ids):
-            return self._ranked(*self._exact_scores(q, cfg, vol_q), k)
-        return self._ranked_candidates(q, vol_q, cand, k)
-
-    def _ranked(self, enclosure, concentration, k):
-        """Top k of every row's scores."""
+        if cfg.hard:
+            cand = self._candidates(q)
+            if len(cand) < len(self.ids):
+                return self._ranked_candidates(q, vol_q, cand, k)
+        # The trained survey and sparse-grid tables send every hard query here:
+        # a survey hard request (top-10, labels) took 110 us with fresh volumes
+        # and takes 85 us (seed 7, 2-core Xeon); _ranked_candidates is slower.
+        enclosure, concentration = self._scan_scores(q, cfg, vol_q)
         score = 0.5 * (enclosure + concentration)
         order = _top(score, k)
         return self._results(order.tolist(), enclosure[order], concentration[order],

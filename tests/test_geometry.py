@@ -617,6 +617,29 @@ def test_oracle_holds_at_most_two_full_clouds(monkeypatch):
     assert max(alive) == 2
 
 
+def test_oracle_backprojects_each_first_view_once(monkeypatch):
+    # all_pairs_nso lists the pairs grouped by first view, and the oracle keeps
+    # that view's cloud while its pairs run: on 4 views it backprojects 3 first
+    # views and 6 second ones, where backprojecting both views of every pair
+    # took 12. The records are those of a run without the oracle.
+    views = grid_views(2, seed=3, spacing=1.0)
+    cfg = NSOConfig(seed=3, n_sub=300)
+    plain = all_pairs_nso(views, cfg)
+    built = []
+    real_backproject = geometry.backproject
+
+    def spy_backproject(view):
+        built.append(view.id)
+        return real_backproject(view)
+
+    monkeypatch.setattr(geometry, "backproject", spy_backproject)
+    assert all_pairs_nso(views, cfg, oracle=True) == plain
+    ids = [view.id for view in views]
+    assert built == [img_id for i, first in enumerate(ids[:-1])
+                     for img_id in [first, *ids[i + 1:]]]
+    assert len(built) == 9
+
+
 def spy_eigh(monkeypatch):
     """The number of matrices of each np.linalg.eigh call, one normal fit each."""
     sizes = []

@@ -407,7 +407,7 @@ def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
     assert partial == 50
 
 
-@pytest.mark.parametrize("rho", [0.5, 5.0])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
 @pytest.mark.parametrize("gallery", [random_gallery, quantised_gallery,
                                      off_key_disjoint_gallery, infinite_gallery],
                          ids=["random", "quantised", "off-key-disjoint", "infinite"])
@@ -583,15 +583,42 @@ def test_gallery_volumes_computed_once_per_smoothing(monkeypatch):
     monkeypatch.setattr(boxes, "volumes", spy)
     # The second query meets every box, so the key-dimension test keeps all rows.
     queries = [random_query(rng, 6), box([-1e3] * 6, [1e3] * 6)]
+    assert len(indexes[0]._candidates(queries[0])) < len(table.ids)
     assert len(indexes[0]._candidates(queries[1])) == len(table.ids)
     for index in indexes:
         for q in queries:
-            for rho in (5.0, 5.0, 0.5, 0.0, 5.0, 0.5):
+            for rho in (5.0, 5.0, 0.5, 0.0, 5.0, 0.5, 0.0):
                 index.query_topk(q, 10, SmoothingConfig(rho))
                 index.query_topk_exhaustive(q, 10, SmoothingConfig(rho))
-    # Hard top-k scores only the key-dimension candidates, with fresh volumes,
-    # also when every row is a candidate.
-    assert fills == [(0, 5.0), (0, 0.5), (1, 5.0), (1, 0.5)]
+    # A hard query that keeps only some rows scores its candidates with fresh
+    # volumes and fills nothing; the first one that keeps every row is scored
+    # by the whole-gallery scan, which fills the hard volumes once per index.
+    assert fills == [(0, 5.0), (0, 0.5), (0, 0.0), (1, 5.0), (1, 0.5), (1, 0.0)]
+
+
+def test_stored_volumes_score_as_the_exhaustive_scan():
+    # Every query keeps the whole gallery, so each is scored by the scan over
+    # stored volumes. Hard, "z" has zero width in dimension 1 and touches the
+    # queries at -0.0 in dimension 0, so its volume is 0 and its intersection
+    # -0.0: the masked rule gives it a concentration of +0.0, where dividing
+    # by 0 would give NaN and by inf -0.0. "w" has an infinite volume at
+    # every smoothing. Smoothed, every volume is positive.
+    index = BoxIndex(["a", "w", "z"],
+                     [[0.0, 0.0], [-np.inf, 0.5], [-1.0, 0.5]],
+                     [[1.0, 1.0], [0.5, np.inf], [-0.0, 0.5]])
+    queries = [box([0.0, 0.0], [1.0, 1.0]), box([0.0, 0.25], [2.0, 0.75])]
+    assert all(len(index._candidates(q)) == len(index) for q in queries)
+    for rho in (0.0, 0.5, 5.0, 0.0, 5.0, 0.5):
+        cfg = SmoothingConfig(rho)
+        for q in queries:
+            via_index = index.query_topk(q, 3, cfg)
+            via_scan = index.query_topk_exhaustive(q, 3, cfg)
+            assert [bits(r) for r in via_index] == [bits(r) for r in via_scan]
+            assert via_index == via_scan
+    assert {cfg.rho: masked for cfg, (_, masked) in index._volumes.items()} == {
+        0.0: True, 0.5: False, 5.0: False}
+    z = [r for r in index.query_topk(queries[0], 3) if r.id == "z"]
+    assert [bits(r) for r in z] == [("-0.0", "0.0", "0.0")]
 
 
 def test_index_bounds_read_only():
