@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
+import stat
 import sys
 import zipfile
 from pathlib import Path
@@ -68,6 +71,40 @@ def _check_ids(ids, known, path=None):
             raise UsageError(f"unknown image id{where}: {img_id}")
 
 
+def _os_error(cls, code: int, path) -> OSError:
+    return cls(code, os.strerror(code), str(path))
+
+
+def _check_file_output(path) -> None:
+    """Raise the OSError that opening `path` for writing would raise when its
+    directory is missing or not a directory, or it names a directory: a
+    command checks its output before its work, so it fails as it would
+    after it without doing that work."""
+    try:
+        mode = os.stat(os.path.dirname(path) or ".").st_mode
+    except OSError as exc:
+        raise _os_error(type(exc), exc.errno, path) from None
+    if not stat.S_ISDIR(mode):
+        raise _os_error(NotADirectoryError, errno.ENOTDIR, path)
+    if os.path.isdir(path):
+        raise _os_error(IsADirectoryError, errno.EISDIR, path)
+
+
+def _check_dir_output(path, names) -> None:
+    """Raise the OSError that making the directory `path` with its missing
+    parents, then writing the files `names` in it, would raise: where a file
+    is in the way, or one of the names is a directory."""
+    path = Path(path)
+    if not path.exists():
+        if not next(up for up in path.parents if up.exists()).is_dir():
+            raise _os_error(NotADirectoryError, errno.ENOTDIR, path)
+    elif not path.is_dir():
+        raise _os_error(FileExistsError, errno.EEXIST, path)
+    else:
+        for name in names:
+            _check_file_output(path / name)
+
+
 def cmd_synth(args) -> int:
     synth.generate_dataset(
         synth.default_surface(args.seed), args.pattern(args.seed), args.out, args.seed,
@@ -83,9 +120,11 @@ def cmd_nso(args) -> int:
         # One output row per pair: train rejects a pairs.csv that repeats one.
         wanted = dataset_io.read_id_pairs(args.pairs, distinct=True)
         _check_ids((i for pair in wanted for i in pair), {v.id for v in views}, args.pairs)
+        _check_file_output(args.output)
         records = pairs_nso(views, wanted, cfg, oracle=args.oracle,
                             threads=args.threads)
     else:
+        _check_file_output(args.output)
         records = all_pairs_nso(views, cfg, oracle=args.oracle,
                                 threads=args.threads)
     dataset_io.write_overlaps(args.output, records)
@@ -103,8 +142,10 @@ def cmd_train(args) -> int:
     records = dataset_io.read_overlaps(args.pairs)
     dataset = PairDataset(records)
     cfg = _train_config(args)
-    table, trace = train(dataset, cfg, kind=args.kind)
     out = Path(args.out)
+    _check_dir_output(out, ["checkpoint.npz"] + ["boxes.json"] * (args.kind == "box")
+                      + ["loss_trace.csv"])
+    table, trace = train(dataset, cfg, kind=args.kind)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", table, cfg, step=cfg.steps)
     if table.kind == "box":

@@ -198,37 +198,39 @@ def _fit_normals(view: CameraView, fit: np.ndarray) -> np.ndarray:
 
 def _kept_surfels(view: CameraView) -> SurfelCloud:
     """The cloud of the view's `surfel_mask` pixels' world points in
-    row-major order, every normal NaN; raises when it has none."""
+    row-major order, every normal NaN (one read-only value, no memory);
+    raises when it has none."""
     if not view.surfel_mask.any():
         raise ValueError(f"no valid depth with 3 valid neighbours in its 3x3 window "
                          f"in view {view.id!r}")
     points = (_camera_points(view, *np.nonzero(view.surfel_mask)) @ view.pose.rotation.T
               + view.pose.translation)
-    return SurfelCloud(points, np.full(points.shape, np.nan))
+    return SurfelCloud(points, np.broadcast_to(np.nan, points.shape))
 
 
-def _fit_reached(view: CameraView, cloud: SurfelCloud, near, radius: float) -> None:
-    """Fit in place the normals of the cloud `_kept_surfels(view)` gives, for
-    its points `_near` one of the view bounds in `near` within radius: no
-    pair reads the normal of a point near no live partner of its view, and
-    those stay NaN. A fitted normal has the bits `backproject` gives it."""
-    todo = np.arange(len(cloud))
+def _in_reach(points, near, radius: float) -> np.ndarray:
+    """Per point, whether it is `_near` one of the view bounds in `near`
+    within radius: only such a point of a view can match a point of a view
+    in `near`, or be matched by one."""
+    todo = np.arange(len(points))
     for bounds in near:
-        rest = cloud.points[todo]
+        rest = points[todo]
         todo = todo[~_near(rest, rest, bounds, radius)]
         if todo.size == 0:
             break
-    reached = np.ones(len(cloud), dtype=bool)
-    reached[todo] = False
-    if reached.any():
-        fit = np.zeros_like(view.surfel_mask)
-        fit[view.surfel_mask] = reached
-        cloud.normals[reached] = _fit_normals(view, fit)
+    reach = np.ones(len(points), dtype=bool)
+    reach[todo] = False
+    return reach
 
 
 def backproject(view: CameraView) -> SurfelCloud:
     """One world-space surfel, normal fitted, per pixel of the view's `surfel_mask`."""
     return SurfelCloud(_kept_surfels(view).points, _fit_normals(view, view.surfel_mask))
+
+
+def _subsample_rows(size: int, n: int, seed: int) -> np.ndarray:
+    """Sorted rows of a uniform subsample of n of `size` rows, without replacement."""
+    return np.sort(np.random.default_rng(seed).choice(size, size=n, replace=False))
 
 
 def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
@@ -237,8 +239,7 @@ def subsample(cloud: SurfelCloud, n: int, seed: int) -> SurfelCloud:
         raise ValueError("n must be >= 1")
     if n >= len(cloud):
         return cloud
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(cloud), size=n, replace=False))
+    idx = _subsample_rows(len(cloud), n, seed)
     return SurfelCloud(cloud.points[idx], cloud.normals[idx])
 
 
@@ -265,9 +266,13 @@ def _match_brute(src_points, dst_points, radius):
     return within, idx
 
 
-def _weighted_sum(src: SurfelCloud, dst: SurfelCloud, rows, nn, weighted: bool):
-    """Sum over src of the match weights, where src row rows[k] matched dst row nn[k]."""
-    w = np.zeros(len(src))
+def _weighted_sum(src, dst, rows, nn, weighted: bool, reach=None):
+    """Sum of the match weights from src into dst, where src row rows[k]
+    matched dst row nn[k]. Given `reach`, a mask over a set of points whose
+    points in reach src holds, each weight is first placed at its point's
+    position in a zero array over the set, so the sum adds the same terms in
+    the same order as over the whole set."""
+    w = np.zeros(len(src.points))
     if weighted:
         # Normalizing by sqrt(|n_i|^2 |n_j|^2) makes the cosine of a normal
         # with itself exactly 1.0, so self-overlap stays exact.
@@ -279,6 +284,9 @@ def _weighted_sum(src: SurfelCloud, dst: SurfelCloud, rows, nn, weighted: bool):
         w[rows] = np.clip(dot / np.sqrt(nrm_i * nrm_j), 0.0, 1.0)
     else:
         w[rows] = 1.0
+    if reach is not None:
+        w, in_reach = np.zeros(len(reach)), w
+        w[reach] = in_reach
     return float(np.sum(w))
 
 
@@ -317,25 +325,55 @@ _NEIGHBOUR_SAMPLE = 64
 
 
 @dataclass(frozen=True)
-class _IndexedCloud:
-    """One view's surfels, prepared once for every pair it takes part in."""
+class _Reached:
+    """The points in reach of a set of surfels, in set order: only they can
+    match, and the set's other points weigh 0 in a directed sum."""
 
-    cloud: SurfelCloud
-    sub: SurfelCloud  # source subsample
-    tree: cKDTree  # over the full cloud, the destination of every match
+    points: np.ndarray
+    normals: np.ndarray | None  # None when unweighted
+    reach: np.ndarray | None  # mask of the set's points in reach; None when all are
+
+    def nso(self, dst: _Reached, rows, nn, weighted: bool) -> float:
+        """Directed NSO of the set into dst, where its point rows[k] matched
+        dst point nn[k]."""
+        size = len(self.points if self.reach is None else self.reach)
+        return _weighted_sum(self, dst, rows, nn, weighted, self.reach) / size
+
+
+@dataclass(frozen=True)
+class _IndexedCloud:
+    """One view's surfels in reach of its live partners, prepared once for
+    every pair it takes part in."""
+
+    cloud: _Reached  # of its kept surfels, the destination of every match
+    sub: _Reached  # of its source subsample; `cloud` itself when not subsampled
+    tree: cKDTree  # over cloud.points
     neighbours: float  # mean own points within the radius, over a strided sample
 
 
-def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig) -> _IndexedCloud:
+def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig, reach=None) -> _IndexedCloud:
+    """Prepare a view's surfels for its pairs. `cloud` holds its kept surfels
+    in `reach`, a mask over all of them (None when it holds them all), and
+    shares its arrays with the result; its normals are read only when
+    cfg.weighted. A point out of reach can match nothing, so nothing is
+    kept for it."""
+    normals = cloud.normals if cfg.weighted else None
+    full = _Reached(cloud.points, normals, reach)
+    sub = full
+    size = len(cloud) if reach is None else len(reach)
+    if size > cfg.n_sub:
+        # The subsample of all kept surfels, reduced to those in reach.
+        picked = _subsample_rows(size, cfg.n_sub, cfg.seed)
+        sub_reach = None
+        if reach is not None:
+            sub_reach = reach[picked]
+            picked = np.searchsorted(np.flatnonzero(reach), picked[sub_reach])
+        sub = _Reached(cloud.points[picked], None if normals is None else normals[picked],
+                       sub_reach)
     tree = cKDTree(cloud.points)
     sample = cloud.points[::max(1, len(cloud) // _NEIGHBOUR_SAMPLE)]
-    return _IndexedCloud(
-        cloud=cloud,
-        sub=subsample(cloud, cfg.n_sub, cfg.seed),
-        tree=tree,
-        neighbours=float(np.mean(tree.query_ball_point(sample, cfg.radius,
-                                                       return_length=True))),
-    )
+    counts = tree.query_ball_point(sample, cfg.radius, return_length=True)
+    return _IndexedCloud(full, sub, tree, float(np.mean(counts)) if len(counts) else 0.0)
 
 
 def _bounds(cloud: SurfelCloud):
@@ -392,23 +430,24 @@ def _query_nso(src: _IndexedCloud, dst: _IndexedCloud, cfg: NSOConfig,
                               distance_upper_bound=np.nextafter(cfg.radius, np.inf),
                               workers=workers)
     rows = np.flatnonzero(dist <= cfg.radius)
-    return _weighted_sum(src.sub, dst.cloud, rows, nn[rows], cfg.weighted) / len(src.sub)
+    return src.sub.nso(dst.cloud, rows, nn[rows], cfg.weighted)
 
 
 def _join_nso(src: _IndexedCloud, dst: _IndexedCloud, i, j, dist, weighted: bool) -> float:
     """Directed NSO from src into dst given every (src row i, dst row j) pair
-    of cloud points within the radius and its distance; src is not subsampled.
+    of points in reach within the radius and its distance; src is not
+    subsampled.
 
     Each source point matches its nearest destination point, the lowest dst
     row on a tie, as the brute-force argmin picks it.
     """
-    n, unmatched = len(src.cloud), len(dst.cloud)
+    n, unmatched = len(src.cloud.points), len(dst.cloud.points)
     best = np.full(n, np.inf)
     np.minimum.at(best, i, dist)
     nn = np.full(n, unmatched)
     np.minimum.at(nn, i, np.where(dist == best[i], j, unmatched))
     rows = np.flatnonzero(nn < unmatched)
-    return _weighted_sum(src.cloud, dst.cloud, rows, nn[rows], weighted) / n
+    return src.cloud.nso(dst.cloud, rows, nn[rows], weighted)
 
 
 def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, id_x: str, id_y: str,
@@ -433,6 +472,25 @@ def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, id_x: str, id_y: str,
                          _join_nso(b, a, j, i, dist, cfg.weighted))
 
 
+def _reached_cloud(cloud: SurfelCloud, near, cfg: NSOConfig, view=None):
+    """The cloud's points in reach of one of the view bounds in `near`, as
+    the (cloud, reach) `_index_cloud` takes: reach is the mask that selects
+    them, None when it selects them all and the cloud's arrays are shared.
+    Given the view whose kept surfels the cloud holds, their normals are
+    fitted from it when cfg.weighted; else they are the cloud's."""
+    reach = _in_reach(cloud.points, near, cfg.radius)
+    whole = reach.all()
+    if view is not None and cfg.weighted and reach.any():
+        fit = np.zeros_like(view.surfel_mask)
+        fit[view.surfel_mask] = reach
+        normals = _fit_normals(view, fit)
+    else:
+        normals = cloud.normals if whole else cloud.normals[reach]
+    if whole:
+        return SurfelCloud(cloud.points, normals), None
+    return SurfelCloud(cloud.points[reach], normals), reach
+
+
 def nso_from_clouds(
     cloud_x: SurfelCloud,
     cloud_y: SurfelCloud,
@@ -449,9 +507,12 @@ def nso_from_clouds(
     compares every point pair and never culls.
     """
     if not brute_force:
-        if not _near(*_bounds(cloud_x), _bounds(cloud_y), cfg.radius):
+        bounds_x, bounds_y = _bounds(cloud_x), _bounds(cloud_y)
+        if not _near(*bounds_x, bounds_y, cfg.radius):
             return OverlapRecord(id_x, id_y, 0.0, 0.0)
-        return _pair_nso(_index_cloud(cloud_x, cfg), _index_cloud(cloud_y, cfg),
+        (in_x, reach_x), (in_y, reach_y) = (_reached_cloud(cloud_x, [bounds_y], cfg),
+                                            _reached_cloud(cloud_y, [bounds_x], cfg))
+        return _pair_nso(_index_cloud(in_x, cfg, reach_x), _index_cloud(in_y, cfg, reach_y),
                          id_x, id_y, cfg)
     sub_x = subsample(cloud_x, cfg.n_sub, cfg.seed)
     sub_y = subsample(cloud_y, cfg.n_sub, cfg.seed)
@@ -466,16 +527,16 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
 
     Each view the pairs name is backprojected once, without normals, and
     bounded. A pair whose bounds, padded by the radius, are disjoint is
-    recorded as (0.0, 0.0) without a search. When cfg.weighted, each view
-    in a live pair (one not culled) gets normals fitted only for its points
-    inside the padded bounds of one of its live partners, over the bounding
-    box of those pixels; no pair reads any other normal, and those hold
-    NaN. Then each view in
-    a live pair gets one k-d tree, shared by its pairs and freed on return.
-    A live pair is one radius join of its two trees, which serves both
-    directions, when neither view is subsampled and the sparser one has few
-    neighbours per point within the radius; else one nearest-neighbour
-    query per subsampled source point, split by point over `threads` query
+    recorded as (0.0, 0.0) without a search. Each view in a live pair (one
+    not culled) is then prepared over its points in reach only, those inside
+    the padded bounds of one of its live partners, for no other point can
+    match: one k-d tree over them, shared by its pairs and freed on return,
+    and when cfg.weighted their normals, fitted over the bounding box of
+    their pixels. Its other points are dropped. A live pair is one radius
+    join of its two trees, which serves both directions, when neither view
+    is subsampled and the sparser one has few neighbours per point within
+    the radius; else one nearest-neighbour query per subsampled source point
+    in reach, split by point over `threads` query
     workers. The result does not depend on the route or on `threads`. With
     oracle=True every pair, culled ones included, is recomputed brute-force
     from full `backproject` clouds and must match exactly, else
@@ -494,12 +555,13 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
         if searched:
             partners[id_x].append(bounds[id_y])
             partners[id_y].append(bounds[id_x])
-    if cfg.weighted:
-        for img_id, partner_bounds in partners.items():
-            if partner_bounds:
-                _fit_reached(by_id[img_id], clouds[img_id], partner_bounds, cfg.radius)
-    indexed = {img_id: _index_cloud(clouds[img_id], cfg)
+    # Each full cloud is dropped once its points in reach are taken, and every
+    # normal is fitted before the first tree is built.
+    reached = {img_id: _reached_cloud(clouds.pop(img_id), partner_bounds, cfg, by_id[img_id])
                for img_id, partner_bounds in partners.items() if partner_bounds}
+    del clouds
+    indexed = {img_id: _index_cloud(cloud, cfg, reach)
+               for img_id, (cloud, reach) in reached.items()}
     records, first = [], (None, None)  # the oracle's first view: (id, full cloud)
     for (id_x, id_y), searched in zip(pairs, live):
         if searched:

@@ -332,6 +332,43 @@ def test_nso_depth_header_past_file_end_is_data_error(dataset, tmp_path, capsys)
 # -- train / eval --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command, target", [
+    ("nso", "missing/o.csv"), ("nso", "dir"), ("nso", "file/o.csv"), ("nso-pairs", "dir"),
+    ("train", "file"), ("train", "file/run"), ("train", "file/a/run"), ("train", "dir"),
+])
+def test_bad_output_path_fails_before_the_work(command, target, dataset, tmp_path,
+                                               monkeypatch, capsys):
+    # A bad output path exits as it did when the command found it only after
+    # its work (nso computing every pair, train every step), and it no longer
+    # does that work. The directory `dir` holds a directory checkpoint.npz.
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "checkpoint.npz").mkdir(parents=True)
+    pairs = tmp_path / "req.csv"
+    pairs.write_text("id_x,id_y\ng000,g001\n")
+    out = str(tmp_path / target)
+    argv = {
+        "nso": ["nso", "--dataset", str(dataset), "--output", out],
+        "nso-pairs": ["nso", "--dataset", str(dataset), "--pairs", str(pairs), "--output", out],
+        "train": ["train", "--pairs", str(dataset / "pairs.csv"), "--out", out,
+                  "--steps", "20"],
+    }[command]
+    monkeypatch.setattr(cli, "_check_file_output", lambda path: None)
+    monkeypatch.setattr(cli, "_check_dir_output", lambda path, names: None)
+    assert main(argv) == 3
+    after_work = one_error_line(capsys)
+    monkeypatch.undo()
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command worked before checking its output path")
+
+    for name in ("all_pairs_nso", "pairs_nso", "train"):
+        monkeypatch.setattr(cli, name, work)
+    assert main(argv) == 3
+    assert one_error_line(capsys) == after_work
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "checkpoint.npz", "dir", "file", "req.csv"]
+
+
 def test_train_artifacts(run_dir):
     for name in ("checkpoint.npz", "boxes.json", "loss_trace.csv"):
         assert (run_dir / name).exists()

@@ -1,6 +1,8 @@
 import hashlib
 import tracemalloc
+import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from boxoverlap.geometry import (
 )
 from boxoverlap.synth import (
     DEFAULT_HEIGHT,
+    CameraScript,
     HeightfieldSurface,
     Placement,
+    default_script,
     default_surface,
     grid_script,
     render_depth,
@@ -578,11 +582,9 @@ def test_all_pairs_oracle_on_sparse_grid():
               for rec in records]
     assert len(records) == len(culled) == 120
     assert sum(culled) >= 80
+    # oracle=True has compared every record with brute force already.
     for rec in records:
-        for brute_force in (False, True):
-            ref = nso_from_clouds(clouds[rec.id_x], clouds[rec.id_y],
-                                  rec.id_x, rec.id_y, cfg, brute_force=brute_force)
-            assert ref == rec
+        assert nso_from_clouds(clouds[rec.id_x], clouds[rec.id_y], rec.id_x, rec.id_y, cfg) == rec
 
 
 def test_oracle_checks_culled_pairs(monkeypatch):
@@ -661,41 +663,59 @@ def test_unweighted_all_pairs_fits_no_normal(monkeypatch):
     assert fits == []
 
 
+def spy_tree_sizes(monkeypatch):
+    """The number of points of each cKDTree built, one per prepared view."""
+    sizes = []
+    tree = geometry.cKDTree
+
+    def spy(points):
+        sizes.append(len(points))
+        return tree(points)
+
+    monkeypatch.setattr(geometry, "cKDTree", spy)
+    return sizes
+
+
 def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
     # At spacing 6 a view meets at most two others, so only the strips in
-    # reach of a live partner get normals, and a view with none gets none.
-    # Each fitted normal is backproject's.
+    # reach of a live partner get normals and a k-d tree, and a view with
+    # none gets none. Each fitted normal is backproject's.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
     full = {view.id: backproject(view) for view in views}
     fits = spy_eigh(monkeypatch)
-    kept_surfels, fit_reached = geometry._kept_surfels, geometry._fit_reached
-    seen = {}  # view id -> [live partners, the cloud its pairs read]
+    trees = spy_tree_sizes(monkeypatch)
+    kept_surfels, reached_cloud = geometry._kept_surfels, geometry._reached_cloud
+    seen = {}  # view id -> [live partners, its kept surfels, (points in reach, mask)]
 
     def spy_kept(view):
         cloud = kept_surfels(view)
-        seen[view.id] = [0, cloud]
+        seen[view.id] = [0, cloud, (SurfelCloud(cloud.points[:0], cloud.normals[:0]),
+                                    np.zeros(len(cloud), dtype=bool))]
         return cloud
 
-    def spy_fit(view, cloud, near, radius):
+    def spy_reached(cloud, near, cfg, view):
         seen[view.id][0] = len(near)
-        fit_reached(view, cloud, near, radius)
+        seen[view.id][2] = reached_cloud(cloud, near, cfg, view)
+        return seen[view.id][2]
 
     monkeypatch.setattr(geometry, "_kept_surfels", spy_kept)
-    monkeypatch.setattr(geometry, "_fit_reached", spy_fit)
+    monkeypatch.setattr(geometry, "_reached_cloud", spy_reached)
     all_pairs_nso(views, cfg)
     fitted = kept = 0
     for view in views:
-        n_partners, cloud = seen[view.id]
-        rows = ~np.isnan(cloud.normals).any(axis=1)
+        n_partners, cloud, (in_reach, reach) = seen[view.id]
+        rows = np.ones(len(cloud), dtype=bool) if reach is None else reach
         assert np.array_equal(cloud.points, full[view.id].points)
-        assert np.array_equal(cloud.normals[rows], full[view.id].normals[rows])
+        assert np.array_equal(in_reach.points, full[view.id].points[rows])
+        assert np.array_equal(in_reach.normals, full[view.id].normals[rows])
         if n_partners == 0:
             assert not rows.any()
         fitted += rows.sum()
         kept += len(cloud)
-    assert any(n_partners == 0 for n_partners, _ in seen.values())
+    assert any(n_partners == 0 for n_partners, *_ in seen.values())
     assert sum(fits) == fitted < kept
+    assert sum(trees) == fitted
 
 
 def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
@@ -704,26 +724,26 @@ def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
     # every normal fitted, before the first tree is built.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
-    clouds = {view.id: backproject(view) for view in views}
-    kept_surfels, fit_reached = geometry._kept_surfels, geometry._fit_reached
+    kept_surfels, reached_cloud = geometry._kept_surfels, geometry._reached_cloud
     index_cloud = geometry._index_cloud
-    events = []
+    events, owner = [], {}  # owner: id() of a cloud in reach -> its view id
 
     def spy_kept(view):
         events.append(("surfels", view.id, 0))
         return kept_surfels(view)
 
-    def spy_fit(view, cloud, near, radius):
+    def spy_reached(cloud, near, cfg, view):
         events.append(("surfels", view.id, len(near)))
-        fit_reached(view, cloud, near, radius)
+        in_reach, reach = reached_cloud(cloud, near, cfg, view)
+        owner[id(in_reach)] = view.id
+        return in_reach, reach
 
-    def spy_index(cloud, cfg):
-        events.append(("index", next(img_id for img_id, full in clouds.items()
-                                     if np.array_equal(full.points, cloud.points))))
-        return index_cloud(cloud, cfg)
+    def spy_index(cloud, cfg, reach=None):
+        events.append(("index", owner[id(cloud)]))
+        return index_cloud(cloud, cfg, reach)
 
     monkeypatch.setattr(geometry, "_kept_surfels", spy_kept)
-    monkeypatch.setattr(geometry, "_fit_reached", spy_fit)
+    monkeypatch.setattr(geometry, "_reached_cloud", spy_reached)
     monkeypatch.setattr(geometry, "_index_cloud", spy_index)
     all_pairs_nso(views, cfg)
     n = len(views)
@@ -738,17 +758,100 @@ def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
     assert 0 < len(live) < n
 
 
+def within_radius(points, other, radius, block=512):
+    """Per point, whether a point of `other` lies within radius, by cdist."""
+    return np.concatenate([(cdist(points[start:start + block], other) <= radius).any(axis=1)
+                           for start in range(0, len(points), block)])
+
+
+@pytest.mark.parametrize("n, seed, spacing", [(4, 2, 6.0), (2, 4, 1.0)])
+def test_reach_holds_every_point_within_radius_of_a_partner(monkeypatch, n, seed, spacing):
+    # A point left out of reach is dropped from its view's tree and sources,
+    # so a reach test that misses one would lose its matches silently.
+    views = grid_views(n, seed, spacing)
+    cfg = NSOConfig(seed=seed)
+    reached_cloud = geometry._reached_cloud
+    reach = {}
+
+    def spy_reached(cloud, near, cfg, view):
+        in_reach, mask = reached_cloud(cloud, near, cfg, view)
+        reach[view.id] = np.ones(len(cloud), dtype=bool) if mask is None else mask
+        return in_reach, mask
+
+    monkeypatch.setattr(geometry, "_reached_cloud", spy_reached)
+    records = all_pairs_nso(views, cfg)
+    points = {view.id: backproject(view).points for view in views}
+    bounds = {img_id: geometry._bounds(SurfelCloud(p, p)) for img_id, p in points.items()}
+    pairs = [(rec.id_x, rec.id_y) for rec in records]
+    live = [pair for pair, searched in zip(pairs, geometry._cull(pairs, bounds, cfg.radius))
+            if searched]
+    matched = 0
+    for id_x, id_y in live:
+        for a, b in ((id_x, id_y), (id_y, id_x)):
+            near = within_radius(points[a], points[b], cfg.radius)
+            assert reach[a][near].all()
+            matched += near.sum()
+    assert live and matched > 0
+    assert sum(mask.sum() for mask in reach.values()) < sum(map(len, points.values()))
+
+
 def test_normal_out_of_reach_fails_loudly(monkeypatch):
-    # A reach test that misses a point some pair matches leaves its normal
-    # NaN, and the overlap that reads it is rejected rather than returned.
+    # A reach test that misses a point some pair matches drops that match
+    # silently; the oracle rejects the overlap rather than returning it.
     near = geometry._near
 
     def points_never_near(lo, hi, bounds, radius):
         return near(lo, hi, bounds, radius) if lo.ndim == 1 else np.zeros(len(lo), dtype=bool)
 
     monkeypatch.setattr(geometry, "_near", points_never_near)
-    with pytest.raises(ValueError, match="nan"):
-        all_pairs_nso(grid_views(2, seed=4, spacing=1.0), NSOConfig(seed=4))
+    with pytest.raises(geometry.OracleMismatchError, match="brute force"):
+        all_pairs_nso(grid_views(2, seed=4, spacing=1.0), NSOConfig(seed=4), oracle=True)
+
+
+def test_subsampled_pairs_in_reach_match_the_oracle(monkeypatch):
+    # 128x96 views hold 12288 points, so at n_sub=2000 every live pair takes
+    # the per-point search, whose sources are the subsample's points in
+    # reach, each weight placed at its subsample position before the sum.
+    script = grid_script(2, 6, spacing=2.0)
+    script.placements[:] = [replace(p, width=128, height=96) for p in script.placements]
+    views = render_script(default_surface(6), script, 6).views
+    cfg = NSOConfig(seed=6, n_sub=2000)
+    index_cloud, query_nso = geometry._index_cloud, geometry._query_nso
+    indexed, queried = [], []
+
+    def spy_index(cloud, cfg, reach=None):
+        indexed.append(index_cloud(cloud, cfg, reach))
+        return indexed[-1]
+
+    def spy_query(src, dst, cfg, workers):
+        queried.append(src)
+        return query_nso(src, dst, cfg, workers)
+
+    monkeypatch.setattr(geometry, "_index_cloud", spy_index)
+    monkeypatch.setattr(geometry, "_query_nso", spy_query)
+    pairs = [(views[0].id, view.id) for view in views[1:]]
+    records = geometry.pairs_nso(views, pairs, cfg, oracle=True)
+    assert all(rec.nso_xy > 0 and rec.nso_yx > 0 for rec in records)
+    assert queried
+    assert any(view.sub.reach is not None and not view.sub.reach.all() for view in indexed)
+
+
+def test_all_pairs_memory_is_bounded():
+    # The first 24 survey views: a prepared view holds only its points in
+    # reach and shares the cloud's arrays when all are, so no full cloud is
+    # kept beside what its pairs read. 5.0 MiB is the peak before views were
+    # prepared over their points in reach (4.83 MiB) plus a small margin;
+    # copying each view's points in reach beside its full cloud takes 6.7.
+    script = default_script(7)
+    views = render_script(default_surface(7), CameraScript(script.placements[:24]), 7).views
+    tracemalloc.start()
+    try:
+        records = all_pairs_nso(views, NSOConfig(seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 276
+    assert peak < 5.0 * 2 ** 20
 
 
 def slab_cloud(x, n=8, spacing=0.25):
@@ -774,6 +877,26 @@ def test_cull_drops_pair_just_beyond_radius():
     a, b = slab_cloud(0.0), slab_cloud(0.5 * (1 + 1e-5))
     assert not geometry._near(*geometry._bounds(a), geometry._bounds(b), cfg.radius)
     rec = nso_from_clouds(a, b, "a", "b", cfg)
+    assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
+    assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n_sub", [1, 5000])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_live_pair_with_no_point_in_reach(monkeypatch, weighted, n_sub):
+    # The two diagonal clouds' bounds are 0.05 apart in x, so the pair is
+    # not culled, yet no point of either lies in the other's padded bounds:
+    # both views are prepared over no point, and nothing can match.
+    up = [0.0, 0.0, 1.0]
+    a = point_cloud([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [up, up])
+    b = point_cloud([[1.05, -1.0, 0.0], [2.0, 0.0, 0.0]], [up, up])
+    cfg = NSOConfig(radius=0.1, n_sub=n_sub, seed=0, weighted=weighted)
+    assert geometry._near(*geometry._bounds(a), geometry._bounds(b), cfg.radius)
+    trees = spy_tree_sizes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = nso_from_clouds(a, b, "a", "b", cfg)
+    assert trees == [0, 0]
     assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
     assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
 
