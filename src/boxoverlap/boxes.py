@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 class DegenerateBoxError(ValueError):
@@ -65,6 +64,7 @@ def softplus(x):
 
 
 def softplus_grad(x):
+    from scipy.special import expit
     return expit(x)
 
 
@@ -91,6 +91,7 @@ def sigma_grad(v, cfg: SmoothingConfig):
     v = np.asarray(v, dtype=np.float64)
     if cfg.hard:
         return (v > 0).astype(np.float64)
+    from scipy.special import expit
     return expit(v / cfg.rho)
 
 

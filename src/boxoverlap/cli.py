@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# The line breaks of str.splitlines, escaped: an error message stays one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 class UsageError(Exception):
     pass
@@ -151,8 +154,8 @@ def cmd_train(args) -> int:
     if table.kind == "box":
         lowers, uppers = table.bounds()
         (out / "boxes.json").write_text(
-            boxes.box_table_to_json(table.ids, lowers, uppers))
-    with open(out / "loss_trace.csv", "w", newline="") as fh:
+            boxes.box_table_to_json(table.ids, lowers, uppers), encoding="utf-8")
+    with open(out / "loss_trace.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
         for step, loss in enumerate(trace):
@@ -177,7 +180,7 @@ def _write_lines(path, lines):
     """Each line and a newline to the file at path, or to stdout without one."""
     text = "".join(line + "\n" for line in lines)
     if path:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -353,7 +356,7 @@ def main(argv=None) -> int:
     # A size option (--steps, --dim, --batch-size, ...) beyond this machine.
     except MemoryError as exc:
         message, code = f"out of memory: {str(exc) or 'an allocation failed'}", EXIT_USAGE
-    print(f"error: {message}", file=sys.stderr)
+    print(f"error: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
     return code
 
 

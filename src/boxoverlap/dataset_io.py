@@ -73,14 +73,15 @@ def write_scene(dataset_dir, views) -> None:
             "depth_file": depth_file,
         })
     scene_path = dataset_dir / "scene.json"
-    scene_path.write_text(json.dumps({"views": entries}, indent=2, sort_keys=True))
+    scene_path.write_text(json.dumps({"views": entries}, indent=2, sort_keys=True),
+                          encoding="utf-8")
 
 
 def read_scene(dataset_dir) -> list[CameraView]:
     dataset_dir = Path(dataset_dir)
     scene_path = dataset_dir / "scene.json"
     try:
-        doc = json.loads(scene_path.read_text())
+        doc = json.loads(scene_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DatasetFormatError(f"missing scene.json in {dataset_dir}")
     # Bytes that do not decode, text that is not JSON, or JSON nested too deep.
@@ -138,7 +139,7 @@ def _read_view(dataset_dir, entry) -> CameraView:
 
 
 def write_overlaps(path, records) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id_x", "id_y", "nso_xy", "nso_yx"])
         for rec in records:
@@ -148,7 +149,7 @@ def write_overlaps(path, records) -> None:
 def _csv_rows(path):
     """(line number, row) of each row of a CSV; bytes that do not decode and a
     row csv cannot split (a field past its size limit) are format errors."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:

@@ -8,12 +8,11 @@ between the matched surface normals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,10 @@ class CameraIntrinsics:
 
 
 _EYE = np.eye(3)
+
+# No point of a view may lie farther than this from the origin, so the squares
+# that normal fits and point distances take of its coordinates stay finite.
+_MAX_EXTENT = 1e150
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,12 @@ class CameraView:
             raise ValueError("depth dims must match intrinsics")
         self.valid_mask = np.isfinite(depth) & (depth > 0)
         self.depth = np.where(self.valid_mask, depth, np.nan)
+        intr, far = self.intrinsics, float(np.max(depth, where=self.valid_mask, initial=0.0))
+        if far:  # the farthest any point can lie from the camera center
+            far *= math.hypot(max(intr.cx, w - 1 - intr.cx) / intr.fx,
+                              max(intr.cy, h - 1 - intr.cy) / intr.fy, 1.0)
+        if not far + math.hypot(*self.pose.translation) <= _MAX_EXTENT:
+            raise ValueError(f"points lie beyond {_MAX_EXTENT:g} of the origin")
         padded = np.zeros((h + 2, w + 2))
         padded[1:-1, 1:-1] = self.valid_mask
         self.surfel_mask = self.valid_mask & (_window_sum(padded, h, w) >= 4)
@@ -196,16 +205,14 @@ def _fit_normals(view: CameraView, fit: np.ndarray) -> np.ndarray:
     return normal @ view.pose.rotation.T
 
 
-def _kept_surfels(view: CameraView) -> SurfelCloud:
-    """The cloud of the view's `surfel_mask` pixels' world points in
-    row-major order, every normal NaN (one read-only value, no memory);
+def _surfel_points(view: CameraView) -> np.ndarray:
+    """World points of the view's `surfel_mask` pixels, in row-major order;
     raises when it has none."""
     if not view.surfel_mask.any():
         raise ValueError(f"no valid depth with 3 valid neighbours in its 3x3 window "
                          f"in view {view.id!r}")
-    points = (_camera_points(view, *np.nonzero(view.surfel_mask)) @ view.pose.rotation.T
-              + view.pose.translation)
-    return SurfelCloud(points, np.broadcast_to(np.nan, points.shape))
+    return (_camera_points(view, *np.nonzero(view.surfel_mask)) @ view.pose.rotation.T
+            + view.pose.translation)
 
 
 def _in_reach(points, near, radius: float) -> np.ndarray:
@@ -225,7 +232,7 @@ def _in_reach(points, near, radius: float) -> np.ndarray:
 
 def backproject(view: CameraView) -> SurfelCloud:
     """One world-space surfel, normal fitted, per pixel of the view's `surfel_mask`."""
-    return SurfelCloud(_kept_surfels(view).points, _fit_normals(view, view.surfel_mask))
+    return SurfelCloud(_surfel_points(view), _fit_normals(view, view.surfel_mask))
 
 
 def _subsample_rows(size: int, n: int, seed: int) -> np.ndarray:
@@ -252,6 +259,7 @@ _BRUTE_BLOCK = 2 ** 20
 def _match_brute(src_points, dst_points, radius):
     """Per source point, whether its nearest destination point, the lowest
     row on a tie, lies within radius, and that row (0 where none does)."""
+    from scipy.spatial.distance import cdist
     n = len(src_points)
     within = np.empty(n, dtype=bool)
     idx = np.zeros(n, dtype=np.intp)
@@ -351,36 +359,50 @@ class _IndexedCloud:
     neighbours: float  # mean own points within the radius, over a strided sample
 
 
-def _index_cloud(cloud: SurfelCloud, cfg: NSOConfig, reach=None) -> _IndexedCloud:
-    """Prepare a view's surfels for its pairs. `cloud` holds its kept surfels
-    in `reach`, a mask over all of them (None when it holds them all), and
-    shares its arrays with the result; its normals are read only when
-    cfg.weighted. A point out of reach can match nothing, so nothing is
-    kept for it."""
-    normals = cloud.normals if cfg.weighted else None
-    full = _Reached(cloud.points, normals, reach)
-    sub = full
-    size = len(cloud) if reach is None else len(reach)
+def _reached_cloud(points, near, normals, cfg: NSOConfig) -> _Reached:
+    """A view's surfel `points` in reach of one of the view bounds in `near`,
+    sharing their array when all are. When cfg.weighted, their normals are
+    sliced from `normals`, the normals of `points`, or fitted from it when it
+    is the view whose `surfel_mask` pixels `points` holds. A point out of
+    reach can match nothing, so nothing is kept for it."""
+    reach = _in_reach(points, near, cfg.radius)
+    whole = reach.all()
+    if not cfg.weighted:
+        normals = None
+    elif isinstance(normals, CameraView):
+        fit = np.zeros_like(normals.surfel_mask)
+        fit[normals.surfel_mask] = reach
+        normals = _fit_normals(normals, fit) if reach.any() else np.empty((0, 3))
+    elif not whole:
+        normals = normals[reach]
+    return _Reached(points, normals, None) if whole else _Reached(points[reach], normals, reach)
+
+
+def _index_cloud(cloud: _Reached, cfg: NSOConfig) -> _IndexedCloud:
+    """Prepare a view's points in reach for its pairs, sharing their arrays."""
+    from scipy.spatial import cKDTree
+    sub = cloud
+    size = len(cloud.points if cloud.reach is None else cloud.reach)
     if size > cfg.n_sub:
         # The subsample of all kept surfels, reduced to those in reach.
         picked = _subsample_rows(size, cfg.n_sub, cfg.seed)
         sub_reach = None
-        if reach is not None:
-            sub_reach = reach[picked]
-            picked = np.searchsorted(np.flatnonzero(reach), picked[sub_reach])
-        sub = _Reached(cloud.points[picked], None if normals is None else normals[picked],
-                       sub_reach)
+        if cloud.reach is not None:
+            sub_reach = cloud.reach[picked]
+            picked = np.searchsorted(np.flatnonzero(cloud.reach), picked[sub_reach])
+        sub = _Reached(cloud.points[picked],
+                       None if cloud.normals is None else cloud.normals[picked], sub_reach)
     tree = cKDTree(cloud.points)
-    sample = cloud.points[::max(1, len(cloud) // _NEIGHBOUR_SAMPLE)]
+    sample = cloud.points[::max(1, len(cloud.points) // _NEIGHBOUR_SAMPLE)]
     counts = tree.query_ball_point(sample, cfg.radius, return_length=True)
-    return _IndexedCloud(full, sub, tree, float(np.mean(counts)) if len(counts) else 0.0)
+    return _IndexedCloud(cloud, sub, tree, float(np.mean(counts)) if len(counts) else 0.0)
 
 
-def _bounds(cloud: SurfelCloud):
-    """(mins, maxes) of the cloud's points, as its `cKDTree` computes them."""
+def _bounds(points):
+    """(mins, maxes) of the points, as a `cKDTree` over them computes them."""
     # Reduced one coordinate column at a time: numpy's min(axis=0) over rows
     # of 3 takes several times as long.
-    axes = cloud.points.T
+    axes = points.T
     return np.array([a.min() for a in axes]), np.array([a.max() for a in axes])
 
 
@@ -401,16 +423,16 @@ def _cull(pairs, bounds, radius: float) -> np.ndarray:
     `_near` is called once per first view of a pair, with that view's box as
     [lo, hi] against the stacked boxes of all its partners.
     """
-    index = {img_id: k for k, img_id in enumerate(bounds)}
+    index = {key: k for k, key in enumerate(bounds)}
     mins = np.array([lo for lo, _ in bounds.values()])
     maxes = np.array([hi for _, hi in bounds.values()])
-    second = np.array([index[id_y] for _, id_y in pairs], dtype=np.intp)
+    second = np.array([index[y] for _, y in pairs], dtype=np.intp)
     by_first = {}
-    for row, (id_x, _) in enumerate(pairs):
-        by_first.setdefault(id_x, []).append(row)
+    for row, (x, _) in enumerate(pairs):
+        by_first.setdefault(x, []).append(row)
     live = np.zeros(len(pairs), dtype=bool)
-    for id_x, rows in by_first.items():
-        k, partners = index[id_x], second[rows]
+    for x, rows in by_first.items():
+        k, partners = index[x], second[rows]
         live[rows] = _near(mins[k], maxes[k], (mins[partners], maxes[partners]), radius)
     return live
 
@@ -450,12 +472,11 @@ def _join_nso(src: _IndexedCloud, dst: _IndexedCloud, i, j, dist, weighted: bool
     return src.cloud.nso(dst.cloud, rows, nn[rows], weighted)
 
 
-def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, id_x: str, id_y: str,
-              cfg: NSOConfig, workers: int = 1) -> OverlapRecord:
-    """Directed NSO of a pair that survived the cull."""
+def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, cfg: NSOConfig,
+              workers: int) -> tuple[float, float]:
+    """Directed NSO (a into b, b into a) of a pair that survived the cull."""
     if not _use_join(a, b):
-        return OverlapRecord(id_x, id_y, _query_nso(a, b, cfg, workers),
-                             _query_nso(b, a, cfg, workers))
+        return _query_nso(a, b, cfg, workers), _query_nso(b, a, cfg, workers)
     # One traversal of both trees finds every point pair within the radius,
     # the matches of both directions. The join keeps distances up to its
     # bound; nextafter keeps a neighbour at exactly `radius` in reach, as the
@@ -468,37 +489,43 @@ def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, id_x: str, id_y: str,
     else:
         i, j, dist = join["i"][within], join["j"][within], join["v"][within]
     del join, within
-    return OverlapRecord(id_x, id_y, _join_nso(a, b, i, j, dist, cfg.weighted),
-                         _join_nso(b, a, j, i, dist, cfg.weighted))
+    return _join_nso(a, b, i, j, dist, cfg.weighted), _join_nso(b, a, j, i, dist, cfg.weighted)
 
 
-def _reached_cloud(cloud: SurfelCloud, near, cfg: NSOConfig, view=None):
-    """The cloud's points in reach of one of the view bounds in `near`, as
-    the (cloud, reach) `_index_cloud` takes: reach is the mask that selects
-    them, None when it selects them all and the cloud's arrays are shared.
-    Given the view whose kept surfels the cloud holds, their normals are
-    fitted from it when cfg.weighted; else they are the cloud's."""
-    reach = _in_reach(cloud.points, near, cfg.radius)
-    whole = reach.all()
-    if view is not None and cfg.weighted and reach.any():
-        fit = np.zeros_like(view.surfel_mask)
-        fit[view.surfel_mask] = reach
-        normals = _fit_normals(view, fit)
-    else:
-        normals = cloud.normals if whole else cloud.normals[reach]
-    if whole:
-        return SurfelCloud(cloud.points, normals), None
-    return SurfelCloud(cloud.points[reach], normals), reach
+def _nso_pairs(points, normals, pairs, cfg: NSOConfig, workers: int) -> list:
+    """Directed NSO (x into y, y into x) of each (x, y) pair of keys, in
+    order: the engine of every NSO entry point but the brute-force route.
+
+    `points` maps each key the pairs name to its surfel points, and is
+    emptied; `normals` maps it to their normals or to their view, as
+    `_reached_cloud` takes them. A pair whose bounds, padded by the radius,
+    are disjoint is (0.0, 0.0) without a search. Each key in a live pair is
+    prepared over its points in reach of a live partner only, for no other
+    point can match, with one k-d tree shared by its pairs. A live pair is
+    one radius join of its two trees when neither view is subsampled and the
+    sparser one has few neighbours per point within the radius; else one
+    nearest-neighbour query per subsampled source point in reach, split over
+    `workers` query workers. The result does not depend on the route.
+    """
+    bounds = {key: _bounds(p) for key, p in points.items()}
+    live = _cull(pairs, bounds, cfg.radius)
+    partners = {key: [] for key in points}
+    for (x, y), searched in zip(pairs, live):
+        if searched:
+            partners[x].append(bounds[y])
+            partners[y].append(bounds[x])
+    # Each full array is dropped once its points in reach are taken, and every
+    # normal is fitted before the first tree is built.
+    reached = {key: _reached_cloud(points.pop(key), near, normals[key], cfg)
+               for key, near in partners.items() if near}
+    points.clear()
+    indexed = {key: _index_cloud(cloud, cfg) for key, cloud in reached.items()}
+    return [_pair_nso(indexed[x], indexed[y], cfg, workers) if searched else (0.0, 0.0)
+            for (x, y), searched in zip(pairs, live)]
 
 
-def nso_from_clouds(
-    cloud_x: SurfelCloud,
-    cloud_y: SurfelCloud,
-    id_x: str,
-    id_y: str,
-    cfg: NSOConfig,
-    brute_force: bool = False,
-) -> OverlapRecord:
+def nso_from_clouds(cloud_x: SurfelCloud, cloud_y: SurfelCloud, id_x: str, id_y: str,
+                    cfg: NSOConfig, brute_force: bool = False) -> OverlapRecord:
     """Directed NSO in both directions from precomputed surfel clouds.
 
     The source cloud is subsampled to cfg.n_sub points; matches are searched
@@ -507,13 +534,9 @@ def nso_from_clouds(
     compares every point pair and never culls.
     """
     if not brute_force:
-        bounds_x, bounds_y = _bounds(cloud_x), _bounds(cloud_y)
-        if not _near(*bounds_x, bounds_y, cfg.radius):
-            return OverlapRecord(id_x, id_y, 0.0, 0.0)
-        (in_x, reach_x), (in_y, reach_y) = (_reached_cloud(cloud_x, [bounds_y], cfg),
-                                            _reached_cloud(cloud_y, [bounds_x], cfg))
-        return _pair_nso(_index_cloud(in_x, cfg, reach_x), _index_cloud(in_y, cfg, reach_y),
-                         id_x, id_y, cfg)
+        [nso] = _nso_pairs({0: cloud_x.points, 1: cloud_y.points},
+                           {0: cloud_x.normals, 1: cloud_y.normals}, [(0, 1)], cfg, 1)
+        return OverlapRecord(id_x, id_y, *nso)
     sub_x = subsample(cloud_x, cfg.n_sub, cfg.seed)
     sub_y = subsample(cloud_y, cfg.n_sub, cfg.seed)
     nso_xy = overlap_count_brute(sub_x, cloud_y, cfg.radius, cfg.weighted) / len(sub_x)
@@ -526,77 +549,47 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     """Directed NSO for the given (id_x, id_y) pairs, in their order.
 
     Each view the pairs name is backprojected once, without normals, and
-    bounded. A pair whose bounds, padded by the radius, are disjoint is
-    recorded as (0.0, 0.0) without a search. Each view in a live pair (one
-    not culled) is then prepared over its points in reach only, those inside
-    the padded bounds of one of its live partners, for no other point can
-    match: one k-d tree over them, shared by its pairs and freed on return,
-    and when cfg.weighted their normals, fitted over the bounding box of
-    their pixels. Its other points are dropped. A live pair is one radius
-    join of its two trees, which serves both directions, when neither view
-    is subsampled and the sparser one has few neighbours per point within
-    the radius; else one nearest-neighbour query per subsampled source point
-    in reach, split by point over `threads` query
-    workers. The result does not depend on the route or on `threads`. With
-    oracle=True every pair, culled ones included, is recomputed brute-force
-    from full `backproject` clouds and must match exactly, else
-    OracleMismatchError; it keeps a first view's cloud while its pairs run and
-    backprojects each second view afresh, so it holds at most two at a time.
+    run through `_nso_pairs` with `threads` query workers: when cfg.weighted,
+    normals are fitted only for its points in reach of a live partner, over
+    the bounding box of their pixels. With oracle=True every pair, culled
+    ones included, is then recomputed brute-force from full `backproject`
+    clouds and must match exactly, else OracleMismatchError; it keeps a
+    first view's cloud while its pairs run and backprojects each second view
+    afresh, so it holds at most two at a time.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     by_id = {view.id: view for view in views}
     named = dict.fromkeys(img_id for pair in pairs for img_id in pair)
-    clouds = {img_id: _kept_surfels(by_id[img_id]) for img_id in named}
-    bounds = {img_id: _bounds(cloud) for img_id, cloud in clouds.items()}
-    live = _cull(pairs, bounds, cfg.radius)
-    partners = {img_id: [] for img_id in clouds}
-    for (id_x, id_y), searched in zip(pairs, live):
-        if searched:
-            partners[id_x].append(bounds[id_y])
-            partners[id_y].append(bounds[id_x])
-    # Each full cloud is dropped once its points in reach are taken, and every
-    # normal is fitted before the first tree is built.
-    reached = {img_id: _reached_cloud(clouds.pop(img_id), partner_bounds, cfg, by_id[img_id])
-               for img_id, partner_bounds in partners.items() if partner_bounds}
-    del clouds
-    indexed = {img_id: _index_cloud(cloud, cfg, reach)
-               for img_id, (cloud, reach) in reached.items()}
-    records, first = [], (None, None)  # the oracle's first view: (id, full cloud)
-    for (id_x, id_y), searched in zip(pairs, live):
-        if searched:
-            rec = _pair_nso(indexed[id_x], indexed[id_y], id_x, id_y, cfg, threads)
-        else:
-            rec = OverlapRecord(id_x, id_y, 0.0, 0.0)
-        if oracle:
-            if first[0] != id_x:
-                first = id_x, backproject(by_id[id_x])
-            ref = nso_from_clouds(first[1], backproject(by_id[id_y]),
-                                  id_x, id_y, cfg, brute_force=True)
-            if (rec.nso_xy, rec.nso_yx) != (ref.nso_xy, ref.nso_yx):
-                raise OracleMismatchError(
-                    f"accelerated overlap diverges from brute force on "
-                    f"pair ({id_x}, {id_y})"
-                )
-        records.append(rec)
+    nso = _nso_pairs({img_id: _surfel_points(by_id[img_id]) for img_id in named}, by_id,
+                     pairs, cfg, threads)
+    records = [OverlapRecord(id_x, id_y, *values) for (id_x, id_y), values in zip(pairs, nso)]
+    first = None, None  # the oracle's first view: (id, full cloud)
+    for rec in records if oracle else ():
+        if first[0] != rec.id_x:
+            first = rec.id_x, backproject(by_id[rec.id_x])
+        ref = nso_from_clouds(first[1], backproject(by_id[rec.id_y]),
+                              rec.id_x, rec.id_y, cfg, brute_force=True)
+        if ref != rec:
+            raise OracleMismatchError(
+                f"accelerated overlap diverges from brute force on "
+                f"pair ({rec.id_x}, {rec.id_y})"
+            )
     return records
 
 
 def all_pairs_nso(views, cfg: NSOConfig, oracle: bool = False,
                   threads: int = 1) -> list[OverlapRecord]:
     """Directed NSO for every unordered view pair, in deterministic order."""
-    pairs = [
-        (views[i].id, views[j].id)
-        for i in range(len(views))
-        for j in range(i + 1, len(views))
-    ]
+    pairs = [(x.id, y.id) for x, y in itertools.combinations(views, 2)]
     return pairs_nso(views, pairs, cfg, oracle=oracle, threads=threads)
 
 
-def compute_nso(
-    view_x: CameraView, view_y: CameraView, cfg: NSOConfig = NSOConfig()
-) -> OverlapRecord:
-    """Ground-truth normalized surface overlap between two posed depth images."""
-    cloud_x = backproject(view_x)
-    cloud_y = backproject(view_y)
-    return nso_from_clouds(cloud_x, cloud_y, view_x.id, view_y.id, cfg)
+def compute_nso(view_x: CameraView, view_y: CameraView,
+                cfg: NSOConfig = NSOConfig()) -> OverlapRecord:
+    """Ground-truth normalized surface overlap between two posed depth images,
+    the record of `nso_from_clouds` on their `backproject` clouds; normals
+    are fitted only for the points in reach of the other view."""
+    [nso] = _nso_pairs({0: _surfel_points(view_x), 1: _surfel_points(view_y)},
+                       {0: view_x, 1: view_y}, [(0, 1)], cfg, 1)
+    return OverlapRecord(view_x.id, view_y.id, *nso)

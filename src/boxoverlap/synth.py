@@ -313,5 +313,6 @@ def generate_dataset(surface, script: CameraScript, out_dir, seed: int,
             for a, b, rel, param in script.labeled_pairs
         ],
     }
-    (out_dir / "relations.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    (out_dir / "relations.json").write_text(json.dumps(meta, indent=2, sort_keys=True),
+                                            encoding="utf-8")
     return out_dir

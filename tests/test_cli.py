@@ -1,12 +1,23 @@
 import argparse
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import math
+import os
 import shutil
+import struct
+import subprocess
+import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxoverlap import cli, dataset_io, geometry
 from boxoverlap.cli import build_parser, main
@@ -263,6 +274,35 @@ def test_nso_malformed_scene_is_data_error(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "view 'g001'" in err and "scene.json" in err
+
+
+@pytest.mark.parametrize("field, value", [("fx", 5e-324), ("translation", [0.0, 0.0, 1e151])])
+def test_view_reaching_past_the_extent_is_data_error(field, value, dataset, tmp_path, capsys):
+    # A subnormal focal length put points at inf: the normal fit turned them
+    # into NaN with numpy warnings on stderr. Read time rejects the view.
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    doc = json.loads((bad / "scene.json").read_text())
+    doc["views"][1][field] = value
+    (bad / "scene.json").write_text(json.dumps(doc))
+    assert main(["nso", "--dataset", str(bad), "--output", str(tmp_path / "o.csv")]) == 3
+    assert one_error_line(capsys) == (f"error: view 'g001' in {bad / 'scene.json'}: "
+                                      f"points lie beyond 1e+150 of the origin\n")
+
+
+@pytest.mark.parametrize("value", ["g\n0", "g\r\n0", "g\u20280"])
+def test_line_break_in_a_named_id_is_escaped(value, run_dir, tmp_path, capsys):
+    # The message names the id the CSV holds; its line break would split the
+    # one error line, so it is printed escaped.
+    pairs = tmp_path / "pairs.csv"
+    with pairs.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["id_x", "id_y", "nso_xy", "nso_yx"],
+                                  [value, "g001", "0.5", "0.5"]])
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                 "--pairs", str(pairs)]) == 2
+    err = one_error_line(capsys)
+    assert len(err.splitlines()) == 1
+    assert err == f"error: unknown image id in {pairs}: {repr(value)[1:-1]}\n"
 
 
 def test_nso_depth_file_naming_a_directory_is_data_error(dataset, tmp_path, capsys):
@@ -807,6 +847,238 @@ def test_scale_pairs_empty_id(run_dir, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "row 2" in err and "req.csv" in err
+
+
+# -- processes -----------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code, *args, **env):
+    """stdout and stderr of `code` run with args in a fresh interpreter that
+    imports the package from the source tree, with env added to its
+    environment."""
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return proc.stdout.decode("ascii"), proc.stderr.decode("ascii")
+
+
+# Reads a UTF-8 overlap CSV, writes it back, trains and evaluates on it, then
+# trains on a latin-1 one; prints the locale encoding and each exit code.
+LOCALE_RUN = """
+import locale, sys
+from boxoverlap import cli, dataset_io
+good, bad, out = sys.argv[1:]
+dataset_io.write_overlaps(out + "/pairs.csv", dataset_io.read_overlaps(good))
+train = ["train", "--pairs", good, "--out", out + "/run", "--steps", "2", "--dim", "2"]
+evaluate = ["eval", "--checkpoint", out + "/run/checkpoint.npz", "--pairs", good,
+            "--output", out + "/metrics.json"]
+codes = [cli.main(train), cli.main(evaluate),
+         cli.main(["train", "--pairs", bad, "--out", out + "/bad", "--steps", "2"])]
+print(locale.getpreferredencoding(False), *codes)
+"""
+
+
+def test_text_files_are_utf8_in_any_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, the locale encoding is ASCII: a
+    # valid UTF-8 CSV must still read, and write the bytes a UTF-8 run writes.
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    rows = "id_x,id_y,nso_xy,nso_yx\r\n\u00e9,a,0.5,0.25\r\na,b,0.75,0.5\r\n"
+    good.write_bytes(rows.encode("utf-8"))
+    bad.write_bytes(rows.encode("latin-1"))
+    written = {}
+    for utf8_mode in ("0", "1"):
+        out = tmp_path / f"utf8-{utf8_mode}"
+        out.mkdir()
+        stdout, stderr = run_python(LOCALE_RUN, good, bad, out, LC_ALL="C",
+                                    PYTHONUTF8=utf8_mode, PYTHONCOERCECLOCALE="0")
+        encoding, *codes = stdout.split()
+        assert ("utf" in encoding.lower()) == (utf8_mode == "1")
+        assert codes == ["0", "0", "3"]
+        assert stderr.startswith("error: unreadable CSV ") and stderr.count("\n") == 1
+        assert str(bad) in stderr
+        written[utf8_mode] = {path.relative_to(out): path.read_bytes()
+                              for path in sorted(out.rglob("*")) if path.is_file()}
+    assert written["0"] == written["1"]
+    assert written["0"][Path("pairs.csv")] == good.read_bytes()
+    assert len(written["0"]) == 5
+
+
+# Runs query, eval and scale in one process; prints the scipy modules loaded.
+SERVE_RUN = """
+import sys
+from boxoverlap import cli
+ckpt, dataset, out = sys.argv[1:]
+pairs = dataset + "/pairs.csv"
+for argv in (["query", "--checkpoint", ckpt, "--query-id", "g000", "--dataset", dataset],
+             ["query", "--checkpoint", ckpt, "--query-id", "g000", "--hard"],
+             ["eval", "--checkpoint", ckpt, "--pairs", pairs],
+             ["scale", "--checkpoint", ckpt, "--pairs", pairs, "--dataset", dataset]):
+    assert cli.main([*argv, "--output", out]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_query_eval_and_scale_do_not_import_scipy(run_dir, dataset, tmp_path):
+    stdout, stderr = run_python(SERVE_RUN, run_dir / "checkpoint.npz", dataset,
+                                tmp_path / "out")
+    assert (stdout, stderr) == ("[]\n", "")
+
+
+# -- fuzzed contract -----------------------------------------------------------
+
+# Values a mutated scene.json field, checkpoint config field or CSV cell takes.
+ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, -0.5, 1e308, 5e-324,
+                               2 ** 64])
+JSON_VALUES = st.one_of(st.none(), st.booleans(), ODD_NUMBERS, st.integers(-3, 300),
+                        st.floats(), st.text(max_size=6),
+                        st.lists(st.floats(-2.0, 2.0), max_size=10))
+NON_ASCII = st.text(st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
+                    min_size=1, max_size=4)
+CELLS = st.one_of(st.text(max_size=6), NON_ASCII,
+                  st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1.5", "1e309",
+                                   "g000", "g001", ""]))
+DEPTHS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 3.4e38, 1e-45]),
+                   st.floats(width=32))
+FLAG_VALUES = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "-7"])
+
+# The inputs each command reads, by kind.
+READERS = {
+    "scene": ["nso", "nso-pairs", "query", "scale"],
+    "depth": ["nso", "nso-pairs", "query", "scale"],
+    "overlaps": ["train", "eval"],
+    "id-pairs": ["nso-pairs", "scale"],
+    "checkpoint": ["eval", "query", "scale"],
+    "flag": ["synth", "nso", "train", "query"],
+    "non-ascii-id": ["train", "eval", "nso-pairs", "scale"],
+}
+
+
+def fuzz_argv(root: Path, command: str) -> list:
+    """A run of `command` on the inputs under root: a copy of a grid:2
+    dataset, its checkpoint and an id-pair CSV. It starts one thread and at
+    most 20 steps."""
+    ds, ckpt, ids = root / "ds", root / "checkpoint.npz", root / "ids.csv"
+    return [str(arg) for arg in {
+        "synth": ["synth", "--out", root / "new", "--pattern", "grid:2"],
+        "nso": ["nso", "--dataset", ds, "--output", root / "out.csv"],
+        "nso-pairs": ["nso", "--dataset", ds, "--pairs", ids, "--output", root / "out.csv"],
+        "train": ["train", "--pairs", ds / "pairs.csv", "--out", root / "run",
+                  "--steps", "20"],
+        "eval": ["eval", "--checkpoint", ckpt, "--pairs", ds / "pairs.csv"],
+        "query": ["query", "--checkpoint", ckpt, "--query-id", "g000", "--dataset", ds],
+        "scale": ["scale", "--checkpoint", ckpt, "--pairs", ids, "--dataset", ds],
+    }[command]]
+
+
+def mutate_csv(path: Path, data, cells, id_columns_only=False):
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    row = data.draw(st.integers(0, len(rows) - 1))
+    columns = 2 if id_columns_only else len(rows[row])
+    rows[row][data.draw(st.integers(0, columns - 1))] = data.draw(cells)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def mutate(kind: str, root: Path, command: str, data) -> list:
+    """Mutate one input of `kind` under root; the argv of the run."""
+    argv = fuzz_argv(root, command)
+    ds = root / "ds"
+    if kind == "scene":
+        doc = json.loads((ds / "scene.json").read_text(encoding="utf-8"))
+        entry = data.draw(st.sampled_from(doc["views"]))
+        field = data.draw(st.sampled_from(sorted(entry)))
+        if data.draw(st.booleans()):
+            entry[field] = data.draw(JSON_VALUES)
+        else:
+            del entry[field]
+        (ds / "scene.json").write_text(json.dumps(doc), encoding="utf-8")
+    elif kind == "depth":
+        path = ds / data.draw(st.sampled_from(sorted(p.name for p in ds.glob("*.dpth"))))
+        raw = bytearray(path.read_bytes())
+        op = data.draw(st.sampled_from(["truncate", "byte", "pixel", "header"]))
+        if op == "truncate":
+            del raw[data.draw(st.integers(0, len(raw) - 1)):]
+        elif op == "byte":
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        elif op == "pixel":
+            at = 16 + 4 * data.draw(st.integers(0, (len(raw) - 16) // 4 - 1))
+            raw[at:at + 4] = struct.pack("<f", data.draw(DEPTHS))
+        else:  # a width or height the payload may not hold, checked before a read
+            at = data.draw(st.sampled_from([4, 8]))
+            raw[at:at + 4] = struct.pack("<I", data.draw(st.integers(0, 2 ** 32 - 1)))
+        path.write_bytes(bytes(raw))
+    elif kind == "overlaps":
+        mutate_csv(ds / "pairs.csv", data, CELLS)
+    elif kind == "id-pairs":
+        mutate_csv(root / "ids.csv", data, CELLS)
+    elif kind == "non-ascii-id":
+        path = ds / "pairs.csv" if command in ("train", "eval") else root / "ids.csv"
+        mutate_csv(path, data, NON_ASCII, id_columns_only=True)
+    elif kind == "checkpoint":
+        with np.load(root / "checkpoint.npz") as stored:
+            fields = dict(stored)
+        field = data.draw(st.sampled_from(sorted(fields)))
+        if field == "config":
+            config = json.loads(str(fields["config"]))
+            config[data.draw(st.sampled_from(sorted(config) + ["extra"]))] = data.draw(
+                JSON_VALUES)
+            fields["config"] = json.dumps(config)
+        elif field in ("kind", "ids"):
+            fields[field] = data.draw(st.one_of(
+                st.text(max_size=6), st.lists(st.sampled_from(["g000", "g001", "g002"]))))
+        else:
+            shape = data.draw(st.tuples(st.integers(0, 5), st.integers(0, 70)))
+            values = data.draw(st.lists(st.one_of(ODD_NUMBERS, st.floats()).map(float),
+                                        min_size=1, max_size=4))
+            fields[field] = np.resize(np.array(values), shape)
+        np.savez(root / "checkpoint.npz", **fields)
+    else:  # a numeric flag: never above its default, so no run is larger
+        flags = [flag for name, flag in NUMERIC_OPTIONS if name == argv[0]]
+        argv.append(f"{data.draw(st.sampled_from(flags))}={data.draw(FLAG_VALUES)}")
+    return argv
+
+
+def finite(value) -> bool:
+    """Whether every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(map(finite, value.values()))
+    if isinstance(value, list):
+        return all(map(finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_inputs_keep_the_exit_contract(dataset, run_dir, data):
+    # Each example mutates one input of a grid:2 run and runs one command in
+    # process: it exits 0, 2 or 3 without raising; a failure prints one
+    # `error:` line and nothing else, a success only finite numbers.
+    kind = data.draw(st.sampled_from(sorted(READERS)))
+    command = data.draw(st.sampled_from(READERS[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(dataset, root / "ds")
+        shutil.copy(run_dir / "checkpoint.npz", root)
+        (root / "ids.csv").write_text("id_x,id_y\ng000,g001\ng002,g003\n", encoding="utf-8")
+        argv = mutate(kind, root, command, data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+        # eval prints one indented document, query and scale one per line.
+        lines = [out] if argv[0] == "eval" else out.splitlines()
+        assert all(finite(json.loads(line)) for line in lines)
 
 
 # -- pinned bytes --------------------------------------------------------------

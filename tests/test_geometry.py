@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial.distance import cdist
 
 from boxoverlap import dataset_io, geometry
@@ -139,6 +140,22 @@ def test_camera_view_derives_mask():
     assert np.array_equal(view.valid_mask, valid)
     assert np.isnan(view.depth[~valid]).all()
     assert np.array_equal(view.depth[valid], [2.5, 1e-3])
+
+
+@pytest.mark.parametrize("edit, far", [
+    ({"fx": 5e-324}, True), ({"fy": 1e-150}, True), ({"depth_value": 1e151}, True),
+    ({"pose": Pose(np.eye(3), np.array([0.0, 0.0, 1e151]))}, True),
+    ({"fx": 1e-140, "depth_value": 1e-20}, False), ({"depth_value": np.nan}, False),
+])
+def test_view_reaching_beyond_the_extent_is_rejected(edit, far):
+    # A point coordinate past 1e150 would overflow the squares that normal
+    # fits and point distances take, turning them into inf or NaN; only the
+    # farthest point a view can reach counts, not its focal length alone.
+    if far:
+        with pytest.raises(ValueError, match="beyond 1e\\+150 of the origin"):
+            flat_view(**edit)
+    else:
+        flat_view(**edit)
 
 
 def test_overlap_record_bounds():
@@ -571,13 +588,56 @@ def grid_views(n, seed, spacing):
                          seed).views
 
 
+# (grid size, seed, spacing, first view, second view, n_sub): an overlapping
+# pair, the same pair with each source subsampled below its 3072 surfels,
+# and the first and last views of a sparse grid, whose bounds are apart.
+ENTRY_POINT_PAIRS = {
+    "overlapping": (2, 4, 1.0, 0, 1, 5000),
+    "subsampled": (2, 4, 1.0, 0, 1, 1000),
+    "culled": (4, 2, 6.0, 0, 15, 5000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_POINT_PAIRS))
+@pytest.mark.parametrize("weighted", [True, False])
+def test_entry_points_agree_bit_for_bit(case, weighted):
+    n, seed, spacing, i, j, n_sub = ENTRY_POINT_PAIRS[case]
+    views = grid_views(n, seed, spacing)
+    vx, vy = views[i], views[j]
+    cfg = NSOConfig(seed=seed, n_sub=n_sub, weighted=weighted)
+    cx, cy = backproject(vx), backproject(vy)
+    assert (n_sub < len(cx)) == (case == "subsampled")
+    culled = not geometry._near(*geometry._bounds(cx.points), geometry._bounds(cy.points),
+                                cfg.radius)
+    assert culled == (case == "culled")
+    records = [compute_nso(vx, vy, cfg),
+               nso_from_clouds(cx, cy, vx.id, vy.id, cfg),
+               geometry.pairs_nso([vx, vy], [(vx.id, vy.id)], cfg)[0],
+               nso_from_clouds(cx, cy, vx.id, vy.id, cfg, brute_force=True)]
+    assert all(rec == records[-1] for rec in records)
+    assert (records[0].nso_xy > 0) == (case != "culled")
+
+
+def test_compute_nso_of_two_views_that_share_an_id():
+    # The views are keyed by position, so a second view under the first's id
+    # is still the second view, not the first one again.
+    vx, vy = grid_views(2, seed=4, spacing=1.0)[:2]
+    twin = CameraView(vx.id, vy.intrinsics, vy.pose, vy.depth)
+    cfg = NSOConfig(seed=4)
+    rec = compute_nso(vx, twin, cfg)
+    ref = nso_from_clouds(backproject(vx), backproject(vy), vx.id, vx.id, cfg,
+                          brute_force=True)
+    assert rec == ref
+    assert 0 < rec.nso_xy < 1 and 0 < rec.nso_yx < 1
+
+
 def test_all_pairs_oracle_on_sparse_grid():
     # At spacing 6 most footprints are apart, so most pairs are culled.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
     records = all_pairs_nso(views, cfg, oracle=True)
     clouds = {v.id: backproject(v) for v in views}
-    bounds = {img_id: geometry._bounds(cloud) for img_id, cloud in clouds.items()}
+    bounds = {img_id: geometry._bounds(cloud.points) for img_id, cloud in clouds.items()}
     culled = [not geometry._near(*bounds[rec.id_x], bounds[rec.id_y], cfg.radius)
               for rec in records]
     assert len(records) == len(culled) == 120
@@ -666,13 +726,13 @@ def test_unweighted_all_pairs_fits_no_normal(monkeypatch):
 def spy_tree_sizes(monkeypatch):
     """The number of points of each cKDTree built, one per prepared view."""
     sizes = []
-    tree = geometry.cKDTree
+    tree = scipy.spatial.cKDTree
 
     def spy(points):
         sizes.append(len(points))
         return tree(points)
 
-    monkeypatch.setattr(geometry, "cKDTree", spy)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
     return sizes
 
 
@@ -685,34 +745,34 @@ def test_sparse_grid_fits_only_normals_in_reach(monkeypatch):
     full = {view.id: backproject(view) for view in views}
     fits = spy_eigh(monkeypatch)
     trees = spy_tree_sizes(monkeypatch)
-    kept_surfels, reached_cloud = geometry._kept_surfels, geometry._reached_cloud
-    seen = {}  # view id -> [live partners, its kept surfels, (points in reach, mask)]
+    surfel_points, reached_cloud = geometry._surfel_points, geometry._reached_cloud
+    seen = {}  # view id -> [live partners, its kept surfels, its points in reach]
 
-    def spy_kept(view):
-        cloud = kept_surfels(view)
-        seen[view.id] = [0, cloud, (SurfelCloud(cloud.points[:0], cloud.normals[:0]),
-                                    np.zeros(len(cloud), dtype=bool))]
-        return cloud
+    def spy_points(view):
+        points = surfel_points(view)
+        seen[view.id] = [0, points, geometry._Reached(points[:0], points[:0],
+                                                      np.zeros(len(points), dtype=bool))]
+        return points
 
-    def spy_reached(cloud, near, cfg, view):
+    def spy_reached(points, near, view, cfg):
         seen[view.id][0] = len(near)
-        seen[view.id][2] = reached_cloud(cloud, near, cfg, view)
+        seen[view.id][2] = reached_cloud(points, near, view, cfg)
         return seen[view.id][2]
 
-    monkeypatch.setattr(geometry, "_kept_surfels", spy_kept)
+    monkeypatch.setattr(geometry, "_surfel_points", spy_points)
     monkeypatch.setattr(geometry, "_reached_cloud", spy_reached)
     all_pairs_nso(views, cfg)
     fitted = kept = 0
     for view in views:
-        n_partners, cloud, (in_reach, reach) = seen[view.id]
-        rows = np.ones(len(cloud), dtype=bool) if reach is None else reach
-        assert np.array_equal(cloud.points, full[view.id].points)
+        n_partners, points, in_reach = seen[view.id]
+        rows = np.ones(len(points), dtype=bool) if in_reach.reach is None else in_reach.reach
+        assert np.array_equal(points, full[view.id].points)
         assert np.array_equal(in_reach.points, full[view.id].points[rows])
         assert np.array_equal(in_reach.normals, full[view.id].normals[rows])
         if n_partners == 0:
             assert not rows.any()
         fitted += rows.sum()
-        kept += len(cloud)
+        kept += len(points)
     assert any(n_partners == 0 for n_partners, *_ in seen.values())
     assert sum(fits) == fitted < kept
     assert sum(trees) == fitted
@@ -724,25 +784,25 @@ def test_sparse_grid_indexes_only_views_in_a_live_pair(monkeypatch):
     # every normal fitted, before the first tree is built.
     views = grid_views(4, seed=2, spacing=6.0)
     cfg = NSOConfig(seed=2, n_sub=400)
-    kept_surfels, reached_cloud = geometry._kept_surfels, geometry._reached_cloud
+    surfel_points, reached_cloud = geometry._surfel_points, geometry._reached_cloud
     index_cloud = geometry._index_cloud
     events, owner = [], {}  # owner: id() of a cloud in reach -> its view id
 
-    def spy_kept(view):
+    def spy_points(view):
         events.append(("surfels", view.id, 0))
-        return kept_surfels(view)
+        return surfel_points(view)
 
-    def spy_reached(cloud, near, cfg, view):
+    def spy_reached(points, near, view, cfg):
         events.append(("surfels", view.id, len(near)))
-        in_reach, reach = reached_cloud(cloud, near, cfg, view)
+        in_reach = reached_cloud(points, near, view, cfg)
         owner[id(in_reach)] = view.id
-        return in_reach, reach
+        return in_reach
 
-    def spy_index(cloud, cfg, reach=None):
+    def spy_index(cloud, cfg):
         events.append(("index", owner[id(cloud)]))
-        return index_cloud(cloud, cfg, reach)
+        return index_cloud(cloud, cfg)
 
-    monkeypatch.setattr(geometry, "_kept_surfels", spy_kept)
+    monkeypatch.setattr(geometry, "_surfel_points", spy_points)
     monkeypatch.setattr(geometry, "_reached_cloud", spy_reached)
     monkeypatch.setattr(geometry, "_index_cloud", spy_index)
     all_pairs_nso(views, cfg)
@@ -773,15 +833,16 @@ def test_reach_holds_every_point_within_radius_of_a_partner(monkeypatch, n, seed
     reached_cloud = geometry._reached_cloud
     reach = {}
 
-    def spy_reached(cloud, near, cfg, view):
-        in_reach, mask = reached_cloud(cloud, near, cfg, view)
-        reach[view.id] = np.ones(len(cloud), dtype=bool) if mask is None else mask
-        return in_reach, mask
+    def spy_reached(points, near, view, cfg):
+        in_reach = reached_cloud(points, near, view, cfg)
+        mask = in_reach.reach
+        reach[view.id] = np.ones(len(points), dtype=bool) if mask is None else mask
+        return in_reach
 
     monkeypatch.setattr(geometry, "_reached_cloud", spy_reached)
     records = all_pairs_nso(views, cfg)
     points = {view.id: backproject(view).points for view in views}
-    bounds = {img_id: geometry._bounds(SurfelCloud(p, p)) for img_id, p in points.items()}
+    bounds = {img_id: geometry._bounds(p) for img_id, p in points.items()}
     pairs = [(rec.id_x, rec.id_y) for rec in records]
     live = [pair for pair, searched in zip(pairs, geometry._cull(pairs, bounds, cfg.radius))
             if searched]
@@ -819,8 +880,8 @@ def test_subsampled_pairs_in_reach_match_the_oracle(monkeypatch):
     index_cloud, query_nso = geometry._index_cloud, geometry._query_nso
     indexed, queried = [], []
 
-    def spy_index(cloud, cfg, reach=None):
-        indexed.append(index_cloud(cloud, cfg, reach))
+    def spy_index(cloud, cfg):
+        indexed.append(index_cloud(cloud, cfg))
         return indexed[-1]
 
     def spy_query(src, dst, cfg, workers):
@@ -866,7 +927,7 @@ def test_cull_keeps_pair_exactly_radius_apart(weighted):
     # Nearest points are exactly `radius` apart along x: a match, not a cull.
     cfg = NSOConfig(radius=0.5, seed=0, weighted=weighted)
     a, b = slab_cloud(0.0), slab_cloud(0.5)
-    assert geometry._near(*geometry._bounds(a), geometry._bounds(b), cfg.radius)
+    assert geometry._near(*geometry._bounds(a.points), geometry._bounds(b.points), cfg.radius)
     rec = nso_from_clouds(a, b, "a", "b", cfg)
     assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
     assert (rec.nso_xy, rec.nso_yx) == (1.0, 1.0)
@@ -875,7 +936,7 @@ def test_cull_keeps_pair_exactly_radius_apart(weighted):
 def test_cull_drops_pair_just_beyond_radius():
     cfg = NSOConfig(radius=0.5, seed=0)
     a, b = slab_cloud(0.0), slab_cloud(0.5 * (1 + 1e-5))
-    assert not geometry._near(*geometry._bounds(a), geometry._bounds(b), cfg.radius)
+    assert not geometry._near(*geometry._bounds(a.points), geometry._bounds(b.points), cfg.radius)
     rec = nso_from_clouds(a, b, "a", "b", cfg)
     assert rec == nso_from_clouds(a, b, "a", "b", cfg, brute_force=True)
     assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
@@ -891,7 +952,7 @@ def test_live_pair_with_no_point_in_reach(monkeypatch, weighted, n_sub):
     a = point_cloud([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [up, up])
     b = point_cloud([[1.05, -1.0, 0.0], [2.0, 0.0, 0.0]], [up, up])
     cfg = NSOConfig(radius=0.1, n_sub=n_sub, seed=0, weighted=weighted)
-    assert geometry._near(*geometry._bounds(a), geometry._bounds(b), cfg.radius)
+    assert geometry._near(*geometry._bounds(a.points), geometry._bounds(b.points), cfg.radius)
     trees = spy_tree_sizes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -903,13 +964,13 @@ def test_live_pair_with_no_point_in_reach(monkeypatch, weighted, n_sub):
 
 def test_culled_pair_builds_no_tree(monkeypatch):
     built = []
-    tree = geometry.cKDTree
+    tree = scipy.spatial.cKDTree
 
     def spy(points):
         built.append(len(points))
         return tree(points)
 
-    monkeypatch.setattr(geometry, "cKDTree", spy)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
     cfg = NSOConfig(radius=0.5, seed=0)
     rec = nso_from_clouds(slab_cloud(0.0), slab_cloud(0.5 * (1 + 1e-5)), "a", "b", cfg)
     assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
@@ -954,7 +1015,8 @@ def test_point_outside_subsample_is_still_a_destination():
 
 
 def pair_route(clouds, cfg):
-    a, b = (geometry._index_cloud(cloud, cfg) for cloud in clouds)
+    a, b = (geometry._index_cloud(geometry._Reached(cloud.points, cloud.normals, None), cfg)
+            for cloud in clouds)
     return geometry._use_join(a, b)
 
 
