@@ -155,9 +155,9 @@ def params_to_bounds(center, size_raw):
 
 def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
     """Vectorized nbo(x -> y) of boxes given as (B, D) centers and pre-softplus sizes."""
-    inter, vol, _ = overlap(*params_to_bounds(cx, sx_raw),
-                            *params_to_bounds(cy, sy_raw), cfg)
-    return inter / vol
+    lower_x, upper_x = params_to_bounds(cx, sx_raw)
+    return (intersection(lower_x, upper_x, *params_to_bounds(cy, sy_raw), cfg)
+            / volumes(lower_x, upper_x, cfg))
 
 
 def nbo_grad_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):

@@ -120,13 +120,18 @@ def read_scene(dataset_dir) -> list[CameraView]:
 
 def _read_view(dataset_dir, entry) -> CameraView:
     """The view of one scene.json entry; a bad value raises ValueError or
-    TypeError, an infinite size OverflowError, an unreadable raster OSError."""
+    TypeError, a number past float range OverflowError, an unreadable raster
+    OSError."""
     rotation = np.asarray(entry["rotation"], dtype=np.float64)
     if rotation.size != 9:
         raise ValueError("rotation must hold 9 floats")
+    for name in ("width", "height"):
+        # A JSON integer only: not a string, a float or a bool.
+        if type(entry[name]) is not int:
+            raise ValueError(f"{name} must be an integer, got {entry[name]!r}")
     intrinsics = CameraIntrinsics(
         fx=entry["fx"], fy=entry["fy"], cx=entry["cx"], cy=entry["cy"],
-        width=int(entry["width"]), height=int(entry["height"]),
+        width=entry["width"], height=entry["height"],
     )
     pose = Pose(rotation.reshape(3, 3), np.asarray(entry["translation"]))
     depth_path = dataset_dir / entry["depth_file"]
@@ -163,6 +168,7 @@ def read_overlaps(path) -> list[OverlapRecord]:
     unordered id pair may appear on one row."""
     records = []
     first_row = {}  # unordered id pair -> row number
+    ids = {}  # one string object per distinct id, shared by its records
     rows = _csv_rows(path)
     _, header = next(rows, (0, None))
     if header != ["id_x", "id_y", "nso_xy", "nso_yx"]:
@@ -172,6 +178,7 @@ def read_overlaps(path) -> list[OverlapRecord]:
             id_x, id_y, nso_xy, nso_yx = row
             if not id_x or not id_y:
                 raise ValueError("empty image id")
+            id_x, id_y = ids.setdefault(id_x, id_x), ids.setdefault(id_y, id_y)
             # OverlapRecord rejects NaN and values outside [0, 1].
             records.append(OverlapRecord(id_x, id_y, float(nso_xy), float(nso_yx)))
         except ValueError as exc:

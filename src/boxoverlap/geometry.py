@@ -555,11 +555,15 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     ones included, is then recomputed brute-force from full `backproject`
     clouds and must match exactly, else OracleMismatchError; it keeps a
     first view's cloud while its pairs run and backprojects each second view
-    afresh, so it holds at most two at a time.
+    afresh, so it holds at most two at a time. Two distinct views that
+    share an id are a ValueError.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    by_id = {view.id: view for view in views}
+    by_id = {}
+    for view in views:
+        if by_id.setdefault(view.id, view) is not view:
+            raise ValueError(f"two views share the id {view.id!r}")
     named = dict.fromkeys(img_id for pair in pairs for img_id in pair)
     nso = _nso_pairs({img_id: _surfel_points(by_id[img_id]) for img_id in named}, by_id,
                      pairs, cfg, threads)

@@ -11,7 +11,8 @@ class SphereSurface:
     def min_camera_z(self) -> float:
         return self.center[2] + self.radius
 
-    def intersect(self, origin, dirs):
+    def intersect(self, origin, dirs, dtype=np.float64):
+        # Closed form: the depth is exact in any `dtype`.
         oc = origin - self.center
         a = np.einsum("...i,...i->...", dirs, dirs)
         b = 2.0 * dirs @ oc

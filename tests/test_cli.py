@@ -276,6 +276,20 @@ def test_nso_malformed_scene_is_data_error(dataset, tmp_path, capsys):
     assert "view 'g001'" in err and "scene.json" in err
 
 
+@pytest.mark.parametrize("field, value", [("width", "64"), ("width", 64.7), ("width", 64.0),
+                                          ("height", "48"), ("height", True)])
+def test_view_size_must_be_a_json_integer(field, value, dataset, tmp_path, capsys):
+    # A size that is not a JSON integer is a data error, never truncated to one.
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    doc = json.loads((bad / "scene.json").read_text())
+    doc["views"][1][field] = value
+    (bad / "scene.json").write_text(json.dumps(doc))
+    assert main(["nso", "--dataset", str(bad), "--output", str(tmp_path / "o.csv")]) == 3
+    assert one_error_line(capsys) == (f"error: view 'g001' in {bad / 'scene.json'}: "
+                                      f"{field} must be an integer, got {value!r}\n")
+
+
 @pytest.mark.parametrize("field, value", [("fx", 5e-324), ("translation", [0.0, 0.0, 1e151])])
 def test_view_reaching_past_the_extent_is_data_error(field, value, dataset, tmp_path, capsys):
     # A subnormal focal length put points at inf: the normal fit turned them

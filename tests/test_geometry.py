@@ -631,6 +631,18 @@ def test_compute_nso_of_two_views_that_share_an_id():
     assert 0 < rec.nso_xy < 1 and 0 < rec.nso_yx < 1
 
 
+def test_pairs_of_two_views_that_share_an_id_are_rejected():
+    # Keyed by id, the second view would replace the first, and their pair
+    # would read as a self-overlap.
+    vx, vy = grid_views(2, seed=4, spacing=1.0)[:2]
+    twin = CameraView(vx.id, vy.intrinsics, vy.pose, vy.depth)
+    cfg = NSOConfig(seed=4)
+    with pytest.raises(ValueError, match="two views share the id 'g000'"):
+        all_pairs_nso([vx, twin], cfg)
+    with pytest.raises(ValueError, match="two views share the id 'g000'"):
+        geometry.pairs_nso([vx, vy, twin], [("g000", "g001")], cfg)
+
+
 def test_all_pairs_oracle_on_sparse_grid():
     # At spacing 6 most footprints are apart, so most pairs are culled.
     views = grid_views(4, seed=2, spacing=6.0)

@@ -221,6 +221,21 @@ def test_overlaps_distinct_pairs_sharing_ids(tmp_path):
     assert dataset_io.read_overlaps(path) == records
 
 
+def test_overlaps_hold_one_string_per_id(tmp_path):
+    records = [OverlapRecord(f"v{i}", f"v{j}", 0.5, 0.25)
+               for i in range(6) for j in range(i + 1, 6)]
+    path = tmp_path / "pairs.csv"
+    dataset_io.write_overlaps(path, records)
+    loaded = dataset_io.read_overlaps(path)
+    assert loaded == records
+    # Equal ids from different cells are one object.
+    first = {}
+    for rec in loaded:
+        for img_id in (rec.id_x, rec.id_y):
+            assert first.setdefault(img_id, img_id) is img_id
+    assert len(first) == 6
+
+
 # -- id-pair CSVs --------------------------------------------------------------
 
 

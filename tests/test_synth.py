@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxoverlap import dataset_io
 from boxoverlap.geometry import NSOConfig, backproject, compute_nso, nso_from_clouds
@@ -209,11 +211,76 @@ def test_heightfield_stops_before_100_steps(monkeypatch):
     render_depth(surface, grid_script(1, seed=0).placements[0])
     # float64 runs out of bits after about 50 halvings of the bracket.
     assert 0 < len(calls) < 100
-    # A missed ray's NaN bracket counts as unchanged.
+    # A missed ray is never bisected, so it keeps no step going.
     calls.clear()
     dirs = np.array([[0.1, 0.2, -1.0], [0.3, 0.0, 0.0], [0.0, 0.1, 1.0]])
     surface.intersect(np.array([0.0, 0.0, DEFAULT_HEIGHT]), dirs)
     assert 0 < len(calls) < 100
+
+
+@st.composite
+def midpoint_rays(draw):
+    """A surface, a camera and rays whose depth lies within a few float64
+    ulps of a float32 rounding midpoint: straight down onto a term of
+    amplitude 1e-9 that is 0 below the camera, and tilted by under 1e-6."""
+    near = np.float32(draw(st.floats(1.0, 20.0, width=32)))
+    midpoint = (np.float64(near) + np.float64(np.nextafter(near, np.float32(np.inf)))) / 2
+    oz = midpoint + draw(st.integers(-4, 4)) * np.spacing(midpoint)
+    kx, ky = draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
+    surface = HeightfieldSurface(0.0, [(1e-9, kx, ky, 0.0)])
+    tilts = draw(st.lists(st.tuples(st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6)),
+                          max_size=8))
+    dirs = np.array([(0.0, 0.0, -1.0)] + [(tx, ty, -1.0) for tx, ty in tilts])
+    return surface, np.array([0.0, 0.0, oz]), dirs
+
+
+@st.composite
+def bench_rays(draw):
+    """Steep, grazing and missing rays from a camera over a default surface,
+    or inside the band its terms span."""
+    surface = default_surface(draw(st.integers(0, 50)))
+    ox, oy = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    oz = surface.min_camera_z() + draw(st.floats(-0.2, 15.0))
+    lateral = st.floats(-2.0, 2.0)
+    dz = st.one_of(st.floats(-1.0, -0.2),       # steep
+                   st.floats(-1e-5, -1e-7),     # grazing: brackets of 1e4-1e7
+                   st.floats(0.0, 1.0))         # level or rising: misses
+    dirs = draw(st.lists(st.tuples(lateral, lateral, dz), min_size=1, max_size=40))
+    return surface, np.array([ox, oy, oz]), np.array(dirs)
+
+
+@given(st.one_of(midpoint_rays(), bench_rays()))
+@settings(max_examples=150, deadline=None)
+def test_float32_intersect_rounds_as_100_steps(rays):
+    surface, origin, dirs = rays
+    # A subnormal dz overflows the reference's bracket, which it does not
+    # expect; intersect itself must stay silent.
+    with np.errstate(over="ignore"):
+        want = bisect_100_steps(surface, origin, dirs)
+    got = surface.intersect(origin, dirs, np.float32)
+    assert np.array_equal(got.astype(np.float32), want.astype(np.float32), equal_nan=True)
+    # Each ray alone too, so no other ray keeps it going.
+    for i in range(len(dirs)):
+        one = surface.intersect(origin, dirs[i:i + 1], np.float32)
+        assert np.array_equal(one.astype(np.float32), want[i:i + 1].astype(np.float32),
+                              equal_nan=True)
+    assert np.array_equal(surface.intersect(origin, dirs), want, equal_nan=True)
+
+
+def test_float32_render_steps_per_pixel(monkeypatch):
+    surface = default_surface(seed=7)
+    height = surface.height
+    ray_steps = []
+
+    def counted(x, y):
+        ray_steps.append(np.size(x))
+        return height(x, y)
+
+    monkeypatch.setattr(surface, "height", counted)
+    placement = default_script(seed=7).placements[0]
+    render_script(surface, CameraScript([placement]), seed=7)
+    # About 21 on the default script, against about 50 to float64's resolution.
+    assert 0 < sum(ray_steps) / (placement.width * placement.height) < 30
 
 
 def test_render_bytes_pinned():
