@@ -59,13 +59,37 @@ class BoxEmbedding:
         return self.lower.shape[0]
 
 
+# Softplus is exactly linear from _LINEAR on: there exp(-x) is below half
+# an ulp of x and of 1.0, so float64 logaddexp(0, x) rounds to x (from 33.27)
+# and expit(x) to 1.0 (from 36.74). Below _LINEAR_MIN_SIZE elements (a
+# 32-dimension box row, say) one logaddexp call costs less than the min
+# reduction that proves the regime.
+_LINEAR = 40.0
+_LINEAR_MIN_SIZE = 64
+
+
+def _outside_linear(func, x, linear):
+    """func(x), with linear(x) in place of func on the elements of a float64
+    array at or above _LINEAR. Any other input, a small array, and an array
+    whose first element is below _LINEAR or NaN (a random gallery's, say)
+    go to func whole: that costs no reduction, and func gives the same bits."""
+    if (type(x) is not np.ndarray or x.dtype != np.float64
+            or x.size < _LINEAR_MIN_SIZE or not x.item(0) >= _LINEAR):
+        return func(x)
+    out = linear(x)
+    if not x.min() >= _LINEAR:
+        rest = ~(x >= _LINEAR)
+        out[rest] = func(x[rest])
+    return out
+
+
 def softplus(x):
-    return np.logaddexp(0.0, x)
+    return _outside_linear(lambda a: np.logaddexp(0.0, a), x, lambda a: a.copy(order="K"))
 
 
 def softplus_grad(x):
     from scipy.special import expit
-    return expit(x)
+    return _outside_linear(expit, x, np.ones_like)
 
 
 def sigma(v, cfg: SmoothingConfig, out=None):
@@ -149,8 +173,8 @@ def nbo(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
 
 def params_to_bounds(center, size_raw):
     """(lower, upper) of boxes given by center and pre-softplus size arrays."""
-    size = softplus(size_raw)
-    return center - size / 2.0, center + size / 2.0
+    half = softplus(size_raw) / 2.0
+    return center - half, center + half
 
 
 def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
@@ -172,27 +196,37 @@ def nbo_grad_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
     if cfg.hard:
         raise ValueError("gradients require rho > 0")
     size_raws = np.stack([sx_raw, sy_raw])
-    sizes = softplus(size_raws)
+    # In the linear regime softplus is the identity and its gradient 1.0.
+    linear = size_raws.min(initial=np.inf) >= _LINEAR
+    sizes = size_raws if linear else softplus(size_raws)
     half = sizes / 2.0
     centers = np.stack([cx, cy])
     upper, lower = centers + half, centers - half
-    v = np.minimum(upper[0], upper[1]) - np.maximum(lower[0], lower[1])
-
-    f = sigma(v, cfg)
-    g = sigma(sizes, cfg)
-    out = np.prod(f, axis=-1) / np.prod(g, axis=-1)
+    # The intersection edges, then both boxes' sizes, through one sigma and
+    # one sigma_grad call.
+    edges = np.empty((3,) + upper.shape[1:], upper.dtype)
+    v = np.minimum(upper[0], upper[1], out=edges[0])
+    v -= np.maximum(lower[0], lower[1])
+    edges[1:] = sizes
+    f, s_grad = sigma(edges, cfg), sigma_grad(edges, cfg)
+    prods = np.prod(f, axis=-1)
+    out = prods[0] / prods[1:]
 
     # d nbo / d v_d and the direct volume term through the source size.
-    dv = out[..., None] * sigma_grad(v, cfg) / f
-    d_direct = -out[..., None] * sigma_grad(sizes, cfg) / g
+    dv = out[..., None] * s_grad[0] / f[0]
+    d_direct = -out[..., None] * s_grad[1:] / f[1:]
     a_u = (upper <= upper[::-1]).astype(np.float64)  # min tie -> source
     a_l = (lower >= lower[::-1]).astype(np.float64)  # max tie -> source
-    spg = softplus_grad(size_raws)
+    a_sum = a_u + a_l
 
     d_src_c = dv * (a_u - a_l)
-    d_src_s = (dv * (a_u + a_l) / 2.0 + d_direct) * spg
-    d_tgt_c = dv * ((1.0 - a_u) - (1.0 - a_l))
-    d_tgt_s = dv * ((2.0 - a_u - a_l) / 2.0) * spg[::-1]
+    d_src_s = dv * a_sum / 2.0 + d_direct
+    d_tgt_c = dv * (a_l - a_u)
+    d_tgt_s = dv * ((2.0 - a_sum) / 2.0)
+    if not linear:
+        spg = softplus_grad(size_raws)
+        d_src_s *= spg
+        d_tgt_s *= spg[::-1]
     return out, d_src_c, d_src_s, d_tgt_c, d_tgt_s
 
 

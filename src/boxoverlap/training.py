@@ -149,31 +149,36 @@ def _init_table(dataset: PairDataset, cfg: TrainConfig, kind: str, rng) -> Embed
     return EmbeddingTable("vector", dataset.ids, vectors)
 
 
-def _scatter_rows(rows, values, n_rows):
-    """Sum row i of `values` into row rows[i] of an (n_rows, k) zero table.
+def _scatter_rows(rows, values, flat):
+    """Sum row i of `values` into row rows[i] of a zero table shaped like
+    `flat`, that table's element indices (_flat_index, built once per run).
 
     One np.bincount over flat indices. Each table element receives its
     additions in the order of `rows`, as one np.add.at call per block of
     rows, made in that order, would add them.
     """
-    k = values.shape[1]
-    flat = (rows[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(flat, values.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+    return np.bincount(flat[rows].ravel(), values.ravel(),
+                       minlength=flat.size).reshape(flat.shape)
 
 
-def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
+def _flat_index(params):
+    return np.arange(params.size).reshape(params.shape)
+
+
+def _box_grad(params, rows, targets, smoothing: SmoothingConfig, flat):
     """Mean loss over a batch of pairs plus gradient w.r.t. the full table.
 
-    Both directed overlaps and their partials come from one
-    boxes.nbo_grad_batch call; they are scattered in one pass, x -> y
-    first, source rows before target rows.
+    `rows` and `targets` are (2, B): the x and y table rows of each pair and
+    its two directed targets. Both directed overlaps and their partials come
+    from one boxes.nbo_grad_batch call; they are scattered in one pass,
+    x -> y first, source rows before target rows.
     """
-    d, b = cfg.dim, len(xi)
-    rows = table.params[np.concatenate([xi, yi])]  # x rows, then y rows
+    d, b = params.shape[1] // 2, rows.shape[1]
+    p = params[rows]
     out, d_src_c, d_src_s, d_tgt_c, d_tgt_s = boxes.nbo_grad_batch(
-        rows[:b, :d], rows[:b, d:], rows[b:, :d], rows[b:, d:], cfg.smoothing)
+        p[0, :, :d], p[0, :, d:], p[1, :, :d], p[1, :, d:], smoothing)
 
-    err = np.stack([t_xy, t_yx]) - out
+    err = targets - out
     sq = np.mean(err**2, axis=1)
     total = float(sq[0]) + float(sq[1])
     coef = (-2.0 * err / b)[..., None]
@@ -183,22 +188,27 @@ def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
     np.multiply(coef, d_src_s, out=parts[:, 0, :, d:])
     np.multiply(coef, d_tgt_c, out=parts[:, 1, :, :d])
     np.multiply(coef, d_tgt_s, out=parts[:, 1, :, d:])
-    grad = _scatter_rows(np.concatenate([xi, yi, yi, xi]), parts.reshape(4 * b, 2 * d),
-                         len(table.params))
+    grad = _scatter_rows(np.concatenate([rows.ravel(), rows[::-1].ravel()]),
+                         parts.reshape(4 * b, 2 * d), flat)
     return total, grad
 
 
-def _vector_batch_grad(table, xi, yi, t_sym, cfg: TrainConfig):
-    vx = table.params[xi]
-    vy = table.params[yi]
-    diff = vx - vy
+def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
+    """_box_grad of one batch of pairs given by their x and y rows and targets."""
+    return _box_grad(table.params, np.stack([xi, yi]), np.stack([t_xy, t_yx]),
+                     cfg.smoothing, _flat_index(table.params))
+
+
+def _vector_grad(params, rows, t_sym, flat):
+    """Mean target-distance loss over a batch of pairs, given by their (2, B)
+    x and y table rows, plus gradient w.r.t. the full table."""
+    diff = params[rows[0]] - params[rows[1]]
     dist = np.linalg.norm(diff, axis=1)
     err = (1.0 - t_sym) - dist
     loss = float(np.mean(err**2))
     safe = np.where(dist > 0, dist, 1.0)
     coef = (-2.0 * err / len(err) / safe * (dist > 0))[:, None]
-    grad = _scatter_rows(np.concatenate([xi, yi]),
-                         np.concatenate([coef * diff, -coef * diff]), len(table.params))
+    grad = _scatter_rows(rows.ravel(), np.concatenate([coef * diff, -coef * diff]), flat)
     return loss, grad
 
 
@@ -214,12 +224,15 @@ def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
     rng = np.random.default_rng(cfg.seed)
     table = _init_table(dataset, cfg, kind, rng)
 
-    t_xy = np.array([r.nso_xy for r in dataset.records])
-    t_yx = np.array([r.nso_yx for r in dataset.records])
-    t_sym = 0.5 * (t_xy + t_yx)
+    # Per pair: x and y table rows, and the two directed targets.
     row = table.row
-    xi_all = np.array([row[r.id_x] for r in dataset.records])
-    yi_all = np.array([row[r.id_y] for r in dataset.records])
+    pair_rows = np.array([[row[r.id_x] for r in dataset.records],
+                          [row[r.id_y] for r in dataset.records]])
+    targets = np.array([[r.nso_xy for r in dataset.records],
+                        [r.nso_yx for r in dataset.records]])
+    t_sym = 0.5 * (targets[0] + targets[1])
+    smoothing = cfg.smoothing
+    flat = _flat_index(table.params)
 
     m = np.zeros_like(table.params)
     v = np.zeros_like(table.params)
@@ -227,11 +240,11 @@ def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
     trace = np.empty(cfg.steps)
     for step in range(cfg.steps):
         batch = rng.integers(0, len(dataset), size=cfg.batch_size)
-        xi, yi = xi_all[batch], yi_all[batch]
+        rows = pair_rows[:, batch]
         if kind == "box":
-            loss, grad = _box_batch_grad(table, xi, yi, t_xy[batch], t_yx[batch], cfg)
+            loss, grad = _box_grad(table.params, rows, targets[:, batch], smoothing, flat)
         else:
-            loss, grad = _vector_batch_grad(table, xi, yi, t_sym[batch], cfg)
+            loss, grad = _vector_grad(table.params, rows, t_sym[batch], flat)
         if not np.isfinite(loss):
             ids = sorted({dataset.records[b].id_x for b in batch}
                          | {dataset.records[b].id_y for b in batch})

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from boxoverlap.boxes import (
     HARD,
@@ -18,7 +20,9 @@ from boxoverlap.boxes import (
     overlap,
     params_to_bounds,
     sigma,
+    sigma_grad,
     softplus,
+    softplus_grad,
     volumes,
 )
 
@@ -280,6 +284,53 @@ def test_params_to_box_ordered(seed):
     assert np.allclose(b.upper - b.lower, softplus(size_raw))
 
 
+# -- softplus ------------------------------------------------------------------
+# Both take x itself, or 1.0, in their linear regime from 40 on; every other
+# element, and every input that is not a float64 array, must give the bits
+# and the type of np.logaddexp(0, x) and expit(x). Arrays of fewer than 64
+# elements go to logaddexp and expit whole, so the regime cases are larger.
+
+SOFTPLUS_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e300, 1e300,
+                  33.27, 36.74, np.nextafter(40.0, 0.0), 40.0, 41.0]
+
+
+def assert_like_softplus(x):
+    with np.errstate(invalid="ignore"):  # logaddexp(0, NaN) warns
+        pairs = ((softplus(x), np.logaddexp(0.0, x)), (softplus_grad(x), expit(x)))
+    for got, want in pairs:
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    3.0, 50.0, 50, -0.0, math.nan, math.inf, np.float64(50.0), np.float32(50.0),
+    np.array(50.0), np.array(-0.0), np.full(100, 50.0, np.float32), np.full(100, 50),
+    [50.0] * 100, np.empty(0), np.empty((0, 3)), np.full(63, 50.0), np.full(64, 50.0),
+    np.resize(SOFTPLUS_EDGES, 130), np.resize(SOFTPLUS_EDGES[1:], 130),
+    np.resize(SOFTPLUS_EDGES[::-1], (10, 13)), np.resize([41.0, 1e300, 40.0], (8, 8)),
+    np.resize([41.0, np.nan, 3.0, -np.nan, 40.0, -np.inf], (4, 4, 4)),
+    np.resize([41.0, 50.0, 3.0], (30, 9))[:, ::2],
+    np.asfortranarray(np.resize([60.0, -0.0, 45.0, 2.0], (12, 10))),
+])
+def test_softplus_keeps_logaddexp_and_expit_bits_and_types(x):
+    assert_like_softplus(x)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                max_side=12),
+                  elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                     st.floats(30.0, 50.0),
+                                     st.sampled_from(SOFTPLUS_EDGES))))
+@settings(max_examples=300, deadline=None)
+def test_softplus_equals_logaddexp_property(x):
+    assert_like_softplus(x)
+    if x.size:  # and with the first element in the linear regime
+        x.flat[0] = 41.0
+        assert_like_softplus(x)
+
+
 # -- gradients -----------------------------------------------------------------
 
 
@@ -342,6 +393,71 @@ def test_gradient_requires_smoothing():
     p = (np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         pair_gradient(p, p, HARD)
+
+
+def frozen_nbo_grad_batch(cx, sx_raw, cy, sy_raw, cfg):
+    """nbo_grad_batch as it was before its softplus linear regime and its
+    stacked edge pass: softplus and its gradient through np.logaddexp and
+    expit on every element, sigma and sigma_grad called once per edge kind."""
+    size_raws = np.stack([sx_raw, sy_raw])
+    sizes = np.logaddexp(0.0, size_raws)
+    half = sizes / 2.0
+    centers = np.stack([cx, cy])
+    upper, lower = centers + half, centers - half
+    v = np.minimum(upper[0], upper[1]) - np.maximum(lower[0], lower[1])
+
+    f = sigma(v, cfg)
+    g = sigma(sizes, cfg)
+    out = np.prod(f, axis=-1) / np.prod(g, axis=-1)
+
+    dv = out[..., None] * sigma_grad(v, cfg) / f
+    d_direct = -out[..., None] * sigma_grad(sizes, cfg) / g
+    a_u = (upper <= upper[::-1]).astype(np.float64)
+    a_l = (lower >= lower[::-1]).astype(np.float64)
+    spg = expit(size_raws)
+
+    d_src_c = dv * (a_u - a_l)
+    d_src_s = (dv * (a_u + a_l) / 2.0 + d_direct) * spg
+    d_tgt_c = dv * ((1.0 - a_u) - (1.0 - a_l))
+    d_tgt_s = dv * ((2.0 - a_u - a_l) / 2.0) * spg[::-1]
+    return out, d_src_c, d_src_s, d_tgt_c, d_tgt_s
+
+
+# Size raws by softplus regime: rounding to x only from 33.27 on, rounding
+# to x with expit not yet 1.0 below 36.74, the linear regime's edge, in it,
+# and so large that the volumes overflow.
+SIZE_RAW_REGIMES = {
+    "below": st.floats(-60.0, 33.2),
+    "rounding": st.floats(33.27, 40.0, exclude_max=True),
+    "forty": st.just(40.0),
+    "above": st.floats(40.0, 1e6, exclude_min=True),
+    "huge": st.just(1e300),
+}
+SIZE_RAW_REGIMES["mixed"] = st.one_of(*SIZE_RAW_REGIMES.values())
+
+
+@pytest.mark.parametrize("regime", list(SIZE_RAW_REGIMES))
+@pytest.mark.parametrize("rho", [0.5, 5.0])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_grad_batch_equals_frozen_kernel_bitwise(rho, regime, data):
+    b, d = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    raws = hnp.arrays(np.float64, (b, d), elements=SIZE_RAW_REGIMES[regime])
+    # Centers on a coarse grid, so edges tie now and then.
+    centers = hnp.arrays(np.float64, (b, d), elements=st.sampled_from(
+        [-40.0, -1.0, -0.5, 0.0, 0.5, 1.0, 40.0]) | st.floats(-100.0, 100.0))
+    cx, sx, cy, sy = (data.draw(a) for a in (centers, raws, centers, raws))
+    if data.draw(st.booleans()):
+        cy, sy = cx.copy(), sx.copy()
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    cfg = SmoothingConfig(rho)
+    with np.errstate(all="ignore"):
+        cx, sx, cy, sy = (a.astype(dtype) for a in (cx, sx, cy, sy))
+        got = nbo_grad_batch(cx, sx, cy, sy, cfg)
+        want = frozen_nbo_grad_batch(cx, sx, cy, sy, cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 # -- batched kernel ------------------------------------------------------------

@@ -13,7 +13,8 @@ from boxoverlap.training import (
     TrainConfig,
     TrainingDivergedError,
     _box_batch_grad,
-    _vector_batch_grad,
+    _flat_index,
+    _vector_grad,
     evaluate,
     load_checkpoint,
     loss_box,
@@ -68,10 +69,10 @@ def test_loss_box_unknown_id():
 
 
 def loss_vector(table, pair):
-    """The vector loss of one pair: _vector_batch_grad on a batch of one."""
-    xi, yi = np.array([table.row[pair.id_x]]), np.array([table.row[pair.id_y]])
+    """The vector loss of one pair: _vector_grad on a batch of one."""
+    rows = np.array([[table.row[pair.id_x]], [table.row[pair.id_y]]])
     t_sym = np.array([0.5 * (pair.nso_xy + pair.nso_yx)])
-    return _vector_batch_grad(table, xi, yi, t_sym, TrainConfig(dim=table.dim))[0]
+    return _vector_grad(table.params, rows, t_sym, _flat_index(table.params))[0]
 
 
 def test_loss_vector_cases():
@@ -227,12 +228,12 @@ def center_for_edge(center, size_raw, other_size_raw, side):
     raise AssertionError("no exact tie found")
 
 
-@pytest.mark.parametrize("rho", [0.5, 5.0])
-def test_box_batch_grad_equals_two_directions_bitwise(rho):
-    rng = np.random.default_rng(11)
+def tied_table(rng, size_choices):
+    """Eight boxes: rows 0 and 1 one box (ties in both edges), rows 2 and 3
+    sharing only an upper or lower edge with row 0 in two dimensions."""
     n, dim = 8, 6
     centers = rng.integers(-2, 3, size=(n, dim)).astype(float)
-    size_raws = rng.choice([0.5, 3.0, 6.0], size=(n, dim))
+    size_raws = rng.choice(size_choices, size=(n, dim))
     centers[1] = centers[0]   # rows 0 and 1 are one box: ties in both edges
     size_raws[1] = size_raws[0]
     size_raws[2:4, :2] = size_raws[0, :2] + 1.0
@@ -241,20 +242,35 @@ def test_box_batch_grad_equals_two_directions_bitwise(rho):
                                           size_raws[2, col], +1)
         centers[3, col] = center_for_edge(centers[0, col], size_raws[0, col],
                                           size_raws[3, col], -1)
-    table = box_table([f"i{k}" for k in range(n)], centers, size_raws)
+    return box_table([f"i{k}" for k in range(n)], centers, size_raws)
+
+
+@pytest.mark.parametrize("rho", [0.5, 5.0])
+def test_box_batch_grad_equals_two_directions_bitwise(rho):
+    rng = np.random.default_rng(11)
+    table = tied_table(rng, [0.5, 3.0, 6.0])
+    # The same ties with every size raw in softplus's linear regime (>= 40),
+    # and with size raws below, at and above it in one batch.
+    other_rng = np.random.default_rng(12)
+    linear = tied_table(other_rng, [40.0, 45.0, 100.0])
+    mixed = tied_table(other_rng, [3.0, 36.0, 39.0, 40.0, 100.0])
+    size_raws = mixed.params[:, mixed.dim:]
+    assert (size_raws >= 40.0).any() and (size_raws < 40.0).any()
     # Repeated rows, self pairs and each tie in both directions.
     xi = np.array([0, 1, 0, 2, 0, 3, 4, 4, 5, 6, 7, 0, 0])
     yi = np.array([1, 0, 2, 0, 3, 0, 4, 5, 4, 6, 1, 1, 7])
-    lowers, uppers = table.bounds()
-    up_tie = uppers[xi] == uppers[yi]
-    low_tie = lowers[xi] == lowers[yi]
-    assert (up_tie & ~low_tie).any() and (low_tie & ~up_tie).any()
-    assert (up_tie & low_tie & (xi != yi)[:, None]).any()
+    for tied in (table, linear, mixed):
+        lowers, uppers = tied.bounds()
+        up_tie = uppers[xi] == uppers[yi]
+        low_tie = lowers[xi] == lowers[yi]
+        assert (up_tie & ~low_tie).any() and (low_tie & ~up_tie).any()
+        assert (up_tie & low_tie & (xi != yi)[:, None]).any()
     # A random table of another shape, with rows repeated within the batch.
     other = box_table([f"i{k}" for k in range(5)], rng.normal(0.0, 3.0, (5, 11)),
                       rng.normal(1.0, 2.0, (5, 11)))
     for table, xi, yi in ((table, xi, yi),
-                          (other, rng.integers(0, 5, 40), rng.integers(0, 5, 40))):
+                          (other, rng.integers(0, 5, 40), rng.integers(0, 5, 40)),
+                          (linear, xi, yi), (mixed, xi, yi)):
         t_xy = rng.uniform(0.0, 1.0, len(xi))
         t_yx = rng.uniform(0.0, 1.0, len(xi))
         cfg = TrainConfig(dim=table.dim, rho=rho)
@@ -262,6 +278,30 @@ def test_box_batch_grad_equals_two_directions_bitwise(rho):
         want_loss, want_grad = two_direction_grad(table, xi, yi, t_xy, t_yx, cfg)
         assert loss == want_loss
         assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_default_init_train_skips_softplus_transcendentals(monkeypatch):
+    """From the default init every size raw is in softplus's linear regime,
+    so a training step evaluates neither np.logaddexp nor expit for softplus
+    or its gradient; its one expit call is sigma_grad's over the (3, B, D)
+    edges: the intersection both directions share and both boxes' sizes."""
+    import scipy.special
+
+    sizes = {"logaddexp": [], "expit": []}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            sizes[name].append(sum(np.size(a) for a in args))
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "logaddexp", counting("logaddexp", np.logaddexp))
+    monkeypatch.setattr(scipy.special, "expit", counting("expit", scipy.special.expit))
+    cfg = TrainConfig(steps=200)
+    table, _ = train(three_image_dataset(), cfg)
+    assert table.params[:, cfg.dim:].min() >= boxes._LINEAR
+    assert sizes["logaddexp"] == []
+    assert sizes["expit"] == [3 * cfg.batch_size * cfg.dim] * cfg.steps
 
 
 # -- evaluation ----------------------------------------------------------------
