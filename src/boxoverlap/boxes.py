@@ -184,6 +184,86 @@ def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
             / volumes(lower_x, upper_x, cfg))
 
 
+def _softplus_with_grad(x):
+    """softplus(x) and softplus_grad(x) from one regime mask: elements at or
+    above _LINEAR keep x and 1.0, the others go to both functions (whose
+    first element, below _LINEAR or NaN, sends them to their ufunc whole).
+    The gradient is None when every element (of none) is in the regime."""
+    if np.minimum.reduce(x, axis=None, initial=np.inf) >= _LINEAR:
+        return x, None
+    rest = ~(x >= _LINEAR)
+    below = x[rest]
+    sizes = x.astype(np.result_type(x, 0.0))
+    grad = np.ones_like(sizes)
+    sizes[rest] = softplus(below)
+    grad[rest] = softplus_grad(below)
+    return sizes, grad
+
+
+def _nbo_grad_stacked(centers, size_raws, cfg: SmoothingConfig):
+    """nbo_grad_batch's pass over (2, B, D) centers and pre-softplus sizes of
+    the boxes x then y.
+
+    Returns (nbo, dv, shares, d_size). nbo is (2, B) and dv (2, B, D), d nbo
+    / d v_d of the intersection edges, axis 0 the direction. shares and
+    d_size are (2, 2, B, D), axis 0 the source then the target box and axis
+    1 the direction: the boxes' shares of the edges, in {-1, 0, 1}, whose
+    products with dv are the center partials, and their size partials.
+    """
+    if cfg.hard:
+        raise ValueError("gradients require rho > 0")
+    sizes, spg = _softplus_with_grad(size_raws)
+    half = sizes * 0.5  # sizes / 2.0, bit for bit
+    # Per box, its upper bounds, then its negated lower bounds: half - center
+    # is exactly -(center - half), so one min and one <= serve both edges
+    # (min(upper) + min(-lower) may differ from min(upper) - max(lower) only
+    # in the sign of a zero, which sigma and sigma_grad do not see).
+    bounds = np.empty((2, 2) + centers.shape[1:], np.result_type(centers, half))
+    np.add(centers, half, out=bounds[:, 0])
+    np.subtract(half, centers, out=bounds[:, 1])
+    # The intersection edges, min(upper) - max(lower), then both boxes'
+    # sizes, through one sigma and one sigma_grad call.
+    edges = np.empty((3,) + centers.shape[1:], bounds.dtype)
+    nearest = np.minimum(bounds[0], bounds[1])
+    np.add(nearest[0], nearest[1], out=edges[0])
+    edges[1:] = sizes
+    f, s_grad = sigma(edges, cfg), sigma_grad(edges, cfg)
+    prods = np.multiply.reduce(f, axis=-1)
+    out = prods[0] / prods[1:]
+
+    # d nbo / d v_d and the direct volume term through the source size.
+    out_d = out[..., None]
+    dv = out_d * s_grad[0] / f[0]
+    d_direct = -out_d * s_grad[1:]
+    d_direct /= f[1:]
+    # Whether the source holds the intersection's upper edge (a_u) and its
+    # lower edge (a_l), per direction; a tie counts as the source's.
+    holds = np.empty(bounds.shape, bool)
+    np.less_equal(bounds[0], bounds[1], out=holds[0])
+    np.less_equal(bounds[1], bounds[0], out=holds[1])
+    shares = holds.astype(np.float64).swapaxes(0, 1)
+    a_u, a_l = shares[0], shares[1]
+    # The size partials, each in its own contiguous block so that a NaN
+    # meeting a NaN keeps the bits of the same operations on separate
+    # arrays: (dv * a_sum) / 2 + d_direct for the source and dv * ((2 -
+    # a_sum) / 2) for the target.
+    d_size = np.empty(shares.shape)
+    a_sum = np.add(a_u, a_l, out=d_size[0])
+    np.subtract(2.0, a_sum, out=d_size[1])
+    d_size[1] *= 0.5
+    np.multiply(dv, d_size, out=d_size)
+    d_size[0] *= 0.5
+    d_size[0] += d_direct
+    if spg is not None:
+        d_size[0] *= spg
+        d_size[1] *= spg[::-1]
+    # The shares: a_u - a_l for the source, a_l - a_u (a tie's +0.0
+    # included) for the target.
+    np.subtract(a_u, a_l, out=a_u)
+    np.subtract(0.0, a_u, out=a_l)
+    return out, dv, shares, d_size
+
+
 def nbo_grad_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
     """Batched analytic gradients of both directed overlaps w.r.t. raw parameters.
 
@@ -193,41 +273,10 @@ def nbo_grad_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
     is x, then y. Both come from one forward pass. Requires rho > 0 so every
     sigma factor is strictly positive. A min/max edge tie counts as the source's.
     """
-    if cfg.hard:
-        raise ValueError("gradients require rho > 0")
-    size_raws = np.stack([sx_raw, sy_raw])
-    # In the linear regime softplus is the identity and its gradient 1.0.
-    linear = size_raws.min(initial=np.inf) >= _LINEAR
-    sizes = size_raws if linear else softplus(size_raws)
-    half = sizes / 2.0
-    centers = np.stack([cx, cy])
-    upper, lower = centers + half, centers - half
-    # The intersection edges, then both boxes' sizes, through one sigma and
-    # one sigma_grad call.
-    edges = np.empty((3,) + upper.shape[1:], upper.dtype)
-    v = np.minimum(upper[0], upper[1], out=edges[0])
-    v -= np.maximum(lower[0], lower[1])
-    edges[1:] = sizes
-    f, s_grad = sigma(edges, cfg), sigma_grad(edges, cfg)
-    prods = np.prod(f, axis=-1)
-    out = prods[0] / prods[1:]
-
-    # d nbo / d v_d and the direct volume term through the source size.
-    dv = out[..., None] * s_grad[0] / f[0]
-    d_direct = -out[..., None] * s_grad[1:] / f[1:]
-    a_u = (upper <= upper[::-1]).astype(np.float64)  # min tie -> source
-    a_l = (lower >= lower[::-1]).astype(np.float64)  # max tie -> source
-    a_sum = a_u + a_l
-
-    d_src_c = dv * (a_u - a_l)
-    d_src_s = dv * a_sum / 2.0 + d_direct
-    d_tgt_c = dv * (a_l - a_u)
-    d_tgt_s = dv * ((2.0 - a_sum) / 2.0)
-    if not linear:
-        spg = softplus_grad(size_raws)
-        d_src_s *= spg
-        d_tgt_s *= spg[::-1]
-    return out, d_src_c, d_src_s, d_tgt_c, d_tgt_s
+    out, dv, shares, d_size = _nbo_grad_stacked(
+        np.stack([cx, cy]), np.stack([sx_raw, sy_raw]), cfg)
+    d_center = dv * shares
+    return out, d_center[0], d_size[0], d_center[1], d_size[1]
 
 
 def box_table_to_json(ids, lowers, uppers) -> str:

@@ -149,54 +149,56 @@ def _init_table(dataset: PairDataset, cfg: TrainConfig, kind: str, rng) -> Embed
     return EmbeddingTable("vector", dataset.ids, vectors)
 
 
-def _scatter_rows(rows, values, flat):
-    """Sum row i of `values` into row rows[i] of a zero table shaped like
-    `flat`, that table's element indices (_flat_index, built once per run).
-
-    One np.bincount over flat indices. Each table element receives its
-    additions in the order of `rows`, as one np.add.at call per block of
-    rows, made in that order, would add them.
-    """
-    return np.bincount(flat[rows].ravel(), values.ravel(),
-                       minlength=flat.size).reshape(flat.shape)
+def _scatter(index, values, shape):
+    """A zero table of `shape` with each of `values` added at its flat
+    element index in `index`, in order: one np.bincount. Each table element
+    receives its additions in the order of `index`, as np.add.at would."""
+    return np.bincount(index.ravel(), values.ravel(),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
-def _flat_index(params):
-    return np.arange(params.size).reshape(params.shape)
+def _flat_index(params, blocks=1):
+    """Flat element indices of `params` as (blocks, rows, columns / blocks):
+    its columns cut into equal blocks (a box table's centers, then sizes),
+    each indexed by table row. Built once per run."""
+    n, k = params.shape
+    return np.arange(params.size).reshape(n, blocks, k // blocks).transpose(1, 0, 2).copy()
 
 
 def _box_grad(params, rows, targets, smoothing: SmoothingConfig, flat):
     """Mean loss over a batch of pairs plus gradient w.r.t. the full table.
 
-    `rows` and `targets` are (2, B): the x and y table rows of each pair and
-    its two directed targets. Both directed overlaps and their partials come
-    from one boxes.nbo_grad_batch call; they are scattered in one pass,
-    x -> y first, source rows before target rows.
+    `rows` is (4, B): the x, y, y and x table rows of each pair, the order
+    the partials are scattered in (x -> y first, source rows before target
+    rows); `targets` is (2, B), each pair's two directed targets; `flat` is
+    _flat_index(params, 2). Both directed overlaps and their partials come
+    from one boxes kernel pass over the gathered rows.
     """
     d, b = params.shape[1] // 2, rows.shape[1]
-    p = params[rows]
-    out, d_src_c, d_src_s, d_tgt_c, d_tgt_s = boxes.nbo_grad_batch(
-        p[0, :, :d], p[0, :, d:], p[1, :, :d], p[1, :, d:], smoothing)
+    pair = rows[:2]
+    out, dv, shares, d_size = boxes._nbo_grad_stacked(
+        params[:, :d].take(pair, axis=0), params[:, d:].take(pair, axis=0), smoothing)
 
     err = targets - out
-    sq = np.mean(err**2, axis=1)
-    total = float(sq[0]) + float(sq[1])
+    sq = np.add.reduce(err * err, axis=1)
+    total = float(sq[0]) / b + float(sq[1]) / b  # np.mean's arithmetic
     coef = (-2.0 * err / b)[..., None]
-    # Source then target partials per direction: rows xi, yi, yi, xi.
-    parts = np.empty((2, 2, b, 2 * d))
-    np.multiply(coef, d_src_c, out=parts[:, 0, :, :d])
-    np.multiply(coef, d_src_s, out=parts[:, 0, :, d:])
-    np.multiply(coef, d_tgt_c, out=parts[:, 1, :, :d])
-    np.multiply(coef, d_tgt_s, out=parts[:, 1, :, d:])
-    grad = _scatter_rows(np.concatenate([rows.ravel(), rows[::-1].ravel()]),
-                         parts.reshape(4 * b, 2 * d), flat)
-    return total, grad
+    # Center partials, then size partials, each per direction, source then
+    # target, in the order of `index`. coef * (dv * share) is (coef * dv) *
+    # share bit for bit, the share being -1, 0 or 1 and coef never NaN in a
+    # step that is kept.
+    index = flat.take(rows, axis=1)  # centers, then sizes, of rows x, y, y, x
+    parts = np.empty(index.shape)
+    d_center, d_sizes = parts.reshape((2,) + shares.shape).swapaxes(1, 2)
+    np.multiply(np.multiply(coef, dv, out=dv), shares, out=d_center)
+    np.multiply(coef, d_size, out=d_sizes)
+    return total, _scatter(index, parts, params.shape)
 
 
 def _box_batch_grad(table, xi, yi, t_xy, t_yx, cfg: TrainConfig):
     """_box_grad of one batch of pairs given by their x and y rows and targets."""
-    return _box_grad(table.params, np.stack([xi, yi]), np.stack([t_xy, t_yx]),
-                     cfg.smoothing, _flat_index(table.params))
+    return _box_grad(table.params, np.stack([xi, yi, yi, xi]), np.stack([t_xy, t_yx]),
+                     cfg.smoothing, _flat_index(table.params, 2))
 
 
 def _vector_grad(params, rows, t_sym, flat):
@@ -208,8 +210,32 @@ def _vector_grad(params, rows, t_sym, flat):
     loss = float(np.mean(err**2))
     safe = np.where(dist > 0, dist, 1.0)
     coef = (-2.0 * err / len(err) / safe * (dist > 0))[:, None]
-    grad = _scatter_rows(rows.ravel(), np.concatenate([coef * diff, -coef * diff]), flat)
+    grad = _scatter(flat[:, rows.ravel()], np.concatenate([coef * diff, -coef * diff]),
+                    params.shape)
     return loss, grad
+
+
+# Batches are drawn this many pair indices at a time (at least one batch):
+# enough to make the per-block costs small, few enough that a block's
+# arrays (56 bytes a pair index) stay small beside a step's.
+_BLOCK_INDICES = 1 << 12
+
+
+def _draw_batches(rng, n, cfg: TrainConfig, pair_rows, targets):
+    """Per step, a batch of cfg.batch_size pair indices in [0, n) and the
+    columns of `pair_rows` and `targets` (their last axis indexes pairs) at
+    them.
+
+    Each block of batches comes from one rng.integers call of shape
+    (steps, batch_size), which yields the values of that many successive
+    calls of one batch each, and is gathered once.
+    """
+    block = max(1, _BLOCK_INDICES // cfg.batch_size)
+    for start in range(0, cfg.steps, block):
+        drawn = rng.integers(0, n, size=(min(block, cfg.steps - start), cfg.batch_size))
+        rows, batch_targets = pair_rows.take(drawn, axis=1), targets.take(drawn, axis=-1)
+        for j, batch in enumerate(drawn):
+            yield batch, rows[:, j], batch_targets[..., j, :]
 
 
 # A diverging run is reported once, as TrainingDivergedError; numpy's
@@ -224,28 +250,30 @@ def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
     rng = np.random.default_rng(cfg.seed)
     table = _init_table(dataset, cfg, kind, rng)
 
-    # Per pair: x and y table rows, and the two directed targets.
+    # Per pair: x, y, y and x table rows (the box scatter order), and the
+    # two directed targets.
     row = table.row
-    pair_rows = np.array([[row[r.id_x] for r in dataset.records],
-                          [row[r.id_y] for r in dataset.records]])
+    xs = [row[r.id_x] for r in dataset.records]
+    ys = [row[r.id_y] for r in dataset.records]
+    pair_rows = np.array([xs, ys, ys, xs])
     targets = np.array([[r.nso_xy for r in dataset.records],
                         [r.nso_yx for r in dataset.records]])
-    t_sym = 0.5 * (targets[0] + targets[1])
+    if kind == "vector":
+        pair_rows, targets = pair_rows[:2], 0.5 * (targets[0] + targets[1])
     smoothing = cfg.smoothing
-    flat = _flat_index(table.params)
+    flat = _flat_index(table.params, 2 if kind == "box" else 1)
 
     m = np.zeros_like(table.params)
     v = np.zeros_like(table.params)
     buf = np.empty_like(table.params)
     trace = np.empty(cfg.steps)
-    for step in range(cfg.steps):
-        batch = rng.integers(0, len(dataset), size=cfg.batch_size)
-        rows = pair_rows[:, batch]
+    batches = _draw_batches(rng, len(dataset), cfg, pair_rows, targets)
+    for step, (batch, rows, batch_targets) in enumerate(batches):
         if kind == "box":
-            loss, grad = _box_grad(table.params, rows, targets[:, batch], smoothing, flat)
+            loss, grad = _box_grad(table.params, rows, batch_targets, smoothing, flat)
         else:
-            loss, grad = _vector_grad(table.params, rows, t_sym[batch], flat)
-        if not np.isfinite(loss):
+            loss, grad = _vector_grad(table.params, rows, batch_targets, flat)
+        if not math.isfinite(loss):
             ids = sorted({dataset.records[b].id_x for b in batch}
                          | {dataset.records[b].id_y for b in batch})
             raise TrainingDivergedError(step, ids)

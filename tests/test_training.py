@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxoverlap import boxes
+from boxoverlap import boxes, training
 from boxoverlap.boxes import HARD, DegenerateBoxError, SmoothingConfig, nbo
 from boxoverlap.geometry import OverlapRecord
 from boxoverlap.training import (
@@ -14,6 +19,7 @@ from boxoverlap.training import (
     TrainingDivergedError,
     _box_batch_grad,
     _flat_index,
+    _init_table,
     _vector_grad,
     evaluate,
     load_checkpoint,
@@ -302,6 +308,196 @@ def test_default_init_train_skips_softplus_transcendentals(monkeypatch):
     assert table.params[:, cfg.dim:].min() >= boxes._LINEAR
     assert sizes["logaddexp"] == []
     assert sizes["expit"] == [3 * cfg.batch_size * cfg.dim] * cfg.steps
+
+
+# -- the training loop against its frozen form ---------------------------------
+
+
+def frozen_box_grad(params, rows, targets, smoothing):
+    """_box_grad as it was before batches were drawn in blocks: (2, B) rows,
+    nbo_grad_batch on the four gathered halves, np.mean for the loss and
+    one np.bincount over the rows xi, yi, yi, xi."""
+    d, b = params.shape[1] // 2, rows.shape[1]
+    p = params[rows]
+    out, d_src_c, d_src_s, d_tgt_c, d_tgt_s = boxes.nbo_grad_batch(
+        p[0, :, :d], p[0, :, d:], p[1, :, :d], p[1, :, d:], smoothing)
+    err = targets - out
+    sq = np.mean(err**2, axis=1)
+    total = float(sq[0]) + float(sq[1])
+    coef = (-2.0 * err / b)[..., None]
+    parts = np.empty((2, 2, b, 2 * d))
+    np.multiply(coef, d_src_c, out=parts[:, 0, :, :d])
+    np.multiply(coef, d_src_s, out=parts[:, 0, :, d:])
+    np.multiply(coef, d_tgt_c, out=parts[:, 1, :, :d])
+    np.multiply(coef, d_tgt_s, out=parts[:, 1, :, d:])
+    flat = np.arange(params.size).reshape(params.shape)
+    scatter = np.concatenate([rows.ravel(), rows[::-1].ravel()])
+    grad = np.bincount(flat[scatter].ravel(), parts.ravel(), minlength=params.size)
+    return total, grad.reshape(params.shape)
+
+
+def frozen_vector_grad(params, rows, t_sym):
+    diff = params[rows[0]] - params[rows[1]]
+    dist = np.linalg.norm(diff, axis=1)
+    err = (1.0 - t_sym) - dist
+    loss = float(np.mean(err**2))
+    safe = np.where(dist > 0, dist, 1.0)
+    coef = (-2.0 * err / len(err) / safe * (dist > 0))[:, None]
+    flat = np.arange(params.size).reshape(params.shape)
+    grad = np.bincount(flat[rows.ravel()].ravel(),
+                       np.concatenate([coef * diff, -coef * diff]).ravel(),
+                       minlength=params.size)
+    return loss, grad.reshape(params.shape)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def frozen_train(dataset, cfg, kind="box"):
+    """train as it was before batches were drawn in blocks: one
+    rng.integers call and one gather per step, then Adam."""
+    rng = np.random.default_rng(cfg.seed)
+    table = _init_table(dataset, cfg, kind, rng)
+    pair_rows = np.array([[table.row[r.id_x] for r in dataset.records],
+                          [table.row[r.id_y] for r in dataset.records]])
+    targets = np.array([[r.nso_xy for r in dataset.records],
+                        [r.nso_yx for r in dataset.records]])
+    t_sym = 0.5 * (targets[0] + targets[1])
+    m, v = np.zeros_like(table.params), np.zeros_like(table.params)
+    buf = np.empty_like(table.params)
+    trace = np.empty(cfg.steps)
+    for step in range(cfg.steps):
+        batch = rng.integers(0, len(dataset), size=cfg.batch_size)
+        rows = pair_rows[:, batch]
+        if kind == "box":
+            loss, grad = frozen_box_grad(table.params, rows, targets[:, batch], cfg.smoothing)
+        else:
+            loss, grad = frozen_vector_grad(table.params, rows, t_sym[batch])
+        if not np.isfinite(loss):
+            ids = sorted({dataset.records[b].id_x for b in batch}
+                         | {dataset.records[b].id_y for b in batch})
+            raise TrainingDivergedError(step, ids)
+        trace[step] = loss
+        m *= 0.9
+        np.multiply(grad, 1.0 - 0.9, out=buf)
+        m += buf
+        np.square(grad, out=grad)
+        grad *= 1.0 - 0.999
+        v *= 0.999
+        v += grad
+        frac = step / max(1, cfg.steps - 1)
+        lr_t = cfg.lr * (0.01 + (1.0 - 0.01) * 0.5 * (1.0 + math.cos(math.pi * frac)))
+        np.divide(v, 1.0 - 0.999 ** (step + 1), out=grad)
+        np.sqrt(grad, out=grad)
+        grad += 1e-8
+        np.divide(m, 1.0 - 0.9 ** (step + 1), out=buf)
+        buf *= lr_t
+        buf /= grad
+        table.params -= buf
+    return table, trace
+
+
+def run_outcome(train_fn, dataset, cfg, kind):
+    """The bytes of a run's loss trace and params, or its divergence."""
+    try:
+        table, trace = train_fn(dataset, cfg, kind)
+    except TrainingDivergedError as err:
+        return "diverged", err.step, err.pair_ids
+    return "trained", trace.tobytes(), table.params.tobytes()
+
+
+# Configurations by what they exercise: the default init's linear softplus
+# regime, size raws driven below it (rho 0.5, a high lr), and divergence.
+ORACLE_CONFIGS = {
+    "default": dict(dim=3),
+    "below-linear": dict(dim=4, rho=0.5, lr=5.0),
+    "diverging": dict(dim=2, lr=1e10),
+}
+
+
+def oracle_dataset(rng, n_pairs):
+    ids = [f"i{k}" for k in range(min(n_pairs + 1, 9))]
+    return PairDataset([
+        OverlapRecord(str(rng.choice(ids)), str(rng.choice(ids)),
+                      *rng.choice([0.0, 0.001, 0.25, 0.6, 1.0], size=2).tolist())
+        for _ in range(n_pairs)])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_train_equals_frozen_loop_bitwise(data):
+    kind = data.draw(st.sampled_from(["box", "vector"]))
+    n_pairs = data.draw(st.sampled_from([1, 2, 40]))
+    batch_size = data.draw(st.sampled_from([1, 3, 32, 257]))
+    # A smaller block than the default, so that runs cross block edges.
+    block_indices = data.draw(st.sampled_from([1, 64, 300]))
+    block = max(1, block_indices // batch_size)
+    steps = data.draw(st.sampled_from(
+        sorted({max(1, s) for s in (1, block - 1, block, block + 1, 2 * block + 3)})))
+    config = data.draw(st.sampled_from(list(ORACLE_CONFIGS)))
+    seed = data.draw(st.integers(0, 2**16))
+    dataset = oracle_dataset(np.random.default_rng(seed), n_pairs)
+    cfg = TrainConfig(steps=steps, batch_size=batch_size, seed=seed, **ORACLE_CONFIGS[config])
+    want = run_outcome(frozen_train, dataset, cfg, kind)
+    with mock.patch.object(training, "_BLOCK_INDICES", block_indices):
+        assert run_outcome(train, dataset, cfg, kind) == want
+
+
+@pytest.mark.parametrize("batch_size", [3, 32])
+@pytest.mark.parametrize("kind", ["box", "vector"])
+def test_train_equals_frozen_loop_across_default_blocks(kind, batch_size):
+    # Four default blocks plus three steps, size raws driven below 40.
+    block = training._BLOCK_INDICES // batch_size
+    dataset = oracle_dataset(np.random.default_rng(3), 40)
+    cfg = TrainConfig(steps=4 * block + 3, batch_size=batch_size, seed=3,
+                      **ORACLE_CONFIGS["below-linear"])
+    table, trace = frozen_train(dataset, cfg, kind)
+    if kind == "box":
+        assert table.params[:, cfg.dim:].min() < boxes._LINEAR
+    want = ("trained", trace.tobytes(), table.params.tobytes())
+    assert run_outcome(train, dataset, cfg, kind) == want
+
+
+def test_diverging_run_reports_the_frozen_step_and_ids():
+    dataset = oracle_dataset(np.random.default_rng(5), 40)
+    cfg = TrainConfig(steps=50, batch_size=3, seed=5, **ORACLE_CONFIGS["diverging"])
+    want = run_outcome(frozen_train, dataset, cfg, "box")
+    assert want[0] == "diverged" and want[1] == 2
+    # Blocks of 1, 2 and 3 batches: the diverging step opens or ends one.
+    for block_indices in (3, 6, 9, training._BLOCK_INDICES):
+        with mock.patch.object(training, "_BLOCK_INDICES", block_indices):
+            assert run_outcome(train, dataset, cfg, "box") == want
+
+
+# sha256 of the loss trace and params of a 200-step run whose size raws
+# fall below softplus's linear regime (to 30.6 by its end), taken from the
+# code before batches were drawn in blocks.
+BELOW_LINEAR_TRACE = "101849e0e3e0dcdf551705b05dbcbbb1a0f4d1ed9850b705a59903b1d76c1beb"
+BELOW_LINEAR_PARAMS = "843fecd845e84e0be952979312c691977fef56e11c69360dee6084fa596a370b"
+
+
+def test_below_linear_regime_trace_pinned():
+    ds = PairDataset([OverlapRecord("a", "b", 0.001, 1.0),
+                      OverlapRecord("b", "c", 0.0, 0.0),
+                      OverlapRecord("a", "c", 0.0, 0.0)])
+    cfg = TrainConfig(dim=4, rho=0.5, lr=5.0, steps=200, batch_size=8, seed=3)
+    table, trace = train(ds, cfg)
+    assert table.params[:, cfg.dim:].min() < boxes._LINEAR
+    assert hashlib.sha256(trace.tobytes()).hexdigest() == BELOW_LINEAR_TRACE
+    assert hashlib.sha256(table.params.tobytes()).hexdigest() == BELOW_LINEAR_PARAMS
+
+
+def test_train_memory_does_not_grow_with_steps():
+    # At a large batch a block holds one batch: the peak stays a small
+    # multiple of one step's (2, 4, B, D) partials whatever the step count.
+    # A block of 40 batches would hold 44.8 MB of indices and targets.
+    cfg = TrainConfig(dim=1, steps=40, batch_size=20000)
+    step_bytes = 2 * 4 * cfg.batch_size * cfg.dim * 8
+    tracemalloc.start()
+    try:
+        train(three_image_dataset(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * step_bytes
 
 
 # -- evaluation ----------------------------------------------------------------
