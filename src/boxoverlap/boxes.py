@@ -112,9 +112,8 @@ def sigma(v, cfg: SmoothingConfig, out=None):
 
 
 def sigma_grad(v, cfg: SmoothingConfig):
+    """d sigma / d v of the smoothed edge function; requires rho > 0."""
     v = np.asarray(v, dtype=np.float64)
-    if cfg.hard:
-        return (v > 0).astype(np.float64)
     from scipy.special import expit
     return expit(v / cfg.rho)
 
@@ -158,15 +157,11 @@ def check_volume(vol, image_id=None):
             f"degenerate box: {'zero' if vol == 0.0 else 'overflowing'} volume{of}")
 
 
-def _overlap_boxes(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig):
-    if bx.dim != by.dim:
-        raise ValueError(f"dimension mismatch: {bx.dim} vs {by.dim}")
-    return overlap(bx.lower, bx.upper, by.lower, by.upper, cfg)
-
-
 def nbo(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
     """Normalized box overlap: intersection volume over the source box volume."""
-    inter, vol, _ = _overlap_boxes(bx, by, cfg)
+    if bx.dim != by.dim:
+        raise ValueError(f"dimension mismatch: {bx.dim} vs {by.dim}")
+    inter, vol, _ = overlap(bx.lower, bx.upper, by.lower, by.upper, cfg)
     check_volume(vol)
     return float(inter / vol)
 
@@ -284,4 +279,4 @@ def box_table_to_json(ids, lowers, uppers) -> str:
         {"id": i, "lower": list(map(float, lo)), "upper": list(map(float, up))}
         for i, lo, up in zip(ids, lowers, uppers)
     ]
-    return json.dumps({"boxes": entries}, indent=2, sort_keys=True)
+    return json.dumps({"boxes": entries}, indent=2, sort_keys=True, allow_nan=False)

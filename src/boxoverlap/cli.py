@@ -149,12 +149,12 @@ def cmd_train(args) -> int:
     _check_dir_output(out, ["checkpoint.npz"] + ["boxes.json"] * (args.kind == "box")
                       + ["loss_trace.csv"])
     table, trace = train(dataset, cfg, kind=args.kind)
+    if table.kind == "box":  # before any file: strict JSON rejects a bound past float64
+        box_json = boxes.box_table_to_json(table.ids, *table.bounds())
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", table, cfg, step=cfg.steps)
     if table.kind == "box":
-        lowers, uppers = table.bounds()
-        (out / "boxes.json").write_text(
-            boxes.box_table_to_json(table.ids, lowers, uppers), encoding="utf-8")
+        (out / "boxes.json").write_text(box_json, encoding="utf-8")
     with open(out / "loss_trace.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])

@@ -3,15 +3,14 @@
 Hard-overlap queries keep only the boxes that meet the query in a few key
 dimensions, tested in one vectorised pass over the gallery, then only the
 candidates that meet it in every dimension, and score those exactly, with
-the first k rows. Every other box scores 0, so a hard top k ranks the rows
-scoring above 0 and fills the places left with the lowest other ids, in
-ascending order: past these tests its work follows the candidates, not the
-gallery. A hard query that keeps every row, and every smoothed one, scans
-the whole gallery against its volumes, stored once per smoothing. The scan
-reads dimension-major (D, n) copies of the bounds, so its product over
-dimensions runs over contiguous rows of n boxes, with the row-major bits.
-The top k are selected without sorting the whole gallery, so results are
-always identical to a full scan.
+the first k rows. Every other box scores 0, so the exhaustive scan's stable
+sort of these rows' scores gives its top k: past these tests a hard query's
+work follows the candidates, not the gallery. A hard query that keeps every
+row, and every smoothed one, scans the whole gallery against its volumes,
+stored once per smoothing. The scan reads dimension-major (D, n) copies of
+the bounds, so its product over dimensions runs over contiguous rows of n
+boxes, with the row-major bits. Its top k are selected without sorting the
+whole gallery, so results are always identical to a full scan.
 """
 
 from __future__ import annotations
@@ -115,19 +114,6 @@ def _top(score, k):
     return rows[np.argsort(neg[rows], kind="stable")[:k]]
 
 
-# A hard query tests its key-dimension candidates in every dimension, and
-# scores only those that pass, from this many candidates on. The test costs
-# about 4-7 us of fixed numpy overhead. Per hard top-10 on random D=32
-# galleries of 96 to 5000 boxes (best of 9 per query, 2-core Xeon), it took
-# 59 us with the test and 59 us without at 16-31 candidates, 66 against
-# 68 us at 32-63 and 89 against 110 us at 128-255. A random gallery of
-# n=96 gives a query about 5 candidates, where the test would cost it
-# 53 -> 57 us. The trained tables of the survey scene and the sparse grid
-# (seed 7) give every query the whole gallery, 96 of 96 and 64 of 64
-# candidates, which query_topk scores by the whole-gallery scan instead.
-_MEET_TEST_MIN_CANDIDATES = 32
-
-
 def _meets(lowers, uppers, q_lo, q_hi):
     """Whether each box meets the query in every dimension given, edges included."""
     return ((lowers <= q_hi) & (uppers >= q_lo)).all(axis=1)
@@ -140,8 +126,8 @@ class BoxIndex:
     widest endpoint spread across the gallery, then the surviving candidates
     on every dimension. Those that meet the query, and the first k rows, are
     scored exactly in full dimension, and every other row scores 0. A hard
-    top k ranks the rows scoring above 0 and fills the places left with the
-    lowest other ids, so its cost follows the candidates, not the gallery.
+    top k ranks those rows by the exhaustive scan's stable sort, so its cost
+    follows the candidates, not the gallery.
     A hard query that keeps the whole gallery, and every smoothed query, is
     scored whole by one scan over dimension-major copies of the bounds and
     the gallery's volumes, stored per smoothing on first use with whether all
@@ -256,34 +242,28 @@ class BoxIndex:
 
     def _ranked_candidates(self, q: BoxEmbedding, vol_q, cand, k):
         """Hard top k from the scores of the candidates that meet the query in
-        every dimension (all of them, if fewer than _MEET_TEST_MIN_CANDIDATES)
-        and of the first k rows, the only ones a fill can take.
+        every dimension and of the first k rows, by the exhaustive scan's
+        stable sort.
 
-        Every other row lies strictly apart from the query in some dimension,
-        so it scores ±0. The rows scoring above 0 rank first, by (-score,
-        row); the places left go to the lowest other rows in ascending order,
-        as in the stable full sort. Every fill row keeps its own zero score
-        (-0.0 for a box that touches the query at -0.0). No hard score is NaN,
-        which would sort after the zeros: the query's volume is checked finite
-        and positive, so each width of its intersection with a box lies in
-        [0, the query's width].
+        Every other row lies strictly apart from the query in some dimension
+        and scores ±0, which the scan ranks after every positive score by
+        ascending row. The rows scored ascend too, and the first k of them
+        hold a zero-score row for each place the positive scores leave, so
+        the stable sort takes the scan's rows, each with its own zero (-0.0
+        for a box touching the query at -0.0). No hard score is NaN, which
+        would sort after the zeros: the query's volume is checked finite and
+        positive, so each width of its intersection with a box lies in [0,
+        the query's width].
         """
         size = min(k, len(self.ids))
-        if len(cand) >= _MEET_TEST_MIN_CANDIDATES:
-            cand = cand[_meets(self.lowers.take(cand, 0), self.uppers.take(cand, 0),
-                               q.lower, q.upper)]
-        # Position i < size scores row i, so a fill row is its own position.
+        cand = cand[_meets(self.lowers.take(cand, 0), self.uppers.take(cand, 0),
+                           q.lower, q.upper)]
         rows = np.concatenate([np.arange(size), cand[cand.searchsorted(size):]])
         enclosure, concentration = self._exact_scores(q, HARD, vol_q, rows)
         score = 0.5 * (enclosure + concentration)
-        hit = (score > 0).nonzero()[0]
-        if len(hit) > 1:
-            hit = hit[_top(score[hit], k)]
-        hit = hit.tolist()
-        taken = set(hit)
-        pick = np.array(hit + [r for r in range(size) if r not in taken][:size - len(hit)])
-        return self._results(rows[pick].tolist(), enclosure[pick], concentration[pick],
-                             score[pick])
+        order = np.argsort(-score, kind="stable")[:k]
+        return self._results(rows[order].tolist(), enclosure[order], concentration[order],
+                             score[order])
 
     def query_topk_exhaustive(self, q: BoxEmbedding, k: int,
                               cfg: SmoothingConfig = HARD) -> list[QueryResult]:

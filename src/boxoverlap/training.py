@@ -20,8 +20,12 @@ from .geometry import OverlapRecord
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int, pair_ids):
-        super().__init__(f"non-finite loss at step {step} (pairs: {pair_ids})")
+    """A run's loss turned non-finite at `step`, or, with params=True, its
+    params did by the end of its `step` steps; `pair_ids` names the images."""
+
+    def __init__(self, step: int, pair_ids, params: bool = False):
+        super().__init__(f"non-finite params after {step} steps (ids: {pair_ids})" if params
+                         else f"non-finite loss at step {step} (pairs: {pair_ids})")
         self.step = step
         self.pair_ids = pair_ids
 
@@ -301,6 +305,11 @@ def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
         buf *= lr_t
         buf /= grad
         table.params -= buf
+    # Each loss is checked before its update, so the last update is checked here.
+    bad = ~np.isfinite(table.params).all(axis=1)
+    if bad.any():
+        raise TrainingDivergedError(cfg.steps, [table.ids[i] for i in np.flatnonzero(bad)],
+                                    params=True)
     return table, trace
 
 

@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 
 from boxoverlap import cli, dataset_io, geometry
 from boxoverlap.cli import build_parser, main
-from boxoverlap.training import EmbeddingTable, TrainConfig, save_checkpoint
+from boxoverlap.training import (
+    EmbeddingTable,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def tree_digest(root: Path) -> dict:
@@ -440,6 +445,26 @@ def test_train_divergence_is_usage_error(dataset, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lr, steps, message", [
+    # The loss of each step is finite, and the last update leaves NaN params.
+    ("1e10", "2", "error: non-finite params after 2 steps (ids: ['i0', 'i1'])\n"),
+    # Finite params whose bounds pass the float64 range: no strict JSON.
+    ("1.7e308", "1", "error: Out of range float values are not JSON compliant"),
+], ids=["nan-params", "bounds-past-float64"])
+def test_train_ending_in_non_finite_values_writes_nothing(lr, steps, message, tmp_path,
+                                                          capsys):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("id_x,id_y,nso_xy,nso_yx\ni0,i1,0.6,1.0\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code = main(["train", "--pairs", str(pairs), "--out", str(tmp_path / "run"),
+                     "--dim", "2", "--lr", lr, "--steps", steps, "--batch-size", "1",
+                     "--seed", "1"])
+    assert code == 2
+    assert one_error_line(capsys).startswith(message)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array with "
@@ -1070,7 +1095,8 @@ def finite(value) -> bool:
 def test_fuzzed_inputs_keep_the_exit_contract(dataset, run_dir, data):
     # Each example mutates one input of a grid:2 run and runs one command in
     # process: it exits 0, 2 or 3 without raising; a failure prints one
-    # `error:` line and nothing else, a success only finite numbers.
+    # `error:` line and nothing else, a success only finite numbers, and a
+    # train that succeeds leaves outputs the other commands can read.
     kind = data.draw(st.sampled_from(sorted(READERS)))
     command = data.draw(st.sampled_from(READERS[kind]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -1082,6 +1108,8 @@ def test_fuzzed_inputs_keep_the_exit_contract(dataset, run_dir, data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        if code == 0 and argv[0] == "train":
+            assert_train_outputs_usable(root / "run")
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3)
     assert "Traceback" not in err
@@ -1093,6 +1121,20 @@ def test_fuzzed_inputs_keep_the_exit_contract(dataset, run_dir, data):
         # eval prints one indented document, query and scale one per line.
         lines = [out] if argv[0] == "eval" else out.splitlines()
         assert all(finite(json.loads(line)) for line in lines)
+
+
+def assert_train_outputs_usable(run):
+    """A train run that exits 0 leaves a loadable checkpoint, boxes in strict
+    JSON (no NaN or Infinity token) and a finite loss trace."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    load_checkpoint(run / "checkpoint.npz")
+    if (run / "boxes.json").exists():
+        json.loads((run / "boxes.json").read_text(encoding="utf-8"), parse_constant=reject)
+    with open(run / "loss_trace.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows and all(math.isfinite(float(loss)) for _, loss in rows)
 
 
 # -- pinned bytes --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -329,6 +330,27 @@ def bits(result):
     return tuple(map(repr, (result.enclosure, result.concentration, result.score)))
 
 
+# sha256 of the hard top k's ids and score bits over galleries whose queries
+# keep only some rows as candidates, taken from the code whose ranking
+# filled the places left past the positive scores by hand; it must not move.
+CANDIDATE_PATH = "954655f1a608835385d3faed84d05a02c5f18bf36b20662de9bafee58298917a"
+
+
+def test_hard_candidate_path_pinned():
+    digest, partial = hashlib.sha256(), 0
+    for gallery in (random_gallery, quantised_gallery, off_key_disjoint_gallery,
+                    infinite_gallery, zero_score_candidate_gallery,
+                    negative_zero_fill_gallery):
+        index, queries = gallery(np.random.default_rng(42))
+        for q in queries:
+            partial += len(index._candidates(q)) < len(index)
+            for k in (1, 10, len(index) + 1):
+                for r in index.query_topk(q, k, HARD):
+                    digest.update(repr((r.id,) + bits(r)).encode())
+    assert partial == 91  # 50 of them below 32 candidates, 41 at 32 or more
+    assert digest.hexdigest() == CANDIDATE_PATH
+
+
 def exact_scores(index, q, cfg):
     """index._exact_scores of the whole gallery, after the query's check."""
     return index._exact_scores(q, cfg, index._check_query(q, 1, cfg))
@@ -372,9 +394,8 @@ def test_hard_scores_are_never_nan_property(data):
 
 def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
     # On a sparse gallery a hard top k costs what its candidates cost: it
-    # scores only those that meet the query in every dimension (all of them,
-    # when few), and the first k rows a fill can take, and never ranks a
-    # gallery-long array.
+    # scores only those that meet the query in every dimension, and the first
+    # k rows, and never ranks a gallery-long array.
     rng = np.random.default_rng(47)
     table = random_table(rng, 500, 32)
     index = BoxIndex.build(table)
@@ -400,8 +421,7 @@ def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
         assert index.query_topk(q, 10, HARD) == index.query_topk_exhaustive(q, 10, HARD)
         met = [r for r in cand
                if ((index.lowers[r] <= q.upper) & (index.uppers[r] >= q.lower)).all()]
-        tested = len(cand) >= retrieval._MEET_TEST_MIN_CANDIDATES
-        want = len(set(met if tested else cand.tolist()) | set(range(10)))
+        want = len(set(met) | set(range(10)))
         assert scored[0] == want and scored[1] == len(index)  # then the oracle
         assert len(index) not in ranked
     assert partial == 50
@@ -441,10 +461,7 @@ def test_index_equals_exhaustive_scan_property(data):
     q = box(q_lo, q_lo + data.draw(st.integers(1, 2)))
     k = data.draw(st.integers(1, n + 1))
     cfg = SmoothingConfig(data.draw(st.sampled_from([0.0, 0.5, 5.0])))
-    # So few candidates reach the every-dimension test only when it takes any.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(retrieval, "_MEET_TEST_MIN_CANDIDATES", data.draw(st.sampled_from([0, 32])))
-        via_index = index.query_topk(q, k, cfg)
+    via_index = index.query_topk(q, k, cfg)
     via_scan = index.query_topk_exhaustive(q, k, cfg)
     assert via_index == via_scan
     assert [bits(r) for r in via_index] == [bits(r) for r in via_scan]

@@ -353,7 +353,8 @@ def frozen_vector_grad(params, rows, t_sym):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def frozen_train(dataset, cfg, kind="box"):
     """train as it was before batches were drawn in blocks: one
-    rng.integers call and one gather per step, then Adam."""
+    rng.integers call and one gather per step, then Adam; the params are
+    checked finite once at the end."""
     rng = np.random.default_rng(cfg.seed)
     table = _init_table(dataset, cfg, kind, rng)
     pair_rows = np.array([[table.row[r.id_x] for r in dataset.records],
@@ -392,6 +393,9 @@ def frozen_train(dataset, cfg, kind="box"):
         buf *= lr_t
         buf /= grad
         table.params -= buf
+    bad = ~np.isfinite(table.params).all(axis=1)
+    if bad.any():
+        raise TrainingDivergedError(cfg.steps, [table.ids[i] for i in np.flatnonzero(bad)])
     return table, trace
 
 
