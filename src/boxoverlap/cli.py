@@ -149,8 +149,13 @@ def cmd_train(args) -> int:
     _check_dir_output(out, ["checkpoint.npz"] + ["boxes.json"] * (args.kind == "box")
                       + ["loss_trace.csv"])
     table, trace = train(dataset, cfg, kind=args.kind)
-    if table.kind == "box":  # before any file: strict JSON rejects a bound past float64
-        box_json = boxes.box_table_to_json(table.ids, *table.bounds())
+    if table.kind == "box":  # before any file: a bound past float64 has no strict JSON
+        lowers, uppers = table.bounds()
+        bad = ~(np.isfinite(lowers) & np.isfinite(uppers)).all(axis=1)
+        if bad.any():
+            raise TrainingDivergedError(cfg.steps, [table.ids[i] for i in np.flatnonzero(bad)],
+                                        "bounds")
+        box_json = boxes.box_table_to_json(table.ids, lowers, uppers)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.npz", table, cfg, step=cfg.steps)
     if table.kind == "box":

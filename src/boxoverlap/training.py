@@ -20,12 +20,13 @@ from .geometry import OverlapRecord
 
 
 class TrainingDivergedError(RuntimeError):
-    """A run's loss turned non-finite at `step`, or, with params=True, its
-    params did by the end of its `step` steps; `pair_ids` names the images."""
+    """A run's loss turned non-finite at `step`, or, with what="params" or
+    "bounds", its params or box bounds did by the end of its `step` steps;
+    `pair_ids` names the images."""
 
-    def __init__(self, step: int, pair_ids, params: bool = False):
-        super().__init__(f"non-finite params after {step} steps (ids: {pair_ids})" if params
-                         else f"non-finite loss at step {step} (pairs: {pair_ids})")
+    def __init__(self, step: int, pair_ids, what: str = "loss"):
+        super().__init__(f"non-finite loss at step {step} (pairs: {pair_ids})" if what == "loss"
+                         else f"non-finite {what} after {step} steps (ids: {pair_ids})")
         self.step = step
         self.pair_ids = pair_ids
 
@@ -309,7 +310,7 @@ def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
     bad = ~np.isfinite(table.params).all(axis=1)
     if bad.any():
         raise TrainingDivergedError(cfg.steps, [table.ids[i] for i in np.flatnonzero(bad)],
-                                    params=True)
+                                    "params")
     return table, trace
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxoverlap import cli, dataset_io, geometry
+from boxoverlap import cli, dataset_io, geometry, synth
 from boxoverlap.cli import build_parser, main
 from boxoverlap.training import (
     EmbeddingTable,
@@ -78,6 +78,14 @@ def test_synth_missing_out_is_usage_error(capsys):
 def test_synth_bad_pattern(capsys):
     assert main(["synth", "--out", "/tmp/unused-x", "--pattern", "wat"]) == 2
     assert "unknown pattern" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pattern", [[], ["--pattern", "default"]],
+                         ids=["no-pattern", "pattern-default"])
+def test_synth_default_pattern_is_default_script(pattern):
+    # Parse only: rendering the default script takes seconds.
+    args = build_parser().parse_args(["synth", "--out", "unused"] + pattern)
+    assert args.pattern is synth.default_script
 
 
 @pytest.mark.parametrize("pattern", ["grid:x", "grid:0", "grid:1", "grid:"])
@@ -451,7 +459,7 @@ def test_train_divergence_is_usage_error(dataset, tmp_path, capsys):
     # The loss of each step is finite, and the last update leaves NaN params.
     ("1e10", "2", "error: non-finite params after 2 steps (ids: ['i0', 'i1'])\n"),
     # Finite params whose bounds pass the float64 range: no strict JSON.
-    ("1.7e308", "1", "error: Out of range float values are not JSON compliant"),
+    ("1.7e308", "1", "error: non-finite bounds after 1 steps (ids: ['i0'])\n"),
 ], ids=["nan-params", "bounds-past-float64"])
 def test_train_ending_in_non_finite_values_writes_nothing(lr, steps, message, tmp_path,
                                                           capsys):

@@ -189,17 +189,17 @@ def overlapping_gallery(rng):
 
 
 def off_key_disjoint_gallery(rng):
-    # Every box meets the query in dimensions 0-2, which their wide endpoint
+    # Every box meets the query in dimensions 0-5, which their wide endpoint
     # spread makes the key dimensions; every other box is disjoint from the
-    # query in dimension 3.
+    # query in dimension 6.
     n = 100
-    lowers = np.hstack([rng.uniform(-20.0, -1.0, size=(n, 3)), np.full((n, 2), -0.5)])
-    uppers = np.hstack([rng.uniform(1.0, 20.0, size=(n, 3)), np.full((n, 2), 0.5)])
-    lowers[::2, 3] += 5.0
-    uppers[::2, 3] += 5.0
+    lowers = np.hstack([rng.uniform(-20.0, -1.0, size=(n, 6)), np.full((n, 2), -0.5)])
+    uppers = np.hstack([rng.uniform(1.0, 20.0, size=(n, 6)), np.full((n, 2), 0.5)])
+    lowers[::2, 6] += 5.0
+    uppers[::2, 6] += 5.0
     index = BoxIndex([f"b{i:04d}" for i in range(n)], lowers, uppers)
-    q = box([-0.5] * 5, [0.5] * 5)
-    assert sorted(index.key_dims) == [0, 1, 2]
+    q = box([-0.5] * 8, [0.5] * 8)
+    assert sorted(index.key_dims) == [0, 1, 2, 3, 4, 5]
     assert len(index._candidates(q)) == n
     assert sum(r.score == 0.0 for r in index.query_topk_exhaustive(q, n)) == n // 2
     return index, [q]
@@ -271,18 +271,19 @@ def zero_score_candidate_gallery(rng):
 
 def negative_zero_fill_gallery(rng):
     # b00 lies strictly apart from every query in the first key dimension, so
-    # it is no candidate, and touches each at -0.0 in the one other dimension:
-    # the exhaustive scan scores it -0.0, and a hard top k must fill it so.
-    n, dim = 40, 4
+    # it is no candidate, and touches each at -0.0 in the one narrow dimension
+    # 7, which is no key dimension: the exhaustive scan scores it -0.0, and a
+    # hard top k must fill it so.
+    n, dim = 40, 8
     lowers, uppers = random_table(rng, n, dim).bounds()
-    lowers[:, 3], uppers[:, 3] = rng.uniform(-0.2, 0.0, n), rng.uniform(0.0, 0.2, n)
-    lowers[0, [0, 3]], uppers[0, [0, 3]] = [100.0, -1.0], [101.0, -0.0]
+    lowers[:, 7], uppers[:, 7] = rng.uniform(-0.2, 0.0, n), rng.uniform(0.0, 0.2, n)
+    lowers[0, [0, 7]], uppers[0, [0, 7]] = [100.0, -1.0], [101.0, -0.0]
     index = BoxIndex([f"b{i:02d}" for i in range(n)], lowers, uppers)
-    assert index.key_dims[0] == 0 and 3 not in index.key_dims
+    assert index.key_dims[0] == 0 and 7 not in index.key_dims
     queries = []
     for _ in range(10):
         q = random_query(rng, dim)
-        queries.append(box(np.r_[q.lower[:3], 0.0], np.r_[q.upper[:3], 1.0]))
+        queries.append(box(np.r_[q.lower[:7], 0.0], np.r_[q.upper[:7], 1.0]))
     for q in queries:
         assert 0 not in index._candidates(q)
         b00 = [r for r in index.query_topk_exhaustive(q, 10) if r.id == "b00"]
@@ -331,9 +332,9 @@ def bits(result):
 
 
 # sha256 of the hard top k's ids and score bits over galleries whose queries
-# keep only some rows as candidates, taken from the code whose ranking
-# filled the places left past the positive scores by hand; it must not move.
-CANDIDATE_PATH = "954655f1a608835385d3faed84d05a02c5f18bf36b20662de9bafee58298917a"
+# keep only some rows as candidates, taken from the code that filtered on 3
+# key dimensions (the exhaustive scan gives the same); it must not move.
+CANDIDATE_PATH = "d5a3b32f57ad8c43fd89ebcd8c79a52929e612cb6dc9bfd24220f976822e8ef2"
 
 
 def test_hard_candidate_path_pinned():
@@ -347,7 +348,7 @@ def test_hard_candidate_path_pinned():
             for k in (1, 10, len(index) + 1):
                 for r in index.query_topk(q, k, HARD):
                     digest.update(repr((r.id,) + bits(r)).encode())
-    assert partial == 91  # 50 of them below 32 candidates, 41 at 32 or more
+    assert partial == 91
     assert digest.hexdigest() == CANDIDATE_PATH
 
 
@@ -395,36 +396,67 @@ def test_hard_scores_are_never_nan_property(data):
 def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
     # On a sparse gallery a hard top k costs what its candidates cost: it
     # scores only those that meet the query in every dimension, and the first
-    # k rows, and never ranks a gallery-long array.
+    # k rows, and sorts only their scores.
     rng = np.random.default_rng(47)
     table = random_table(rng, 500, 32)
     index = BoxIndex.build(table)
     scored, ranked = [], []
-    real_intersection, real_top = boxes.intersection, retrieval._top
+    real_intersection, real_argsort = boxes.intersection, np.argsort
 
     def intersection_spy(lower_x, upper_x, lower_y, upper_y, cfg, axis=-1):
         scored.append(len(lower_y))
         return real_intersection(lower_x, upper_x, lower_y, upper_y, cfg, axis)
 
-    def top_spy(score, k):
-        ranked.append(len(score))
-        return real_top(score, k)
+    def argsort_spy(a, *args, **kwargs):
+        ranked.append(len(a))
+        return real_argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(boxes, "intersection", intersection_spy)
-    monkeypatch.setattr(retrieval, "_top", top_spy)
+    monkeypatch.setattr(retrieval.np, "argsort", argsort_spy)
     partial = 0
     for q in [table.box(table.ids[i]) for i in range(0, 500, 10)]:
         cand = index._candidates(q)
         partial += len(cand) < len(index)
         scored.clear()
         ranked.clear()
-        assert index.query_topk(q, 10, HARD) == index.query_topk_exhaustive(q, 10, HARD)
+        results = index.query_topk(q, 10, HARD)
         met = [r for r in cand
                if ((index.lowers[r] <= q.upper) & (index.uppers[r] >= q.lower)).all()]
         want = len(set(met) | set(range(10)))
-        assert scored[0] == want and scored[1] == len(index)  # then the oracle
-        assert len(index) not in ranked
+        assert scored == [want] and ranked == [want]
+        assert results == index.query_topk_exhaustive(q, 10, HARD)
     assert partial == 50
+
+
+def test_key_filter_tests_the_six_widest_dimensions():
+    # The edges of the other boxes spread over 10 - j units in dimension j, so
+    # dimensions 0-5 are the key dimensions, widest first, and 6 is not. Each
+    # of them meets the query in every dimension. Box a{j} meets it in every
+    # dimension but j: a3-a5 meet it in the 3 widest and are still no
+    # candidates; a6 is one, and the every-dimension test drops it.
+    dim = 7
+    spread = np.linspace(0.1, 1.0, 20)[:, None] * (10.0 - np.arange(dim))
+    lowers, uppers = [-spread], [spread]
+    for j in (3, 4, 5, 6):
+        lo, hi = np.full(dim, -1.0), np.full(dim, 1.0)
+        lo[j], hi[j] = 2.0, 3.0
+        lowers.append(lo[None])
+        uppers.append(hi[None])
+    ids = [f"b{i:02d}" for i in range(20)] + ["a3", "a4", "a5", "a6"]
+    index = BoxIndex(ids, np.vstack(lowers), np.vstack(uppers))
+    assert index.key_dims.tolist() == [0, 1, 2, 3, 4, 5]
+    q = box([-0.5] * dim, [0.5] * dim)
+    widest = index.key_dims[:3]
+    assert retrieval._meets(index.lowers[:, widest], index.uppers[:, widest],
+                            q.lower[widest], q.upper[widest]).all()
+    assert index.ids[:4] == ["a3", "a4", "a5", "a6"]
+    assert index._candidates(q).tolist() == list(range(3, 24))
+    for k in (10, 24):
+        results = index.query_topk(q, k, HARD)
+        assert [bits(r) for r in results] == [bits(r) for r in
+                                               index.query_topk_exhaustive(q, k, HARD)]
+        assert results == index.query_topk_exhaustive(q, k, HARD)
+    assert [r.id for r in index.query_topk(q, 24)][20:] == ["a3", "a4", "a5", "a6"]
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
