@@ -127,13 +127,13 @@ def intersection(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig, axis=
     """
     v = np.minimum(upper_x, upper_y, dtype=np.float64)
     v -= np.maximum(lower_x, lower_y)
-    return np.prod(sigma(v, cfg, out=v), axis=axis)
+    return np.multiply.reduce(sigma(v, cfg, out=v), axis=axis)
 
 
 def volumes(lower, upper, cfg: SmoothingConfig, axis=-1):
     """Volume of boxes given by bounds over (..., D), the dimension `axis` reduced."""
     v = np.subtract(upper, lower, dtype=np.float64)
-    return np.prod(sigma(v, cfg, out=v), axis=axis)
+    return np.multiply.reduce(sigma(v, cfg, out=v), axis=axis)
 
 
 def overlap(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):

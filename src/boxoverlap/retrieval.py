@@ -1,24 +1,23 @@
 """Retrieval over box embeddings: ranking, relation labels, relative scale.
 
 Hard-overlap queries keep only the boxes that meet the query in the 6
-widest dimensions of the gallery, tested in one vectorised pass over their
-dimension-major rows (on random galleries 3 dimensions keep about 20 times
-as many boxes, and 8 cut no more time), then only the candidates that meet
-it in every dimension, and score those exactly, with the first k rows.
-Every other box scores 0, so the exhaustive scan's stable sort of these
-rows' scores gives its top k: past these tests a hard query's work follows
-the candidates, not the gallery. A hard query that keeps every row, and
-every smoothed one, scans the whole gallery against its volumes, stored
-once per smoothing. The scan reads dimension-major (D, n) copies of the
-bounds, so its product over dimensions runs over contiguous rows of n
-boxes, with the row-major bits. Its top k are selected without sorting the
-whole gallery, so results are always identical to a full scan.
+widest dimensions of the gallery, tested in one pass over their
+dimension-major rows, then only the candidates that meet it in every
+dimension, and score those exactly, with the first k rows. Every other box
+scores 0, so the exhaustive scan's stable sort of these rows' scores gives
+its top k. A query that meets the key dimensions' core (the gallery's
+largest lower and smallest upper bound in each), as on trained galleries,
+keeps every row untested. A hard query that keeps every row, and every
+smoothed one, scans the whole gallery dimension-major against its volumes,
+stored once per smoothing, and selects its top k without sorting the whole
+gallery, so results are always identical to a full scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +37,11 @@ RELATION_NOISE_FLOOR = 0.05
 _KEY_DIMS = 6  # the widest dimensions a hard query is first filtered on
 
 
-@dataclass(frozen=True)
-class RelationLabel:
+class RelationLabel(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     id: str
     enclosure: float
     concentration: float
@@ -129,12 +126,11 @@ class BoxIndex:
 
     Hard-overlap queries are filtered on the (up to) 6 dimensions with the
     widest endpoint spread across the gallery, read from dimension-major
-    (6, n) rows, then the surviving candidates on every dimension. Of 5000
-    random D=32 boxes, 6 dimensions keep about 9 a query where 3 keep about
-    200, and 8 are no faster. Those that meet the query, and the first k
-    rows, are scored exactly in full dimension, and every other row scores
-    0. A hard top k ranks those rows by the exhaustive scan's stable sort,
-    so its cost follows the candidates, not the gallery.
+    (6, n) rows, unless the query meets those dimensions' core, the largest
+    lower and smallest upper bound in each, stored at build; then the
+    surviving candidates on every dimension. Those that meet the query, and
+    the first k rows, are scored exactly, every other row scores 0, and a
+    hard top k ranks those rows by the exhaustive scan's stable sort.
     A hard query that keeps the whole gallery, and every smoothed query, is
     scored whole by one scan over dimension-major copies of the bounds and
     the gallery's volumes, stored per smoothing on first use with whether all
@@ -148,13 +144,18 @@ class BoxIndex:
         if lowers.ndim != 2 or lowers.shape != uppers.shape or len(lowers) != len(ids):
             raise ValueError(f"bounds must be two (n, D) arrays with one row per id: "
                              f"{len(ids)} ids, lowers {lowers.shape}, uppers {uppers.shape}")
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.ids = [ids[i] for i in order]
-        for a, b in zip(self.ids, self.ids[1:]):
-            if a == b:
-                raise ValueError(f"repeated image id: {a}")
-        self.lowers = lowers.take(order, axis=0)
-        self.uppers = uppers.take(order, axis=0)
+        # Ids from `train` arrive strictly ascending: no sort or repeat check then.
+        if all(map(operator.lt, ids, ids[1:])):
+            self.ids = list(ids)
+            self.lowers, self.uppers = lowers.copy(), uppers.copy()
+        else:
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            self.ids = [ids[i] for i in order]
+            for a, b in zip(self.ids, self.ids[1:]):
+                if a == b:
+                    raise ValueError(f"repeated image id: {a}")
+            self.lowers = lowers.take(order, axis=0)
+            self.uppers = uppers.take(order, axis=0)
         # A NaN bound compares false. An infinite one is legal: finite params make one.
         if not (self.lowers <= self.uppers).all():
             row = np.argmin((self.lowers <= self.uppers).all(axis=1))
@@ -179,6 +180,9 @@ class BoxIndex:
         # Dimension-major key rows: the key test runs over contiguous rows of n.
         self._key_lo = self._lowers_t[self.key_dims]
         self._key_hi = self._uppers_t[self.key_dims]
+        # The key dimensions' core: a query that meets it meets every box there.
+        self._core_lo = np.maximum.reduce(self._key_lo, axis=1)
+        self._core_hi = np.minimum.reduce(self._key_hi, axis=1)
 
     @classmethod
     def build(cls, table) -> "BoxIndex":
@@ -190,9 +194,12 @@ class BoxIndex:
         return len(self.ids)
 
     def _candidates(self, q: BoxEmbedding) -> np.ndarray:
-        """Indices that may intersect the query in the key dimensions."""
-        return _meets(self._key_lo, self._key_hi, q.lower[self.key_dims][:, None],
-                      q.upper[self.key_dims][:, None], axis=0).nonzero()[0]
+        """Indices that may intersect the query in the key dimensions: every
+        row, untested, when the query meets the key dimensions' core."""
+        lo, hi = q.lower[self.key_dims], q.upper[self.key_dims]
+        if _meets(self._core_lo, self._core_hi, lo, hi, axis=0):
+            return np.arange(len(self.ids))
+        return _meets(self._key_lo, self._key_hi, lo[:, None], hi[:, None], axis=0).nonzero()[0]
 
     def _exact_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q, rows=None):
         """Exact (enclosure, concentration) of the query, of volume vol_q,
@@ -239,9 +246,7 @@ class BoxIndex:
             cand = self._candidates(q)
             if len(cand) < len(self.ids):
                 return self._ranked_candidates(q, vol_q, cand, k)
-        # The trained survey and sparse-grid tables send every hard query here:
-        # a survey hard request (top-10, labels) took 110 us with fresh volumes
-        # and takes 85 us (seed 7, 2-core Xeon); _ranked_candidates is slower.
+        # Trained tables send every hard query here; _ranked_candidates is slower.
         enclosure, concentration = self._scan_scores(q, cfg, vol_q)
         score = 0.5 * (enclosure + concentration)
         order = _top(score, k)
@@ -287,8 +292,6 @@ class BoxIndex:
 
     def _results(self, rows, enclosure, concentration, score):
         """One QueryResult per row, from its scores given in the same order."""
-        return [
-            QueryResult(self.ids[i], e, c, s)
-            for i, e, c, s in zip(rows, enclosure.tolist(), concentration.tolist(),
-                                  score.tolist())
-        ]
+        return list(map(QueryResult._make, zip(map(self.ids.__getitem__, rows),
+                                               enclosure.tolist(), concentration.tolist(),
+                                               score.tolist())))

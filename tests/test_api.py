@@ -12,11 +12,11 @@ does not call it. A name that only unit tests call is a second path to
 work a batched path already does: delete it and point its tests at that
 path.
 
-A field of a public dataclass counts as read when its name appears as an
-attribute, other than `self.<name>`, in the same files. A field nothing
-reads is data nobody uses: delete it.
+A field of a public dataclass or `typing.NamedTuple` counts as read when
+its name appears as an attribute, other than `self.<name>`, in the same
+files. A field nothing reads is data nobody uses: delete it.
 
-A default of a public function, method or dataclass field counts as set
+A default of a public function, method or record field counts as set
 when a call in the same files, matched by name, passes its value by keyword
 or by position. A default that no such call sets is an option nobody
 chooses: make it a constant.
@@ -139,15 +139,20 @@ def test_every_public_name_has_a_caller():
     assert uncalled == sorted(ALLOWED)
 
 
-def is_dataclass(node):
-    return any(ast.unparse(dec).startswith("dataclass") for dec in node.decorator_list)
+def is_record(node):
+    """Whether a class is a dataclass or a typing.NamedTuple, whose annotated
+    class attributes are its fields."""
+    return (any(ast.unparse(dec).startswith("dataclass") for dec in node.decorator_list)
+            or any(ast.unparse(base) in ("NamedTuple", "typing.NamedTuple")
+                   for base in node.bases))
 
 
 def dataclass_fields():
-    """(qualified name, name) of each field of a public module-level dataclass."""
+    """(qualified name, name) of each field of a public module-level dataclass
+    or NamedTuple."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if is_public(node, ast.ClassDef) and is_dataclass(node):
+            if is_public(node, ast.ClassDef) and is_record(node):
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign):
                         yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
@@ -172,7 +177,7 @@ def function_defaults(func, skip_first):
 
 
 def field_defaults(cls):
-    """(position, name) of each dataclass field with a plain default, that
+    """(position, name) of each record field with a plain default, that
     is, one not made by field(default_factory=...)."""
     fields = [item for item in cls.body if isinstance(item, ast.AnnAssign)]
     for pos, item in enumerate(fields):
@@ -184,7 +189,7 @@ def field_defaults(cls):
 def defaults():
     """(qualified name, callee name, is_method, position, parameter) of each
     plain default of a public function, method (an __init__'s under its
-    class name) or dataclass field."""
+    class name) or record field."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if is_public(node, ast.FunctionDef):
@@ -192,7 +197,7 @@ def defaults():
                     yield f"{path.stem}.{node.name}.{arg}", node.name, False, pos, arg
             if not is_public(node, ast.ClassDef):
                 continue
-            if is_dataclass(node):
+            if is_record(node):
                 for pos, arg in field_defaults(node):
                     yield f"{path.stem}.{node.name}.{arg}", node.name, False, pos, arg
             for item in node.body:

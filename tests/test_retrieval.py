@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxoverlap import boxes, retrieval
+from boxoverlap import boxes, cli, retrieval, training
 from boxoverlap.boxes import HARD, BoxEmbedding, SmoothingConfig, softplus
 from boxoverlap.retrieval import (
     CLONE_LIKE,
@@ -15,11 +15,13 @@ from boxoverlap.retrieval import (
     ZOOM_IN,
     ZOOM_OUT,
     BoxIndex,
+    QueryResult,
+    RelationLabel,
     _top,
     classify_relation,
     estimate_scale,
 )
-from boxoverlap.training import EmbeddingTable
+from boxoverlap.training import EmbeddingTable, TrainConfig
 
 RHO5 = SmoothingConfig(5.0)
 
@@ -695,3 +697,131 @@ def test_index_insertion_order_independent():
     b = BoxIndex([table.ids[i] for i in perm], lowers[perm], uppers[perm])
     q = random_query(rng, 6)
     assert a.query_topk(q, 10, HARD) == b.query_topk(q, 10, HARD)
+
+
+def core_gallery():
+    # Wide boxes that all meet one another, as in trained tables. Dimension j
+    # spreads over 8 - j units, so 0-5 are the key dimensions and 6-7 are not.
+    # b00's upper bound in dimension 0 is -0.0, the smallest there; b01's
+    # lower bound in dimension 1, 0.75, is the largest there.
+    rng = np.random.default_rng(48)
+    n, dim = 20, 8
+    scale = 8.0 - np.arange(dim)
+    lowers = -rng.uniform(1.0, 3.0, size=(n, dim)) * scale
+    uppers = rng.uniform(1.0, 3.0, size=(n, dim)) * scale
+    lowers[0, 0], uppers[0, 0] = -5.0, -0.0
+    lowers[1, 1] = 0.75
+    index = BoxIndex([f"b{i:02d}" for i in range(n)], lowers, uppers)
+    assert sorted(index.key_dims) == [0, 1, 2, 3, 4, 5]
+    return index
+
+
+def edge_query(dim, lower=None, upper=None):
+    """A query box meeting every box of core_gallery, one edge moved."""
+    lo, hi = np.full(8, -0.5), np.full(8, 1.0)
+    if lower is not None:
+        lo[dim], hi[dim] = lower, lower + 1.0
+    else:
+        lo[dim], hi[dim] = upper - 1.0, upper
+    return box(lo, hi)
+
+
+def spy_meets(monkeypatch):
+    """The shape of the boxes' lower bounds in each retrieval._meets call."""
+    tested, real = [], retrieval._meets
+
+    def spy(lowers, uppers, q_lo, q_hi, axis=1):
+        tested.append(np.shape(lowers))
+        return real(lowers, uppers, q_lo, q_hi, axis)
+
+    monkeypatch.setattr(retrieval, "_meets", spy)
+    return tested
+
+
+@pytest.mark.parametrize("touch, past, dropped", [
+    # The query's lower bound +0.0 touches b00's upper bound -0.0; one ulp up it
+    # lies past it.
+    (edge_query(0, lower=0.0), edge_query(0, lower=np.nextafter(0.0, 1.0)), "b00"),
+    # The query's upper bound touches b01's lower bound; one ulp down it lies short.
+    (edge_query(1, upper=0.75), edge_query(1, upper=np.nextafter(0.75, 0.0)), "b01"),
+], ids=["lower-touches-smallest-upper", "upper-touches-largest-lower"])
+def test_core_shortcut_edges(monkeypatch, touch, past, dropped):
+    # A query that meets the key dimensions' core, edges included, keeps every
+    # row untested and takes the whole-gallery scan; one ulp past the core it
+    # takes the key test and the candidate path. Both answer as the exhaustive
+    # scan, bit for bit.
+    index = core_gallery()
+    tested, ranked = spy_meets(monkeypatch), []
+    real_ranked = BoxIndex._ranked_candidates
+
+    def ranked_spy(self, *args):
+        ranked.append(True)
+        return real_ranked(self, *args)
+
+    monkeypatch.setattr(BoxIndex, "_ranked_candidates", ranked_spy)
+    n = len(index)
+    rest = [r for r in range(n) if index.ids[r] != dropped]
+    for q, candidates, key_tests, paths in [(touch, list(range(n)), [(6,)], []),
+                                            (past, rest, [(6,), (6, n), (n - 1, 8)], [True])]:
+        assert index._candidates(q).tolist() == candidates
+        tested.clear()
+        results = index.query_topk(q, n, HARD)
+        assert tested == key_tests and ranked == paths
+        exhaustive = index.query_topk_exhaustive(q, n, HARD)
+        assert results == exhaustive
+        assert [bits(r) for r in results] == [bits(r) for r in exhaustive]
+
+
+def test_whole_gallery_hard_query_makes_no_key_test(monkeypatch):
+    # On a table whose boxes all meet one another, as trained tables' do, a
+    # hard query meets the key dimensions' core: it compares its 6 key bounds
+    # with the core's and never the gallery's (6, n) key rows.
+    index, queries = overlapping_gallery(np.random.default_rng(42))
+    tested = spy_meets(monkeypatch)
+    for q in queries:
+        assert index.query_topk(q, 10, HARD) == index.query_topk_exhaustive(q, 10, HARD)
+    assert tested == [(6,)] * len(queries)
+
+
+def test_result_records_are_immutable_values():
+    result = QueryResult("b01", 0.5, 0.25, 0.375)
+    label = classify_relation(0.152, 0.831)
+    assert QueryResult._fields == ("id", "enclosure", "concentration", "score")
+    assert RelationLabel._fields == ("label",)
+    for record, field in ((result, "score"), (label, "label")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    same = QueryResult("b01", 0.5, 0.25, 0.375)
+    assert result == same and hash(result) == hash(same)
+    assert result != QueryResult("b01", 0.5, 0.25, 0.0)
+    assert label == RelationLabel(ZOOM_IN) and hash(label) == hash(RelationLabel(ZOOM_IN))
+    assert label != RelationLabel(ZOOM_OUT)
+    assert len({result, same, label, RelationLabel(ZOOM_IN)}) == 2
+
+
+# sha256 of `boxoverlap query` output over two checkpoints, hard and smoothed,
+# taken from the code whose results were frozen dataclasses; it must not move.
+QUERY_LINES = "c6966ec7f459b2a4fdd0f48a642297de141e46da95a1100c738f4f26f32ee968"
+
+
+def test_query_json_lines_pinned(tmp_path):
+    # One table keeps ascending ids and its hard queries take the candidate
+    # path; the other lists its ids in reverse and every query keeps every row.
+    rng = np.random.default_rng(49)
+    n, dim = 40, 8
+    sparse = random_table(rng, n, dim)
+    wide = EmbeddingTable("box", [f"w{i:02d}" for i in reversed(range(n))],
+                          np.hstack([rng.normal(0.0, 0.3, size=(n, dim)),
+                                     rng.normal(4.0, 0.3, size=(n, dim))]))
+    digest = hashlib.sha256()
+    for name, table in (("sparse", sparse), ("wide", wide)):
+        ckpt = tmp_path / f"{name}.npz"
+        training.save_checkpoint(ckpt, table, TrainConfig(dim=dim), step=0)
+        for hard in ([], ["--hard"]):
+            out = tmp_path / f"{name}{len(hard)}.jsonl"
+            assert cli.main(["query", "--checkpoint", str(ckpt), "--query-id", table.ids[7],
+                             "--k", str(n), "--output", str(out), *hard]) == 0
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == QUERY_LINES
