@@ -68,28 +68,17 @@ _LINEAR = 40.0
 _LINEAR_MIN_SIZE = 64
 
 
-def _outside_linear(func, x, linear):
-    """func(x), with linear(x) in place of func on the elements of a float64
-    array at or above _LINEAR. Any other input, a small array, and an array
-    whose first element is below _LINEAR or NaN (a random gallery's, say)
-    go to func whole: that costs no reduction, and func gives the same bits."""
+def softplus(x):
+    """np.logaddexp(0, x), its bits and type; a large float64 array whose first
+    element is in the regime (a trained table's) keeps x on those elements."""
     if (type(x) is not np.ndarray or x.dtype != np.float64
             or x.size < _LINEAR_MIN_SIZE or not x.item(0) >= _LINEAR):
-        return func(x)
-    out = linear(x)
+        return np.logaddexp(0.0, x)
+    out = x.copy(order="K")
     if not x.min() >= _LINEAR:
         rest = ~(x >= _LINEAR)
-        out[rest] = func(x[rest])
+        out[rest] = np.logaddexp(0.0, x[rest])
     return out
-
-
-def softplus(x):
-    return _outside_linear(lambda a: np.logaddexp(0.0, a), x, lambda a: a.copy(order="K"))
-
-
-def softplus_grad(x):
-    from scipy.special import expit
-    return _outside_linear(expit, x, np.ones_like)
 
 
 def sigma(v, cfg: SmoothingConfig, out=None):
@@ -180,18 +169,18 @@ def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):
 
 
 def _softplus_with_grad(x):
-    """softplus(x) and softplus_grad(x) from one regime mask: elements at or
-    above _LINEAR keep x and 1.0, the others go to both functions (whose
-    first element, below _LINEAR or NaN, sends them to their ufunc whole).
-    The gradient is None when every element (of none) is in the regime."""
+    """softplus(x) and its gradient expit(x) from one regime mask: elements
+    at or above _LINEAR keep x and 1.0, the others go to np.logaddexp and
+    expit. The gradient is None when every element (of none) is in the regime."""
     if np.minimum.reduce(x, axis=None, initial=np.inf) >= _LINEAR:
         return x, None
+    from scipy.special import expit
     rest = ~(x >= _LINEAR)
     below = x[rest]
     sizes = x.astype(np.result_type(x, 0.0))
     grad = np.ones_like(sizes)
-    sizes[rest] = softplus(below)
-    grad[rest] = softplus_grad(below)
+    sizes[rest] = np.logaddexp(0.0, below)
+    grad[rest] = expit(below)
     return sizes, grad
 
 

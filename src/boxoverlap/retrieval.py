@@ -10,7 +10,9 @@ largest lower and smallest upper bound in each), as on trained galleries,
 keeps every row untested. A hard query that keeps every row, and every
 smoothed one, scans the whole gallery dimension-major against its volumes,
 stored once per smoothing, and selects its top k without sorting the whole
-gallery, so results are always identical to a full scan.
+gallery, so results are always identical to a full scan. An empty gallery
+takes the same path: every query meets its core, and a scan of 0 rows
+answers [].
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ RELATION_LOW = 0.3
 RELATION_HIGH = 0.6
 RELATION_NOISE_FLOOR = 0.05
 
-_KEY_DIMS = 6  # the widest dimensions a hard query is first filtered on
+# The widest dimensions a hard query is first filtered on: about 9 of 5000
+# random D=32 boxes pass, where 3 passed about 200 and 8 cut no more time.
+_KEY_DIMS = 6
 
 
 class RelationLabel(NamedTuple):
@@ -136,6 +140,7 @@ class BoxIndex:
     the gallery's volumes, stored per smoothing on first use with whether all
     are positive, so the scan divides by them directly; the bounds are
     read-only, so the stored volumes cannot go stale. Ids must be unique.
+    An empty index, of (0, D) bounds, checks each query as any other does.
     """
 
     def __init__(self, ids, lowers, uppers):
@@ -167,9 +172,6 @@ class BoxIndex:
         for bounds in (self.lowers, self.uppers, self._lowers_t, self._uppers_t):
             bounds.setflags(write=False)
         self._volumes = {}  # SmoothingConfig -> ((n,) volumes, whether any is not > 0)
-        if len(self.ids) == 0:
-            self.key_dims = np.arange(0)
-            return
         # Bounds wider than about 1e154 square past the float range: their
         # spread is inf, which ranks that dimension first. An infinite bound
         # makes it NaN, which ranks as inf: that dimension is the widest too.
@@ -180,9 +182,10 @@ class BoxIndex:
         # Dimension-major key rows: the key test runs over contiguous rows of n.
         self._key_lo = self._lowers_t[self.key_dims]
         self._key_hi = self._uppers_t[self.key_dims]
-        # The key dimensions' core: a query that meets it meets every box there.
-        self._core_lo = np.maximum.reduce(self._key_lo, axis=1)
-        self._core_hi = np.minimum.reduce(self._key_hi, axis=1)
+        # The key dimensions' core: a query that meets it meets every box
+        # there, and every query meets an empty gallery's.
+        self._core_lo = np.maximum.reduce(self._key_lo, axis=1, initial=-np.inf)
+        self._core_hi = np.minimum.reduce(self._key_hi, axis=1, initial=np.inf)
 
     @classmethod
     def build(cls, table) -> "BoxIndex":
@@ -221,12 +224,10 @@ class BoxIndex:
         return _directed(inter, vol_q, *volumes)
 
     def _check_query(self, q: BoxEmbedding, k: int, cfg: SmoothingConfig):
-        """The query box's volume under cfg, checked even if no box is scored;
-        None when the index is empty. Rejects a bad k or query box."""
+        """The query box's volume under cfg, checked even if no box is scored.
+        Rejects a bad k or query box."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if len(self.ids) == 0:
-            return None
         if q.dim != self.lowers.shape[1]:
             raise ValueError(f"dimension mismatch: {q.dim} vs {self.lowers.shape[1]}")
         vol_q = boxes.volumes(q.lower, q.upper, cfg)
@@ -240,8 +241,6 @@ class BoxIndex:
         Ties are broken by ascending id; identical to an exhaustive scan.
         """
         vol_q = self._check_query(q, k, cfg)
-        if vol_q is None:
-            return []
         if cfg.hard:
             cand = self._candidates(q)
             if len(cand) < len(self.ids):
@@ -282,8 +281,6 @@ class BoxIndex:
                               cfg: SmoothingConfig = HARD) -> list[QueryResult]:
         """Oracle path: full scan with fresh volumes, no pruning and a full sort."""
         vol_q = self._check_query(q, k, cfg)
-        if vol_q is None:
-            return []
         enclosure, concentration = self._exact_scores(q, cfg, vol_q)
         score = 0.5 * (enclosure + concentration)
         order = np.argsort(-score, kind="stable")[:k]

@@ -224,12 +224,7 @@ def make_pair(pattern: str, params: dict, seed: int):
         view_x = render_depth(surface, _down_camera(ids[0], center, DEFAULT_HEIGHT))
         rng = np.random.default_rng(seed)
         off = rng.normal(0.0, jitter, size=3) if jitter > 0 else np.zeros(3)
-        placement_y = Placement(
-            id=ids[1],
-            position=(off[0], off[1], DEFAULT_HEIGHT + off[2]),
-            target=(off[0], off[1], 0.0),
-        )
-        view_y = render_depth(surface, placement_y)
+        view_y = render_depth(surface, _down_camera(ids[1], off[:2], DEFAULT_HEIGHT + off[2]))
         lo = 1.0 if jitter == 0 else 0.8
         return view_x, view_y, ExpectedOverlap(xy=(lo, 1.0), yx=(lo, 1.0))
 

@@ -146,12 +146,10 @@ def loss_box(table: EmbeddingTable, pair: OverlapRecord, cfg: TrainConfig) -> fl
 
 def _init_table(dataset: PairDataset, cfg: TrainConfig, kind: str, rng) -> EmbeddingTable:
     n = len(dataset.ids)
-    if kind == "box":
-        centers = rng.normal(0.0, INIT_CENTER_STD, size=(n, cfg.dim))
-        size_raws = np.full((n, cfg.dim), INIT_SIZE_RAW)
-        return EmbeddingTable("box", dataset.ids, np.hstack([centers, size_raws]))
-    vectors = rng.normal(0.0, INIT_CENTER_STD, size=(n, cfg.dim))
-    return EmbeddingTable("vector", dataset.ids, vectors)
+    params = rng.normal(0.0, INIT_CENTER_STD, size=(n, cfg.dim))
+    if kind == "box":  # the centers, then the sizes
+        params = np.hstack([params, np.full((n, cfg.dim), INIT_SIZE_RAW)])
+    return EmbeddingTable(kind, dataset.ids, params)
 
 
 def _scatter(index, values, shape):
@@ -250,8 +248,6 @@ def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
     """Minibatch Adam over a freshly initialised table; returns (table, loss_trace)."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    if kind not in ("box", "vector"):
-        raise ValueError(f"unknown embedding kind: {kind}")
     rng = np.random.default_rng(cfg.seed)
     table = _init_table(dataset, cfg, kind, rng)
 

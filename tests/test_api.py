@@ -1,9 +1,10 @@
-"""Every public name and every default in the package has a caller outside
-the unit tests.
+"""Every module-level name and every default in the package has a caller
+outside the unit tests.
 
-A public function or class counts as called when its name appears as a
-name, an attribute or an import in the package (outside __init__.py), in
-the benchmark scripts or in the acceptance tests. A public property counts
+A module-level function or class, public or private, counts as called when
+its name appears as a name, an attribute or an import in the package
+(outside __init__.py), in the benchmark scripts or in the acceptance
+tests, other than inside its own definition. A public property counts
 when its name is read there as an attribute. Any other public method counts
 only when it is called there as `x.<name>(...)`, referenced as
 `<Class>.<name>`, or used as `self.<name>` inside its own class; an
@@ -93,6 +94,18 @@ def caller_files():
     return files
 
 
+def module_nodes(tree):
+    """Every node of a module but those inside a module-level function or
+    class that name it: a name's own definition does not call it."""
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if owner is None or owner not in (getattr(node, "id", None),
+                                              getattr(node, "attr", None),
+                                              getattr(node, "name", None)):
+                yield node
+
+
 def references():
     """(names, attributes, called, class_attributes, members): bare names and
     imports; attribute names other than `self.<name>`; those of them called
@@ -108,7 +121,7 @@ def references():
         tree = ast.parse(path.read_text())
         own = self_attributes(path, tree)
         members.update(own.values())
-        for node in ast.walk(tree):
+        for node in module_nodes(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and node not in own:
@@ -137,6 +150,22 @@ def test_every_public_name_has_a_caller():
     uncalled = sorted(qual for qual, name, kind in public_names()
                       if not reached(qual, name, kind))
     assert uncalled == sorted(ALLOWED)
+
+
+def private_names():
+    """Qualified name and name of each private module-level function or class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def test_every_private_name_has_a_caller():
+    names, attributes = references()[:2]
+    uncalled = sorted(qual for qual, name in private_names()
+                      if name not in names and name not in attributes)
+    assert uncalled == []
 
 
 def is_record(node):

@@ -116,6 +116,24 @@ def test_empty_index():
     assert index.query_topk(box([0, 0, 0, 0], [1, 1, 1, 1]), 5) == []
 
 
+@pytest.mark.parametrize("index", [
+    BoxIndex([], np.zeros((0, 4)), np.zeros((0, 4))),
+    BoxIndex.build(EmbeddingTable("box", [], np.zeros((0, 8)))),
+], ids=["bounds", "table"])
+def test_empty_index_takes_the_gallery_path(index):
+    # Any warning fails a test, so each query below also runs without one.
+    q = box([0, 0, 0, 0], [1, 1, 1, 1])
+    for cfg in (HARD, RHO5):
+        for k in (1, 10):
+            assert index.query_topk(q, k, cfg) == []
+            assert index.query_topk_exhaustive(q, k, cfg) == []
+    # A query box is checked as on any other index.
+    with pytest.raises(boxes.DegenerateBoxError, match="zero volume"):
+        index.query_topk(box([0, 0, 0, 0], [1, 1, 0, 1]), 1)
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 4"):
+        index.query_topk(box([0, 0, 0], [1, 1, 1]), 1)
+
+
 def test_build_rejects_vector_table():
     with pytest.raises(ValueError, match="box-kind"):
         BoxIndex.build(EmbeddingTable("vector", ["a"], np.zeros((1, 4))))

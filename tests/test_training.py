@@ -150,6 +150,11 @@ def test_train_empty_dataset():
         train(PairDataset([]), TrainConfig())
 
 
+def test_train_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown embedding kind: blob"):
+        train(three_image_dataset(), TrainConfig(steps=1), kind="blob")
+
+
 def test_train_divergence_reports_pairs():
     # A huge learning rate throws the boxes out until the loss turns non-finite.
     ds = PairDataset([OverlapRecord("a", "b", 1.0, 1.0)])
