@@ -107,22 +107,24 @@ def sigma_grad(v, cfg: SmoothingConfig):
     return expit(v / cfg.rho)
 
 
-def intersection(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig, axis=-1):
+def intersection(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig, axis=-1,
+                 out=None):
     """Intersection volume of boxes given by bounds broadcast over (..., D),
-    each box's lower and upper bounds of one shape.
+    each box's lower and upper bounds of one shape; written into `out` when given.
 
     `axis` is the dimension axis, reduced in order: (D, n) bounds with
     axis=0 give the same bits as their (n, D) transpose with axis=-1.
     """
     v = np.minimum(upper_x, upper_y, dtype=np.float64)
     v -= np.maximum(lower_x, lower_y)
-    return np.multiply.reduce(sigma(v, cfg, out=v), axis=axis)
+    return np.multiply.reduce(sigma(v, cfg, out=v), axis=axis, out=out)
 
 
-def volumes(lower, upper, cfg: SmoothingConfig, axis=-1):
-    """Volume of boxes given by bounds over (..., D), the dimension `axis` reduced."""
+def volumes(lower, upper, cfg: SmoothingConfig, axis=-1, out=None):
+    """Volume of boxes given by bounds over (..., D), the dimension `axis`
+    reduced; written into `out` when given."""
     v = np.subtract(upper, lower, dtype=np.float64)
-    return np.multiply.reduce(sigma(v, cfg, out=v), axis=axis)
+    return np.multiply.reduce(sigma(v, cfg, out=v), axis=axis, out=out)
 
 
 def overlap(lower_x, upper_x, lower_y, upper_y, cfg: SmoothingConfig):
@@ -156,9 +158,15 @@ def nbo(bx: BoxEmbedding, by: BoxEmbedding, cfg: SmoothingConfig) -> float:
 
 
 def params_to_bounds(center, size_raw):
-    """(lower, upper) of boxes given by center and pre-softplus size arrays."""
-    half = softplus(size_raw) / 2.0
-    return center - half, center + half
+    """(lower, upper) of boxes given by center and pre-softplus size arrays:
+    center -/+ softplus(size_raw) / 2.0. An array's fresh softplus output is
+    halved in place and, when it has the uppers' shape and type, holds them."""
+    half = softplus(size_raw)
+    half /= 2.0  # a scalar or 0-d size gives a numpy scalar, divided anew
+    lower = center - half
+    if type(half) is np.ndarray and half.shape == lower.shape and half.dtype == lower.dtype:
+        return lower, np.add(center, half, out=half)
+    return lower, center + half
 
 
 def nbo_batch(cx, sx_raw, cy, sy_raw, cfg: SmoothingConfig):

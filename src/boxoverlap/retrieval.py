@@ -8,11 +8,12 @@ scores 0, so the exhaustive scan's stable sort of these rows' scores gives
 its top k. A query that meets the key dimensions' core (the gallery's
 largest lower and smallest upper bound in each), as on trained galleries,
 keeps every row untested. A hard query that keeps every row, and every
-smoothed one, scans the whole gallery dimension-major against its volumes,
-stored once per smoothing, and selects its top k without sorting the whole
-gallery, so results are always identical to a full scan. An empty gallery
-takes the same path: every query meets its core, and a scan of 0 rows
-answers [].
+smoothed one, scans the whole gallery dimension-major, in blocks of 1024
+columns that stay in a core's L2 cache, against its volumes, which the
+first scan under each smoothing fills in the same pass and stores; it
+selects its top k without sorting the whole gallery, so results are always
+identical to a full scan. An empty gallery takes the same path: every query
+meets its core, and a scan of 0 rows answers [].
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ RELATION_NOISE_FLOOR = 0.05
 # The widest dimensions a hard query is first filtered on: about 9 of 5000
 # random D=32 boxes pass, where 3 passed about 200 and 8 cut no more time.
 _KEY_DIMS = 6
+# Columns a gallery scan reads at a time: at D=32 a block and its temporaries fit a 2 MiB L2.
+_BLOCK = 1024
 
 
 class RelationLabel(NamedTuple):
@@ -93,13 +96,13 @@ def _directed(inter, vol_q, vol_r, masked=True):
 
 
 def _variance(a):
-    """a.var(axis=0), from the ufunc steps numpy's var runs, so with its bits
+    """a.var(axis=1), from the ufunc steps numpy's var runs, so with its bits
     but without its Python-level overhead."""
-    mean = a.sum(axis=0)
-    mean /= len(a)
+    mean = a.sum(axis=1, keepdims=True)
+    mean /= a.shape[1]
     dev = a - mean
     np.multiply(dev, dev, out=dev)
-    return dev.sum(axis=0) / len(a)
+    return dev.sum(axis=1) / a.shape[1]
 
 
 def _top(score, k):
@@ -136,23 +139,28 @@ class BoxIndex:
     the first k rows, are scored exactly, every other row scores 0, and a
     hard top k ranks those rows by the exhaustive scan's stable sort.
     A hard query that keeps the whole gallery, and every smoothed query, is
-    scored whole by one scan over dimension-major copies of the bounds and
-    the gallery's volumes, stored per smoothing on first use with whether all
-    are positive, so the scan divides by them directly; the bounds are
+    scored whole by one scan over dimension-major copies of the bounds, in
+    column blocks of _BLOCK that each reduce into one (n,) output, against
+    the gallery's volumes. The first scan under a smoothing fills those in
+    the same pass over each block and stores them with whether all are
+    positive, so later scans divide by them directly; the bounds are
     read-only, so the stored volumes cannot go stale. Ids must be unique.
     An empty index, of (0, D) bounds, checks each query as any other does.
     """
 
     def __init__(self, ids, lowers, uppers):
-        lowers = np.asarray(lowers, dtype=np.float64)
-        uppers = np.asarray(uppers, dtype=np.float64)
+        self._own(ids, np.asarray(lowers, dtype=np.float64),
+                  np.asarray(uppers, dtype=np.float64), copy=True)
+
+    def _own(self, ids, lowers, uppers, copy=False):
+        """Index float64 (n, D) bounds, kept as given (build's, fresh) unless copy."""
         if lowers.ndim != 2 or lowers.shape != uppers.shape or len(lowers) != len(ids):
             raise ValueError(f"bounds must be two (n, D) arrays with one row per id: "
                              f"{len(ids)} ids, lowers {lowers.shape}, uppers {uppers.shape}")
         # Ids from `train` arrive strictly ascending: no sort or repeat check then.
         if all(map(operator.lt, ids, ids[1:])):
             self.ids = list(ids)
-            self.lowers, self.uppers = lowers.copy(), uppers.copy()
+            self.lowers, self.uppers = (lowers.copy(), uppers.copy()) if copy else (lowers, uppers)
         else:
             order = sorted(range(len(ids)), key=ids.__getitem__)
             self.ids = [ids[i] for i in order]
@@ -171,12 +179,18 @@ class BoxIndex:
         self._uppers_t = np.ascontiguousarray(self.uppers.T)
         for bounds in (self.lowers, self.uppers, self._lowers_t, self._uppers_t):
             bounds.setflags(write=False)
+        # The scan's (columns, lowers, uppers) blocks; up to _BLOCK boxes are
+        # one block of every column (None), its outputs written whole.
+        n = len(self.ids)
+        self._blocks = ([(None, self._lowers_t, self._uppers_t)] if n <= _BLOCK else
+                        [(slice(s, s + _BLOCK), self._lowers_t[:, s:s + _BLOCK],
+                          self._uppers_t[:, s:s + _BLOCK]) for s in range(0, n, _BLOCK)])
         self._volumes = {}  # SmoothingConfig -> ((n,) volumes, whether any is not > 0)
         # Bounds wider than about 1e154 square past the float range: their
         # spread is inf, which ranks that dimension first. An infinite bound
         # makes it NaN, which ranks as inf: that dimension is the widest too.
         with np.errstate(over="ignore", invalid="ignore"):
-            spread = _variance(self.lowers) + _variance(self.uppers)
+            spread = _variance(self._lowers_t) + _variance(self._uppers_t)
         spread[np.isnan(spread)] = np.inf
         self.key_dims = np.argsort(-spread, kind="stable")[:_KEY_DIMS]
         # Dimension-major key rows: the key test runs over contiguous rows of n.
@@ -190,8 +204,9 @@ class BoxIndex:
     @classmethod
     def build(cls, table) -> "BoxIndex":
         """Index every entry of a box-kind embedding table."""
-        lowers, uppers = table.bounds()
-        return cls(table.ids, lowers, uppers)
+        index = cls.__new__(cls)
+        index._own(table.ids, *table.bounds())
+        return index
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -214,14 +229,21 @@ class BoxIndex:
                          boxes.volumes(lowers, uppers, cfg))
 
     def _scan_scores(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q):
-        """_exact_scores of the whole gallery, its volumes computed once per cfg."""
-        volumes = self._volumes.get(cfg)
-        if volumes is None:
-            vol_r = boxes.volumes(self._lowers_t, self._uppers_t, cfg, axis=0)
-            volumes = self._volumes[cfg] = vol_r, not (vol_r > 0).all()
-        inter = boxes.intersection(q.lower[:, None], q.upper[:, None],
-                                   self._lowers_t, self._uppers_t, cfg, axis=0)
-        return _directed(inter, vol_q, *volumes)
+        """_exact_scores of the whole gallery, block by block of columns; the
+        first scan under cfg also fills its stored volumes, in the same pass."""
+        stored = self._volumes.get(cfg)
+        lo, hi = q.lower[:, None], q.upper[:, None]
+        inter = np.empty(len(self.ids))
+        vol_r = None if stored else np.empty(len(self.ids))
+        for cols, lowers, uppers in self._blocks:
+            boxes.intersection(lo, hi, lowers, uppers, cfg, axis=0,
+                               out=inter if cols is None else inter[cols])
+            if vol_r is not None:
+                boxes.volumes(lowers, uppers, cfg, axis=0,
+                              out=vol_r if cols is None else vol_r[cols])
+        if vol_r is not None:
+            stored = self._volumes[cfg] = vol_r, not (vol_r > 0).all()
+        return _directed(inter, vol_q, *stored)
 
     def _check_query(self, q: BoxEmbedding, k: int, cfg: SmoothingConfig):
         """The query box's volume under cfg, checked even if no box is scored.

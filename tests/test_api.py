@@ -13,6 +13,11 @@ does not call it. A name that only unit tests call is a second path to
 work a batched path already does: delete it and point its tests at that
 path.
 
+A module-level constant (any name a module-level assignment binds) counts
+as read when it is loaded as a name or an attribute, or imported, in the
+same files, other than inside its own assignment. A constant nothing reads,
+a retired block size for instance, is a setting nobody uses: delete it.
+
 A field of a public dataclass or `typing.NamedTuple` counts as read when
 its name appears as an attribute, other than `self.<name>`, in the same
 files. A field nothing reads is data nobody uses: delete it.
@@ -166,6 +171,37 @@ def test_every_private_name_has_a_caller():
     uncalled = sorted(qual for qual, name in private_names()
                       if name not in names and name not in attributes)
     assert uncalled == []
+
+
+def module_constants(tree):
+    """(name, assignment) of each name a module-level assignment binds."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt
+
+
+def test_every_module_constant_is_read():
+    trees = {path: ast.parse(path.read_text())
+             for path in {*PACKAGE.glob("*.py"), *caller_files()}}
+    constants = [(f"{path.stem}.{name}", name, stmt) for path in sorted(PACKAGE.glob("*.py"))
+                 for name, stmt in module_constants(trees[path])]
+    # A constant's own assignment does not read it.
+    own = {id(node) for _, name, stmt in constants for node in ast.walk(stmt)
+           if isinstance(node, ast.Name) and node.id == name}
+    read = set()
+    for path in caller_files():
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if id(node) not in own:
+                    read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert sorted(qual for qual, name, _ in constants if name not in read) == []
 
 
 def is_record(node):

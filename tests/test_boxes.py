@@ -24,6 +24,7 @@ from boxoverlap.boxes import (
     softplus,
     volumes,
 )
+from boxoverlap.training import EmbeddingTable
 
 RHO5 = SmoothingConfig(5.0)
 
@@ -281,6 +282,67 @@ def test_params_to_box_ordered(seed):
     assert np.all(b.upper >= b.lower)
     assert np.allclose(0.5 * (b.lower + b.upper), center)
     assert np.allclose(b.upper - b.lower, softplus(size_raw))
+
+
+# params_to_bounds halves its fresh softplus output in place and writes the
+# uppers into it: the params stay untouched, and every bound keeps the bits
+# and type of c -/+ softplus(s) / 2.0, in and out of the linear regime.
+
+BOUND_RAWS = {
+    "regime": np.resize([41.0, 60.0, 1e300], (8, 16)),
+    "below-regime": np.resize([-3.0, 0.5, 39.0, -1e300, -0.0], (8, 16)),
+    "mixed": np.resize([41.0, -2.0, 40.0, 3.0], (8, 16)),
+    "infinite": np.resize([41.0, np.inf, -np.inf, 2.0], (8, 16)),
+    "nan": np.resize([41.0, np.nan, 1.0, -np.nan], (8, 16)),
+}
+
+
+def plain_bounds(center, size_raw):
+    half = softplus(size_raw) / 2.0
+    return center - half, center + half
+
+
+def assert_same_bounds(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w)
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("raws", BOUND_RAWS.values(), ids=BOUND_RAWS)
+def test_bounds_leave_params_and_keep_plain_bits(raws):
+    params = np.hstack([np.random.default_rng(9).normal(0.0, 5.0, size=raws.shape), raws])
+    before = params.tobytes()
+    table = EmbeddingTable("box", [f"i{r}" for r in range(len(params))], params)
+    centers, size_raws = table.params[:, :16], table.params[:, 16:]
+    with np.errstate(invalid="ignore"):  # logaddexp(0, NaN) warns
+        want = plain_bounds(centers, size_raws)
+        assert_same_bounds(params_to_bounds(centers, size_raws), want)
+        assert_same_bounds(table.bounds(), want)
+        for row, img in enumerate(table.ids):
+            if np.isnan(size_raws[row]).any():
+                with pytest.raises(ValueError, match="NaN"):
+                    table.box(img)
+            else:
+                b = table.box(img)
+                assert_same_bounds((b.lower, b.upper), (want[0][row], want[1][row]))
+    assert table.params.tobytes() == before
+
+
+@pytest.mark.parametrize("center, size_raw", [
+    (1.5, 0.25), (1.5, 50.0), (-2.0, math.inf), (1.5, math.nan),
+    (np.float64(1.5), np.float64(-3.0)), (np.array(1.5), np.array(0.25)),
+    (np.array(-2.0), np.array(41.0)), (np.array(1.5), np.array(-np.inf)),
+    # Bounds that the softplus output cannot hold: another shape or type.
+    (np.ones((3, 4)), np.full(4, 0.5)), (np.ones(4), np.full(4, 0.5, np.float32)),
+    (np.ones(4, np.float32), np.full(4, 0.5)),
+], ids=repr)
+def test_scalar_and_other_bounds_keep_plain_form(center, size_raw):
+    before = (np.asarray(center).tobytes(), np.asarray(size_raw).tobytes())
+    with np.errstate(invalid="ignore"):
+        assert_same_bounds(params_to_bounds(center, size_raw), plain_bounds(center, size_raw))
+    assert (np.asarray(center).tobytes(), np.asarray(size_raw).tobytes()) == before
 
 
 # -- softplus ------------------------------------------------------------------
