@@ -100,6 +100,17 @@ def sigma(v, cfg: SmoothingConfig, out=None):
     return out
 
 
+def softplus32(x):
+    """The smoothed edge function in float32, over widths in units of rho:
+    ln(1 + exp(x)) = sigma(rho * x) / rho, written over the float32 array x.
+
+    Unlike sigma it is not overflow-safe: float32 exp overflows past x =
+    88.7, so callers keep x below that.
+    """
+    np.exp(x, out=x)
+    return np.log1p(x, out=x)
+
+
 def sigma_grad(v, cfg: SmoothingConfig):
     """d sigma / d v of the smoothed edge function; requires rho > 0."""
     v = np.asarray(v, dtype=np.float64)

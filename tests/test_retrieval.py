@@ -1,11 +1,13 @@
 import hashlib
+import math
 import re
 import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxoverlap import boxes, cli, retrieval, training
@@ -499,26 +501,64 @@ def test_dimension_major_scan_equals_row_major_scores(gallery, rho):
 corner = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_index_equals_exhaustive_scan_property(data):
-    # Small integer galleries, zero-width boxes and both signed zeros
-    # included, tie often; a box touching the query at -0.0 scores -0.0.
-    n = data.draw(st.integers(1, 30))
-    dim = data.draw(st.integers(1, 4))
+@st.composite
+def integer_cases(draw, max_k=None):
+    """(a, b, q_lo, width, k): a small integer gallery whose boxes span the
+    rows of a and b, zero-width boxes and both signed zeros included, and a
+    query [q_lo, q_lo + width]; k is at most n + 1 and max_k."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 4))
     rows = st.lists(corner, min_size=dim, max_size=dim)
-    a, b = (np.array(data.draw(st.lists(rows, min_size=n, max_size=n))) for _ in range(2))
+    a, b = (draw(st.lists(rows, min_size=n, max_size=n)) for _ in range(2))
+    q_lo = draw(rows)
+    width = draw(st.integers(1, 2))
+    k = draw(st.integers(1, min(n + 1, max_k or n + 1)))
+    return a, b, q_lo, width, k
+
+
+def integer_index(a, b):
     # Not np.minimum, which may pick either zero of a pair; lower <= upper either way.
-    index = BoxIndex([f"b{i:02d}" for i in range(n)], np.where(a <= b, a, b),
-                     np.where(a <= b, b, a))
-    q_lo = np.array(data.draw(rows))
-    q = box(q_lo, q_lo + data.draw(st.integers(1, 2)))
-    k = data.draw(st.integers(1, n + 1))
-    cfg = SmoothingConfig(data.draw(st.sampled_from([0.0, 0.5, 5.0])))
+    a, b = np.array(a), np.array(b)
+    return BoxIndex([f"b{i:02d}" for i in range(len(a))], np.where(a <= b, a, b),
+                    np.where(a <= b, b, a))
+
+
+def assert_index_equals_exhaustive_scan(index, q, k, cfg):
     via_index = index.query_topk(q, k, cfg)
     via_scan = index.query_topk_exhaustive(q, k, cfg)
     assert via_index == via_scan
     assert [bits(r) for r in via_index] == [bits(r) for r in via_scan]
+    return via_index
+
+
+# A hard query that keeps the whole gallery (it meets the key dimensions'
+# core) against "b01", of zero volume, which touches it at -0.0 in dimension
+# 0: its intersection is -0.0 and its concentration +0.0 by the masked rule.
+WHOLE_GALLERY_ZERO_VOLUME = ([[0.0, 0.0], [-1.0, 0.0]], [[1.0, 1.0], [-0.0, 0.0]], [0.0, 0.0], 1)
+
+
+@given(integer_cases(), st.sampled_from([0.0, 0.5, 5.0]))
+@example((*WHOLE_GALLERY_ZERO_VOLUME, 2), 0.0)
+@example((*WHOLE_GALLERY_ZERO_VOLUME, 3), 0.0)
+@settings(max_examples=200, deadline=None)
+def test_index_equals_exhaustive_scan_property(case, rho):
+    # Small integer galleries tie often; a box touching the query at -0.0
+    # scores -0.0.
+    a, b, q_lo, width, k = case
+    q = box(q_lo, np.add(q_lo, width))
+    assert_index_equals_exhaustive_scan(integer_index(a, b), q, k, SmoothingConfig(rho))
+
+
+@given(integer_cases(max_k=8), st.sampled_from([0.5, 5.0]), st.integers(2, 8))
+@settings(max_examples=200, deadline=None)
+def test_filtered_query_equals_exhaustive_scan_property(case, rho, block):
+    # With blocks of a few columns a gallery of more than one block takes
+    # the float32 filter: equal boxes put equal scores across the k-th
+    # place, which the exact refine must rank by ascending row.
+    a, b, q_lo, width, k = case
+    q = box(q_lo, np.add(q_lo, width))
+    with patch.object(retrieval, "_BLOCK", block):
+        assert_index_equals_exhaustive_scan(integer_index(a, b), q, k, SmoothingConfig(rho))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -718,6 +758,202 @@ def test_scan_and_build_memory_at_gallery_scale():
         tracemalloc.stop()
     assert query_peak < one
     assert build_peak - kept <= one
+
+
+def test_smoothed_overlaps_are_capped_at_one():
+    # float64 sigma is not monotone at the last bit: "a" is one ulp narrower
+    # than the query, which it lies inside, yet its intersection with the
+    # query's factor rounds one ulp above the query's own volume.
+    index = BoxIndex(["a", "b"], [[0.0], [5.0]], [[0.9691459403650765], [6.0]])
+    q = box([0.0], [0.9691459403650766])
+    for query in (index.query_topk, index.query_topk_exhaustive):
+        top = query(q, 2, RHO5)[0]
+        assert (top.id, top.enclosure, top.concentration, top.score) == ("a", 1.0, 1.0, 1.0)
+        assert classify_relation(top.enclosure, top.concentration).label == CLONE_LIKE
+
+
+# -- float32 filter over galleries of more than one block -----------------------
+
+def filter_routes(monkeypatch, index):
+    """Whether the float32 filter served each smoothed query on index, in order."""
+    taken = []
+    real = index._filtered
+
+    def spy(*args):
+        rows = real(*args)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(index, "_filtered", spy)
+    return taken
+
+
+def one_ulp_gallery():
+    # 100 boxes, equal but for one upper bound a few ulps past the query's,
+    # score within ulps of 1; 1050 others lie apart. k puts the k-th place
+    # between two scores one float64 ulp apart, which float32 cannot order.
+    rng = np.random.default_rng(50)
+    far = rng.uniform(3.0, 6.0, (1050, 4))
+    lowers = np.vstack([far, np.zeros((100, 4))])
+    uppers = np.vstack([far + rng.uniform(0.5, 2.0, (1050, 4)), np.ones((100, 4))])
+    uppers[1050:, 0] += np.arange(100) * 2.0 ** -52
+    order = rng.permutation(len(lowers))
+    index = BoxIndex([f"b{i:04d}" for i in range(len(order))], lowers[order], uppers[order])
+    q = box([0.0] * 4, [1.0] * 4)
+    score = [r.score for r in index.query_topk_exhaustive(q, 200, RHO5)]
+    ks = [i + 1 for i in range(199) if np.nextafter(score[i + 1], np.inf) == score[i]]
+    assert len(ks) >= 3
+    return index, [(q, k) for k in ks[:3]], RHO5
+
+
+def underflow_gallery():
+    # A point query inside boxes 20 and 30 rho wide in all 32 dimensions:
+    # 0.5 rho^D / vol_r is subnormal and 0 in float32 (vol_r / vol_q passes
+    # 2^140), while their enclosure is 1.
+    rng = np.random.default_rng(51)
+    lowers, uppers = random_table(rng, 1100, 32).bounds()
+    lowers[[3, 700]], uppers[[3, 700]] = -50.0, 50.0
+    lowers[1090], uppers[1090] = -75.0, 75.0
+    index = BoxIndex([f"b{i:04d}" for i in range(1100)], lowers, uppers)
+    return index, [(box([0.0] * 32, [0.0] * 32), k) for k in (1, 3, 10)], RHO5
+
+
+def rho_half_gallery():
+    # Boxes near one another: at rho 0.5 the k-th score stays far from 0.
+    rng = np.random.default_rng(52)
+    params = np.hstack([rng.normal(0.0, 0.5, (1100, 8)), rng.normal(1.0, 1.0, (1100, 8))])
+    table = EmbeddingTable("box", [f"b{i:04d}" for i in range(1100)], params)
+    return (BoxIndex.build(table), [(table.box(table.ids[i]), 10) for i in range(0, 1100, 110)],
+            SmoothingConfig(0.5))
+
+
+@pytest.mark.parametrize("gallery", [one_ulp_gallery, underflow_gallery, rho_half_gallery],
+                         ids=["one-ulp-kth", "underflow", "rho-half"])
+def test_filter_serves_edge_cases_as_the_exhaustive_scan(monkeypatch, gallery):
+    index, queries, cfg = gallery()
+    taken = filter_routes(monkeypatch, index)
+    for q, k in queries:
+        results = assert_index_equals_exhaustive_scan(index, q, k, cfg)
+        if gallery is underflow_gallery:
+            # The three tie at 0.5: their concentrations vanish beside 1.
+            assert [r.id for r in results[:3]] == ["b0003", "b0700", "b1090"][:k]
+            assert {(r.enclosure, r.score) for r in results[:3]} == {(1.0, 0.5)}
+    assert taken == [True] * len(queries)
+    if gallery is underflow_gallery:
+        half = index._float32[cfg][-1]
+        assert 0.0 < half[3] == half[700] < np.finfo(np.float32).tiny and half[1090] == 0.0
+
+
+def far_bound_gallery(bound):
+    def make():
+        rng = np.random.default_rng(53)
+        lowers, uppers = random_table(rng, 1100, 8).bounds()
+        lowers[5, 2], uppers[9, 4] = -bound, bound
+        index = BoxIndex([f"b{i:04d}" for i in range(1100)], lowers, uppers)
+        return index, [(random_query(rng, 8), 10) for _ in range(3)], RHO5
+    return make
+
+
+def far_query_gallery():
+    # The query's own bounds near 1e30: their float32 rounding alone passes the band.
+    rng = np.random.default_rng(54)
+    index = BoxIndex.build(random_table(rng, 1100, 8))
+    q = random_query(rng, 8)
+    return index, [(box(q.lower + 1e30, q.upper + 1e30), 10), (box(q.lower, q.upper + 1e30), 10)], RHO5
+
+
+def faint_gallery():
+    # Random D=32 boxes at rho 0.5: these queries' k-th scores, about 2^-104
+    # to 2^-109, are too close to 0 for float32 products to keep every
+    # factor normal, yet not so close that the threshold rounds to 0.
+    rng = np.random.default_rng(55)
+    table = random_table(rng, 1100, 32)
+    return (BoxIndex.build(table), [(table.box(table.ids[i]), 10) for i in (0, 100, 400)],
+            SmoothingConfig(0.5))
+
+
+def wide_query_gallery():
+    # D=200 at rho 0.5: the query's product of softplus factors, about
+    # 2^1092, passes the float32 range and even float64's, though its volume
+    # is finite.
+    rng = np.random.default_rng(58)
+    lowers = rng.normal(0.0, 1.0, (1100, 200))
+    index = BoxIndex([f"b{i:04d}" for i in range(1100)], lowers, lowers + 1.0)
+    return index, [(box([-11.0] * 200, [11.0] * 200), 10)], SmoothingConfig(0.5)
+
+
+def tied_gallery():
+    # 1100 equal boxes tie at every place: the filter would keep every row.
+    index = BoxIndex([f"b{i:04d}" for i in range(1100)], np.zeros((1100, 3)), np.ones((1100, 3)))
+    return index, [(box([0.5] * 3, [2.0] * 3), 10)], RHO5
+
+
+def wide_k_gallery():
+    rng = np.random.default_rng(56)
+    index = BoxIndex.build(random_table(rng, 1100, 8))
+    return index, [(random_query(rng, 8), retrieval._BLOCK + 1)], RHO5
+
+
+@pytest.mark.parametrize("gallery", [far_bound_gallery(1e30), far_bound_gallery(np.inf),
+                                     far_query_gallery, faint_gallery, wide_query_gallery,
+                                     tied_gallery, wide_k_gallery],
+                         ids=["bound-1e30", "bound-inf", "query-1e30", "faint-kth",
+                              "query-volume", "tied", "k-past-block"])
+def test_filter_falls_back_where_it_cannot_certify(monkeypatch, gallery):
+    index, queries, cfg = gallery()
+    taken = filter_routes(monkeypatch, index)
+    for q, k in queries:
+        assert_index_equals_exhaustive_scan(index, q, k, cfg)
+    assert taken == [False] * len(queries)
+
+
+def test_softplus32_error_within_the_filter_constant():
+    # The filter trusts boxes.softplus32 on the x of every row it may keep:
+    # from ln(0.5 / _F32_RANGE), below which a factor is under 1 /
+    # _F32_RANGE, up to _WIDTH_MAX. A dense grid, the float32 neighbours of
+    # both ends and random float32 bit patterns between them (every binade
+    # near 0) are checked against float64 sigma at rho 1, which is softplus
+    # within a few 2^-53.
+    lo = np.float32(math.log(0.5 / retrieval._F32_RANGE))
+    hi = np.float32(retrieval._WIDTH_MAX)
+    rng = np.random.default_rng(57)
+    bits = np.concatenate([rng.integers(0, lo.view(np.int32) & 0x7FFFFFFF, 500_000),
+                           rng.integers(0, hi.view(np.int32), 500_000)]).astype(np.int32)
+    bits[:500_000] |= np.int32(-2 ** 31)
+    x = np.concatenate([np.linspace(lo, hi, 2_000_001, dtype=np.float32), bits.view(np.float32),
+                        np.nextafter([lo, lo, hi, hi], [-np.inf, np.inf, -np.inf, np.inf],
+                                     dtype=np.float32)])
+    assert x.min() < lo and x.max() > hi
+    got = boxes.softplus32(x.copy()).astype(np.float64)
+    want = boxes.sigma(x.astype(np.float64), SmoothingConfig(1.0))
+    rel = np.abs(got / want - 1.0)
+    assert 0.0 < rel.max() <= retrieval._SOFTPLUS32_ERR
+
+
+def test_filter_memory_at_gallery_scale():
+    # n=5000, D=32. The first smoothed query stores the filter's float32
+    # data: the bounds over rho, two (D, n) arrays, and one (n,) array. A
+    # filtered query then peaks at two (D, _BLOCK) float32 arrays, an edge
+    # block and its temporary, with the (n,) float32 scores, argpartition's
+    # (n,) indices and 64 KiB for the rest.
+    n, dim = 5000, 32
+    table = random_table(np.random.default_rng(47), n, dim)
+    q = random_query(np.random.default_rng(48), dim)
+    tracemalloc.start()
+    try:
+        index = BoxIndex.build(table)
+        index._stored_volumes(RHO5)
+        before = tracemalloc.get_traced_memory()[0]
+        index.query_topk(q, 10, RHO5)
+        filled = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        index.query_topk(q, 10, RHO5)
+        query_peak = tracemalloc.get_traced_memory()[1] - filled
+    finally:
+        tracemalloc.stop()
+    assert index._filtered(q, RHO5, index._check_query(q, 10, RHO5), 10) is not None
+    assert filled - before <= 2 * dim * n * 4 + n * 4 + 8192
+    assert query_peak <= 2 * dim * retrieval._BLOCK * 4 + n * (4 + 8) + 65536
 
 
 def test_stored_volumes_score_as_the_exhaustive_scan():
