@@ -1,22 +1,21 @@
 """Retrieval over box embeddings: ranking, relation labels, relative scale.
 
-Hard-overlap queries keep only the boxes that meet the query in the 6
-widest dimensions of the gallery, tested in one pass over their
-dimension-major rows, then only the candidates that meet it in every
-dimension, and score those exactly, with the first k rows. Every other box
-scores 0, so the exhaustive scan's stable sort of these rows' scores gives
-its top k. A query that meets the key dimensions' core (the gallery's
-largest lower and smallest upper bound in each), as on trained galleries,
-keeps every row untested. A smoothed query on a gallery of more than 1024
-boxes scores every box in float32 first, and scores exactly only the rows
-that a proven error bound cannot rule out of the top k; where the bound
-cannot be certified it falls back to the scan. A hard query that keeps
-every row, and every other smoothed one, scans the whole gallery
-dimension-major, in blocks of 1024 columns that stay in a core's L2 cache,
-against its volumes, stored on first use under each smoothing; it selects
-its top k without sorting the whole gallery. Results are always identical
-to a full scan. An empty gallery takes the scan: every query meets its
-core, and a scan of 0 rows answers [].
+A top-k query takes one path: pick the rows to score, score them exactly,
+rank them. A hard query keeps the boxes that meet it in the 6 widest
+dimensions of the gallery, tested in one pass over their dimension-major
+rows, then those that meet it in every dimension, and the first k rows;
+every other box scores 0. One that meets the key dimensions' core (the
+gallery's largest lower and smallest upper bound in each), as on trained
+galleries, keeps every row untested. A smoothed query on a gallery of more
+than 1024 boxes scores every box in float32 and keeps the rows that a
+proven error bound cannot rule out of the top k; where the bound cannot be
+certified, and on smaller galleries, it keeps every row. The rows kept
+are scored exactly, and every row by one scan of the dimension-major
+bounds, in blocks of 1024 columns that stay in a core's L2 cache, against
+volumes stored on first use under each smoothing. One ranking, the first k
+of the exhaustive scan's stable sort, orders the scores, so results are
+always identical to a full scan. An empty gallery keeps every row, and a
+scan of 0 rows answers [].
 """
 
 from __future__ import annotations
@@ -45,6 +44,10 @@ RELATION_NOISE_FLOOR = 0.05
 _KEY_DIMS = 6
 # Columns a gallery scan reads at a time: at D=32 a block and its temporaries fit a 2 MiB L2.
 _BLOCK = 1024
+# Up to this many scores _top sorts whole: at k=10 one stable argsort of 320
+# distinct scores took 5.5 us against 6.8 us for its partition, and of 384
+# 6.5 us for both (numpy 2.4, best of 7); mostly-zero scores sort faster.
+_SORT_ALL = 384
 # The float32 filter's bound (see BoxIndex._filtered). softplus32's relative
 # error over the widths the filter admits: at most 4.7 * 2**-24 measured
 # with numpy 2.4's AVX-512 exp and log1p (tests/test_retrieval.py checks
@@ -139,15 +142,16 @@ def _variance(a):
 def _top(score, k):
     """The first k of np.argsort(-score, kind="stable"), without sorting every row.
 
-    Only the rows scoring at least the k-th highest score are sorted, so
-    ties across the k-th place are still broken by ascending row. A NaN
-    score sorts last, as in the full sort: NaN rows are kept (NaN > kth is
-    false) and sort after the k rows scoring at least kth; if kth is NaN,
-    every row is kept.
+    Up to max(k, _SORT_ALL) rows take that sort, which is faster there.
+    Past that only the rows scoring at least the k-th highest score are
+    sorted, so ties across the k-th place are still broken by ascending
+    row. A NaN score sorts last, as in the full sort: NaN rows are kept
+    (NaN > kth is false) and sort after the k rows scoring at least kth; if
+    kth is NaN, every row is kept.
     """
     neg = -score
-    if k >= len(neg):
-        return np.argsort(neg, kind="stable")
+    if len(neg) <= max(k, _SORT_ALL):
+        return np.argsort(neg, kind="stable")[:k]
     kth = np.partition(neg, k - 1)[k - 1]
     rows = np.flatnonzero(~(neg > kth))
     return rows[np.argsort(neg[rows], kind="stable")[:k]]
@@ -170,28 +174,16 @@ def _meets(lowers, uppers, q_lo, q_hi, axis=1):
 
 
 class BoxIndex:
-    """Immutable index over box embeddings.
+    """Immutable index over box embeddings; the module docstring gives its
+    one query path.
 
-    Hard-overlap queries are filtered on the (up to) 6 dimensions with the
-    widest endpoint spread across the gallery, read from dimension-major
-    (6, n) rows, unless the query meets those dimensions' core, the largest
-    lower and smallest upper bound in each, stored at build; then the
-    surviving candidates on every dimension. Those that meet the query, and
-    the first k rows, are scored exactly, every other row scores 0, and a
-    hard top k ranks those rows by the exhaustive scan's stable sort.
-    A smoothed query on a gallery of more than one _BLOCK first scores every
-    box in float32 and keeps only the rows that a proven error bound cannot
-    rule out of the top k, which it scores exactly and ranks by the same
-    stable sort (_filtered says what it proves and when it falls back). A
-    hard query that keeps the whole gallery, and every other smoothed
-    query, is scored whole by one scan over dimension-major copies of the
-    bounds, in column blocks of _BLOCK that each reduce into one (n,)
-    output, against the gallery's volumes. Those are filled block by block
-    on first use under a smoothing and stored with whether all are
-    positive, so later queries divide by them directly; the filter's
-    float32 data is stored likewise. The bounds are read-only, so neither
-    can go stale. Ids must be unique. An empty index, of (0, D) bounds,
-    checks each query as any other does.
+    The build keeps dimension-major copies of the bounds, in column blocks
+    of _BLOCK, and the (6, n) rows and core of the key dimensions, those
+    with the widest endpoint spread. The gallery's volumes, with whether
+    all are positive, and the filter's float32 data are filled on first use
+    under a smoothing and stored; the bounds are read-only, so neither can
+    go stale. Ids must be unique. An empty index, of (0, D) bounds, checks
+    each query as any other does.
     """
 
     def __init__(self, ids, lowers, uppers):
@@ -225,12 +217,11 @@ class BoxIndex:
         self._uppers_t = np.ascontiguousarray(self.uppers.T)
         for bounds in (self.lowers, self.uppers, self._lowers_t, self._uppers_t):
             bounds.setflags(write=False)
-        # The scan's (columns, lowers, uppers) blocks; up to _BLOCK boxes are
-        # one block of every column (None), its outputs written whole.
-        n = len(self.ids)
-        self._blocks = ([(None, self._lowers_t, self._uppers_t)] if n <= _BLOCK else
-                        [(slice(s, s + _BLOCK), self._lowers_t[:, s:s + _BLOCK],
-                          self._uppers_t[:, s:s + _BLOCK]) for s in range(0, n, _BLOCK)])
+        # The scan's (columns, lowers, uppers) blocks of up to _BLOCK columns;
+        # an empty gallery has one empty block.
+        self._blocks = [(slice(s, s + _BLOCK), self._lowers_t[:, s:s + _BLOCK],
+                         self._uppers_t[:, s:s + _BLOCK])
+                        for s in range(0, max(len(self.ids), 1), _BLOCK)]
         self._volumes = {}  # SmoothingConfig -> ((n,) volumes, whether any is not > 0)
         self._float32 = {}  # SmoothingConfig -> the filter's float32 data, or None
         # Bounds wider than about 1e154 square past the float range: their
@@ -282,8 +273,7 @@ class BoxIndex:
         if stored is None:
             vol_r = np.empty(len(self.ids))
             for cols, lowers, uppers in self._blocks:
-                boxes.volumes(lowers, uppers, cfg, axis=0,
-                              out=vol_r if cols is None else vol_r[cols])
+                boxes.volumes(lowers, uppers, cfg, axis=0, out=vol_r[cols])
             stored = self._volumes[cfg] = vol_r, not (vol_r > 0).all()
         return stored
 
@@ -318,7 +308,8 @@ class BoxIndex:
     def _filtered(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q, k):
         """Ascending rows that hold the exact top k of a smoothed query, ties
         across the k-th place included, or None when the float32 bound
-        cannot be certified.
+        cannot be certified or the gallery is one block, which the scan
+        serves as fast.
 
         Every row is scored in float32 as F (a + h): F is the product over
         dimensions of boxes.softplus32(x), x the intersection's width over
@@ -386,10 +377,12 @@ class BoxIndex:
         wider than _WIDTH_MAX or its F past the range, t floor under 1 /
         _F32_RANGE, k or the rows kept more than _BLOCK.
         """
+        if len(self._blocks) == 1 or k > _BLOCK:
+            return None
         data = self._float32.get(cfg, False)
         if data is False:
             data = self._float32[cfg] = self._float32_data(cfg)
-        if data is None or k > _BLOCK:
+        if data is None:
             return None
         span, scale, floor, lowers, uppers, half = data
         q_lo, q_hi = q.lower / cfg.rho, q.upper / cfg.rho
@@ -420,8 +413,7 @@ class BoxIndex:
         lo, hi = q.lower[:, None], q.upper[:, None]
         inter = np.empty(len(self.ids))
         for cols, lowers, uppers in self._blocks:
-            boxes.intersection(lo, hi, lowers, uppers, cfg, axis=0,
-                               out=inter if cols is None else inter[cols])
+            boxes.intersection(lo, hi, lowers, uppers, cfg, axis=0, out=inter[cols])
         return _directed(inter, vol_q, *stored)
 
     def _check_query(self, q: BoxEmbedding, k: int, cfg: SmoothingConfig):
@@ -435,6 +427,33 @@ class BoxIndex:
         boxes.check_volume(vol_q)
         return vol_q
 
+    def _rows(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q, k):
+        """Ascending rows whose exact scores hold the top k, ties across the
+        k-th place included, or None for the whole gallery.
+
+        A smoothed query takes _filtered's rows. A hard query takes the
+        candidates that meet it in every dimension and the first k rows;
+        the whole gallery when every row is a candidate. Every other row
+        lies strictly apart from the query in some dimension and scores ±0,
+        which the scan ranks after every positive score by ascending row.
+        The rows scored ascend too, and the first k of them hold a
+        zero-score row for each place the positive scores leave, so the
+        stable sort takes the scan's rows, each with its own zero (-0.0 for
+        a box touching the query at -0.0). No hard score is NaN, which
+        would sort after the zeros: the query's volume is checked finite
+        and positive, so each width of its intersection with a box lies in
+        [0, the query's width].
+        """
+        if not cfg.hard:
+            return self._filtered(q, cfg, vol_q, k)
+        cand = self._candidates(q)
+        if len(cand) == len(self.ids):
+            return None
+        size = min(k, len(self.ids))
+        cand = cand[_meets(self.lowers.take(cand, 0), self.uppers.take(cand, 0),
+                           q.lower, q.upper)]
+        return np.concatenate([np.arange(size), cand[cand.searchsorted(size):]])
+
     def query_topk(self, q: BoxEmbedding, k: int,
                    cfg: SmoothingConfig = HARD) -> list[QueryResult]:
         """Top-k gallery entries by mean of the two directed overlaps.
@@ -442,50 +461,15 @@ class BoxIndex:
         Ties are broken by ascending id; identical to an exhaustive scan.
         """
         vol_q = self._check_query(q, k, cfg)
-        if cfg.hard:
-            cand = self._candidates(q)
-            if len(cand) < len(self.ids):
-                return self._ranked_candidates(q, vol_q, cand, k)
-        elif len(self._blocks) > 1:
-            rows = self._filtered(q, cfg, vol_q, k)
-            if rows is not None:
-                return self._ranked(q, cfg, vol_q, rows, k)
-        # Trained tables send every hard query here; _ranked_candidates is slower.
-        enclosure, concentration = self._scan_scores(q, cfg, vol_q)
+        rows = self._rows(q, cfg, vol_q, k)
+        if rows is None:
+            enclosure, concentration = self._scan_scores(q, cfg, vol_q)
+        else:
+            enclosure, concentration = self._exact_scores(q, cfg, vol_q, rows)
         score = 0.5 * (enclosure + concentration)
         order = _top(score, k)
-        return self._results(order.tolist(), enclosure[order], concentration[order],
-                             score[order])
-
-    def _ranked_candidates(self, q: BoxEmbedding, vol_q, cand, k):
-        """Hard top k from the scores of the candidates that meet the query in
-        every dimension and of the first k rows, by the exhaustive scan's
-        stable sort.
-
-        Every other row lies strictly apart from the query in some dimension
-        and scores ±0, which the scan ranks after every positive score by
-        ascending row. The rows scored ascend too, and the first k of them
-        hold a zero-score row for each place the positive scores leave, so
-        the stable sort takes the scan's rows, each with its own zero (-0.0
-        for a box touching the query at -0.0). No hard score is NaN, which
-        would sort after the zeros: the query's volume is checked finite and
-        positive, so each width of its intersection with a box lies in [0,
-        the query's width].
-        """
-        size = min(k, len(self.ids))
-        cand = cand[_meets(self.lowers.take(cand, 0), self.uppers.take(cand, 0),
-                           q.lower, q.upper)]
-        rows = np.concatenate([np.arange(size), cand[cand.searchsorted(size):]])
-        return self._ranked(q, HARD, vol_q, rows, k)
-
-    def _ranked(self, q: BoxEmbedding, cfg: SmoothingConfig, vol_q, rows, k):
-        """Top k of the given ascending rows by their exact scores, ranked by
-        the exhaustive scan's stable sort."""
-        enclosure, concentration = self._exact_scores(q, cfg, vol_q, rows)
-        score = 0.5 * (enclosure + concentration)
-        order = np.argsort(-score, kind="stable")[:k]
-        return self._results(rows[order].tolist(), enclosure[order], concentration[order],
-                             score[order])
+        return self._results((order if rows is None else rows[order]).tolist(),
+                             enclosure[order], concentration[order], score[order])
 
     def query_topk_exhaustive(self, q: BoxEmbedding, k: int,
                               cfg: SmoothingConfig = HARD) -> list[QueryResult]:

@@ -4,7 +4,10 @@ outside the unit tests.
 A module-level function or class, public or private, counts as called when
 its name appears as a name, an attribute or an import in the package
 (outside __init__.py), in the benchmark scripts or in the acceptance
-tests, other than inside its own definition. A public property counts
+tests, other than inside its own definition. A private method of a
+module-level class counts when its name is read as an attribute
+(`self.<name>` included) in the same files, other than inside its own
+definition. A public property counts
 when its name is read there as an attribute. Any other public method counts
 only when it is called there as `x.<name>(...)`, referenced as
 `<Class>.<name>`, or used as `self.<name>` inside its own class; an
@@ -158,18 +161,43 @@ def test_every_public_name_has_a_caller():
 
 
 def private_names():
-    """Qualified name and name of each private module-level function or class."""
+    """(qualified name, name, kind) of each private module-level function or
+    class ("name") and of each private method of a module-level class
+    ("method"); a dunder method is not private."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")):
-                yield f"{path.stem}.{node.name}", node.name
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name, "name"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                            and not item.name.endswith("__")):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name, "method"
+
+
+def attribute_reads(node, inside=frozenset()):
+    """Attribute names read under node, other than inside a function of the
+    same name: a method's own definition does not call it."""
+    if isinstance(node, ast.FunctionDef):
+        inside = inside | {node.name}
+    reads = set()
+    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr not in inside):
+        reads.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        reads |= attribute_reads(child, inside)
+    return reads
 
 
 def test_every_private_name_has_a_caller():
     names, attributes = references()[:2]
-    uncalled = sorted(qual for qual, name in private_names()
-                      if name not in names and name not in attributes)
+    reads = set().union(*(attribute_reads(ast.parse(path.read_text()))
+                          for path in caller_files()))
+    uncalled = sorted(qual for qual, name, kind in private_names()
+                      if (name not in reads if kind == "method"
+                          else name not in names and name not in attributes))
     assert uncalled == []
 
 

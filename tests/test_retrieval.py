@@ -315,6 +315,27 @@ def negative_zero_fill_gallery(rng):
     return index, queries
 
 
+def touching_gallery(rng):
+    # More than _SORT_ALL boxes meet the query only at an edge, at +0.0 or
+    # -0.0, so a hard top 10 ranks more rows than _top sorts whole; 5 boxes
+    # overlap it, so zero scores tie across the 10th place. 50 far boxes
+    # are no candidates.
+    touching, positive, far = retrieval._SORT_ALL + 20, 5, 50
+    lowers = np.vstack([np.tile([1.0, 0.0], (touching // 2, 1)),
+                        np.tile([-1.0, 0.0], (touching - touching // 2, 1)),
+                        rng.uniform(0.0, 0.5, (positive, 2)),
+                        rng.uniform(100.0, 200.0, (far, 2))])
+    uppers = lowers + 1.0
+    uppers[touching // 2:touching, 0] = -0.0
+    order = rng.permutation(len(lowers))
+    index = BoxIndex([f"b{i:04d}" for i in range(len(order))], lowers[order], uppers[order])
+    q = box([0.0, 0.0], [1.0, 1.0])
+    assert len(index._candidates(q)) == touching + positive
+    scores = [r.score for r in index.query_topk_exhaustive(q, 11)]
+    assert scores[positive - 1] > 0.0 and scores[positive:] == [0.0] * (11 - positive)
+    return index, [q]
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 5.0])
 @pytest.mark.parametrize("gallery, k", [
     (random_gallery, 10),
@@ -335,11 +356,12 @@ def negative_zero_fill_gallery(rng):
     (zero_score_candidate_gallery, 2),
     (zero_score_candidate_gallery, 3),
     (negative_zero_fill_gallery, 10),
+    (touching_gallery, 10),
 ], ids=["random", "overlapping", "d1", "d2", "off-key-disjoint", "quantised",
         "quantised-k-n-minus-1", "quantised-k-n", "quantised-k-n-plus-1", "far", "infinite",
         "sparse-positive", "sparse-positive-k-n-minus-1", "sparse-positive-k-n",
         "sparse-positive-k-n-plus-1", "zero-score-candidates-k-n-minus-1",
-        "zero-score-candidates", "negative-zero-fill"])
+        "zero-score-candidates", "negative-zero-fill", "touching-past-sort-all"])
 def test_index_equals_exhaustive_scan(gallery, k, rho):
     index, queries = gallery(np.random.default_rng(42))
     cfg = SmoothingConfig(rho)
@@ -576,6 +598,12 @@ def test_nan_scores_rank_last_as_in_exhaustive_scan():
                   np.array([np.nan, np.nan, 0.2]),
                   np.where(rng.random(40) < 0.3, np.nan, rng.integers(0, 4, 40) / 4.0)):
         for k in range(1, len(score) + 2):
+            assert _top(score, k).tolist() == np.argsort(-score, kind="stable")[:k].tolist()
+    # On either side of _SORT_ALL, where _top stops sorting every row: six
+    # values, ±0.0 and NaN among them, tie across every place.
+    for n in (retrieval._SORT_ALL - 1, retrieval._SORT_ALL, retrieval._SORT_ALL + 1):
+        score = rng.choice([np.nan, -0.0, 0.0, 0.25, 0.5, 1.0], n)
+        for k in (1, 10, n):
             assert _top(score, k).tolist() == np.argsort(-score, kind="stable")[:k].tolist()
 
 
@@ -1057,25 +1085,27 @@ def spy_meets(monkeypatch):
 def test_core_shortcut_edges(monkeypatch, touch, past, dropped):
     # A query that meets the key dimensions' core, edges included, keeps every
     # row untested and takes the whole-gallery scan; one ulp past the core it
-    # takes the key test and the candidate path. Both answer as the exhaustive
-    # scan, bit for bit.
+    # takes the key test and scores only its rows. Both answer as the
+    # exhaustive scan, bit for bit.
     index = core_gallery()
-    tested, ranked = spy_meets(monkeypatch), []
-    real_ranked = BoxIndex._ranked_candidates
+    tested, routes = spy_meets(monkeypatch), []
+    real_rows = BoxIndex._rows
 
-    def ranked_spy(self, *args):
-        ranked.append(True)
-        return real_ranked(self, *args)
+    def rows_spy(self, *args):
+        rows = real_rows(self, *args)
+        routes.append(rows is not None)
+        return rows
 
-    monkeypatch.setattr(BoxIndex, "_ranked_candidates", ranked_spy)
+    monkeypatch.setattr(BoxIndex, "_rows", rows_spy)
     n = len(index)
     rest = [r for r in range(n) if index.ids[r] != dropped]
-    for q, candidates, key_tests, paths in [(touch, list(range(n)), [(6,)], []),
-                                            (past, rest, [(6,), (6, n), (n - 1, 8)], [True])]:
+    for q, candidates, key_tests, scored_rows in [(touch, list(range(n)), [(6,)], False),
+                                                  (past, rest, [(6,), (6, n), (n - 1, 8)], True)]:
         assert index._candidates(q).tolist() == candidates
         tested.clear()
+        routes.clear()
         results = index.query_topk(q, n, HARD)
-        assert tested == key_tests and ranked == paths
+        assert tested == key_tests and routes == [scored_rows]
         exhaustive = index.query_topk_exhaustive(q, n, HARD)
         assert results == exhaustive
         assert [bits(r) for r in results] == [bits(r) for r in exhaustive]
