@@ -1,21 +1,21 @@
 """Retrieval over box embeddings: ranking, relation labels, relative scale.
 
 A top-k query takes one path: pick the rows to score, score them exactly,
-rank them. A hard query keeps the boxes that meet it in the 6 widest
-dimensions of the gallery, tested in one pass over their dimension-major
-rows, then those that meet it in every dimension, and the first k rows;
-every other box scores 0. One that meets the key dimensions' core (the
-gallery's largest lower and smallest upper bound in each), as on trained
-galleries, keeps every row untested. A smoothed query on a gallery of more
-than 1024 boxes scores every box in float32 and keeps the rows that a
-proven error bound cannot rule out of the top k; where the bound cannot be
-certified, and on smaller galleries, it keeps every row. The rows kept
-are scored exactly, and every row by one scan of the dimension-major
-bounds, in blocks of 1024 columns that stay in a core's L2 cache, against
-volumes stored on first use under each smoothing. One ranking, the first k
-of the exhaustive scan's stable sort, orders the scores, so results are
-always identical to a full scan. An empty gallery keeps every row, and a
-scan of 0 rows answers [].
+rank them. A hard query keeps the boxes that meet it in the first six
+dimensions, the key dimensions, tested in one pass over their
+dimension-major rows, then those that meet it in every dimension, and the
+first k rows; every other box scores 0. One that meets the key dimensions'
+core (the gallery's largest lower and smallest upper bound in each), as on
+trained galleries, keeps every row untested. A smoothed query on a gallery
+of more than 1024 boxes scores every box in float32 and keeps the rows
+that a proven error bound cannot rule out of the top k; where the bound
+cannot be certified, and on smaller galleries, it keeps every row. The
+rows kept are scored exactly, and every row by one scan of the
+dimension-major bounds, in blocks of 1024 columns that stay in a core's L2
+cache, against volumes stored on first use under each smoothing. One
+ranking, the first k of the exhaustive scan's stable sort, orders the
+scores, so results are always identical to a full scan. An empty gallery
+keeps every row, and a scan of 0 rows answers [].
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ RELATION_LOW = 0.3
 RELATION_HIGH = 0.6
 RELATION_NOISE_FLOOR = 0.05
 
-# The widest dimensions a hard query is first filtered on: about 9 of 5000
-# random D=32 boxes pass, where 3 passed about 200 and 8 cut no more time.
+# A hard query is first filtered on the first six dimensions: about 9 of
+# 5000 random D=32 boxes pass, where 3 passed about 200 and 8 cut no more time.
 _KEY_DIMS = 6
 # Columns a gallery scan reads at a time: at D=32 a block and its temporaries fit a 2 MiB L2.
 _BLOCK = 1024
@@ -129,16 +129,6 @@ def _directed(inter, vol_q, vol_r, masked=True):
     return enclosure, concentration
 
 
-def _variance(a):
-    """a.var(axis=1), from the ufunc steps numpy's var runs, so with its bits
-    but without its Python-level overhead."""
-    mean = a.sum(axis=1, keepdims=True)
-    mean /= a.shape[1]
-    dev = a - mean
-    np.multiply(dev, dev, out=dev)
-    return dev.sum(axis=1) / a.shape[1]
-
-
 def _top(score, k):
     """The first k of np.argsort(-score, kind="stable"), without sorting every row.
 
@@ -178,9 +168,9 @@ class BoxIndex:
     one query path.
 
     The build keeps dimension-major copies of the bounds, in column blocks
-    of _BLOCK, and the (6, n) rows and core of the key dimensions, those
-    with the widest endpoint spread. The gallery's volumes, with whether
-    all are positive, and the filter's float32 data are filled on first use
+    of _BLOCK, and the core of the key dimensions, the first six, whose
+    rows it reads from those copies. The gallery's volumes, with whether all
+    are positive, and the filter's float32 data are filled on first use
     under a smoothing and stored; the bounds are read-only, so neither can
     go stale. Ids must be unique. An empty index, of (0, D) bounds, checks
     each query as any other does.
@@ -224,16 +214,9 @@ class BoxIndex:
                         for s in range(0, max(len(self.ids), 1), _BLOCK)]
         self._volumes = {}  # SmoothingConfig -> ((n,) volumes, whether any is not > 0)
         self._float32 = {}  # SmoothingConfig -> the filter's float32 data, or None
-        # Bounds wider than about 1e154 square past the float range: their
-        # spread is inf, which ranks that dimension first. An infinite bound
-        # makes it NaN, which ranks as inf: that dimension is the widest too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            spread = _variance(self._lowers_t) + _variance(self._uppers_t)
-        spread[np.isnan(spread)] = np.inf
-        self.key_dims = np.argsort(-spread, kind="stable")[:_KEY_DIMS]
         # Dimension-major key rows: the key test runs over contiguous rows of n.
-        self._key_lo = self._lowers_t[self.key_dims]
-        self._key_hi = self._uppers_t[self.key_dims]
+        self._key_lo = self._lowers_t[:_KEY_DIMS]
+        self._key_hi = self._uppers_t[:_KEY_DIMS]
         # The key dimensions' core: a query that meets it meets every box
         # there, and every query meets an empty gallery's.
         self._core_lo = np.maximum.reduce(self._key_lo, axis=1, initial=-np.inf)
@@ -252,7 +235,7 @@ class BoxIndex:
     def _candidates(self, q: BoxEmbedding) -> np.ndarray:
         """Indices that may intersect the query in the key dimensions: every
         row, untested, when the query meets the key dimensions' core."""
-        lo, hi = q.lower[self.key_dims], q.upper[self.key_dims]
+        lo, hi = q.lower[:_KEY_DIMS], q.upper[:_KEY_DIMS]
         if _meets(self._core_lo, self._core_hi, lo, hi, axis=0):
             return np.arange(len(self.ids))
         return _meets(self._key_lo, self._key_hi, lo[:, None], hi[:, None], axis=0).nonzero()[0]

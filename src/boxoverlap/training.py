@@ -302,11 +302,14 @@ def train(dataset: PairDataset, cfg: TrainConfig, kind: str = "box"):
         buf *= lr_t
         buf /= grad
         table.params -= buf
-    # Each loss is checked before its update, so the last update is checked here.
-    bad = ~np.isfinite(table.params).all(axis=1)
+    # Each loss is checked before its update, so the last update is checked
+    # here; finite params can still make box bounds past float64.
+    what, rows = "params", table.params
+    if kind == "box" and np.isfinite(rows).all():
+        what, rows = "bounds", np.hstack(table.bounds())
+    bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
-        raise TrainingDivergedError(cfg.steps, [table.ids[i] for i in np.flatnonzero(bad)],
-                                    "params")
+        raise TrainingDivergedError(cfg.steps, [table.ids[i] for i in np.flatnonzero(bad)], what)
     return table, trace
 
 

@@ -32,9 +32,17 @@ chooses: make it a constant.
 
 `cli.main` is the one place a CLI failure becomes an exit code: no `cmd_*`
 function catches an error or silences numpy's warnings itself.
+
+Every package name the benchmark scripts read resolves: each name a
+`from boxoverlap... import` brings in, and each `module.attr` read off a
+module or name so imported. A keyword passed in a call to one of them is a
+parameter of that callable. The benchmark runs on older and newer commits
+alike, so a rename here breaks it.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -347,3 +355,68 @@ def test_main_is_the_only_exit_path():
     for func in commands:
         assert not any(isinstance(node, ast.Try) for node in ast.walk(func)), func.name
         assert not any("errstate" in ast.unparse(dec) for dec in func.decorator_list), func.name
+
+
+def dotted(node, bound):
+    """The package name a Name or attribute chain reads, given the local
+    names bound to package names; None for any other expression."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value, bound)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def bench_references():
+    """(file:line, package name, keywords) of each package name the
+    benchmark scripts read; keywords are those of a call made through it."""
+    refs = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "boxoverlap"):
+                for alias in node.names:
+                    name = bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    refs.append((f"{path.name}:{node.lineno}", name, []))
+        keywords = {id(node.func): [kw.arg for kw in node.keywords if kw.arg]
+                    for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            name = dotted(node, bound)
+            if name is not None and (isinstance(node, ast.Attribute) or id(node) in keywords):
+                refs.append((f"{path.name}:{node.lineno}", name, keywords.get(id(node), [])))
+    return refs
+
+
+def resolve(name):
+    """The object a dotted package name names, importing submodules on the
+    way; None when some part does not exist."""
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return None
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    refs = bench_references()
+    assert refs
+    unresolved, unknown_keywords = [], []
+    for where, name, keywords in refs:
+        obj = resolve(name)
+        if obj is None:
+            unresolved.append(f"{where} {name}")
+        elif keywords:
+            params = inspect.signature(obj).parameters
+            if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                unknown_keywords += [f"{where} {name}({kw}=...)" for kw in keywords
+                                     if kw not in params]
+    assert unresolved == []
+    assert unknown_keywords == []

@@ -213,9 +213,8 @@ def overlapping_gallery(rng):
 
 
 def off_key_disjoint_gallery(rng):
-    # Every box meets the query in dimensions 0-5, which their wide endpoint
-    # spread makes the key dimensions; every other box is disjoint from the
-    # query in dimension 6.
+    # Every box meets the query in dimensions 0-5, the key dimensions; every
+    # other box is disjoint from the query in dimension 6.
     n = 100
     lowers = np.hstack([rng.uniform(-20.0, -1.0, size=(n, 6)), np.full((n, 2), -0.5)])
     uppers = np.hstack([rng.uniform(1.0, 20.0, size=(n, 6)), np.full((n, 2), 0.5)])
@@ -223,7 +222,6 @@ def off_key_disjoint_gallery(rng):
     uppers[::2, 6] += 5.0
     index = BoxIndex([f"b{i:04d}" for i in range(n)], lowers, uppers)
     q = box([-0.5] * 8, [0.5] * 8)
-    assert sorted(index.key_dims) == [0, 1, 2, 3, 4, 5]
     assert len(index._candidates(q)) == n
     assert sum(r.score == 0.0 for r in index.query_topk_exhaustive(q, n)) == n // 2
     return index, [q]
@@ -303,7 +301,6 @@ def negative_zero_fill_gallery(rng):
     lowers[:, 7], uppers[:, 7] = rng.uniform(-0.2, 0.0, n), rng.uniform(0.0, 0.2, n)
     lowers[0, [0, 7]], uppers[0, [0, 7]] = [100.0, -1.0], [101.0, -0.0]
     index = BoxIndex([f"b{i:02d}" for i in range(n)], lowers, uppers)
-    assert index.key_dims[0] == 0 and 7 not in index.key_dims
     queries = []
     for _ in range(10):
         q = random_query(rng, dim)
@@ -474,12 +471,12 @@ def test_hard_query_scores_and_ranks_only_its_candidates(monkeypatch):
     assert partial == 50
 
 
-def test_key_filter_tests_the_six_widest_dimensions():
-    # The edges of the other boxes spread over 10 - j units in dimension j, so
-    # dimensions 0-5 are the key dimensions, widest first, and 6 is not. Each
-    # of them meets the query in every dimension. Box a{j} meets it in every
-    # dimension but j: a3-a5 meet it in the 3 widest and are still no
-    # candidates; a6 is one, and the every-dimension test drops it.
+def test_key_filter_tests_the_first_six_dimensions():
+    # Dimensions 0-5 are the key dimensions and 6 is not. The other boxes'
+    # edges spread over 10 - j units in dimension j, and each of them meets
+    # the query in every dimension. Box a{j} meets it in every dimension but
+    # j: a3-a5 meet it in the first 3 and are still no candidates; a6 is one,
+    # and the every-dimension test drops it.
     dim = 7
     spread = np.linspace(0.1, 1.0, 20)[:, None] * (10.0 - np.arange(dim))
     lowers, uppers = [-spread], [spread]
@@ -490,11 +487,13 @@ def test_key_filter_tests_the_six_widest_dimensions():
         uppers.append(hi[None])
     ids = [f"b{i:02d}" for i in range(20)] + ["a3", "a4", "a5", "a6"]
     index = BoxIndex(ids, np.vstack(lowers), np.vstack(uppers))
-    assert index.key_dims.tolist() == [0, 1, 2, 3, 4, 5]
+    # The key rows are views of the dimension-major copies, not copies.
+    assert (np.shares_memory(index._key_lo, index._lowers_t)
+            and np.shares_memory(index._key_hi, index._uppers_t))
     q = box([-0.5] * dim, [0.5] * dim)
-    widest = index.key_dims[:3]
-    assert retrieval._meets(index.lowers[:, widest], index.uppers[:, widest],
-                            q.lower[widest], q.upper[widest]).all()
+    first = [0, 1, 2]
+    assert retrieval._meets(index.lowers[:, first], index.uppers[:, first],
+                            q.lower[first], q.upper[first]).all()
     assert index.ids[:4] == ["a3", "a4", "a5", "a6"]
     assert index._candidates(q).tolist() == list(range(3, 24))
     for k in (10, 24):
@@ -677,27 +676,27 @@ def test_index_accepts_infinite_bounds():
         assert results[1].id == "b" and results[1].concentration == 0.0
 
 
-def test_infinite_bound_ranks_its_dimension_first():
-    # Dimension 1 holds -inf, so its spread is inf - inf = NaN: it is still
-    # the widest, and the first key dimension.
+def test_infinite_bound_in_a_key_dimension_keeps_results_exact():
+    # Dimension 1, a key dimension, holds -inf.
     rng = np.random.default_rng(46)
     lowers = rng.uniform(-1.0, 0.0, size=(40, 4))
     uppers = lowers + rng.uniform(0.5, 1.5, size=(40, 4))
     lowers[3, 1] = -np.inf
     index = BoxIndex([f"b{i:02d}" for i in range(40)], lowers, uppers)
-    assert index.key_dims[0] == 1
     for q in [random_query(rng, 4) for _ in range(10)]:
         assert index.query_topk(q, 5, HARD) == index.query_topk_exhaustive(q, 5, HARD)
 
 
 @pytest.mark.filterwarnings("error")
 def test_index_over_wide_bounds_builds_without_warning():
-    # Bounds of 1e200 square past the float range, so the spread of their
-    # dimension is inf and ranks it first; building the index warns of nothing.
+    # Bounds of 1e200 square past the float range, and d's are infinite;
+    # building the index warns of nothing.
     big = 1e200
     lowers = np.array([[0.0, -big, 0.0], [1.0, 0.0, 5.0], [2.0, big, 0.0]])
-    index = BoxIndex(["a", "b", "c"], lowers, lowers + 1.0)
-    assert index.key_dims.tolist() == [1, 2, 0]
+    uppers = lowers + 1.0
+    lowers = np.vstack([lowers, [-np.inf, 0.0, 0.0]])
+    uppers = np.vstack([uppers, [0.0, np.inf, 1.0]])
+    BoxIndex(["a", "b", "c", "d"], lowers, uppers)
 
 
 def test_one_index_across_smoothings():
@@ -1037,8 +1036,9 @@ def test_index_insertion_order_independent():
 
 
 def core_gallery():
-    # Wide boxes that all meet one another, as in trained tables. Dimension j
-    # spreads over 8 - j units, so 0-5 are the key dimensions and 6-7 are not.
+    # Wide boxes that all meet one another, as in trained tables. Dimensions
+    # 0-5 are the key dimensions and 6-7 are not; dimension j spreads over
+    # 8 - j units.
     # b00's upper bound in dimension 0 is -0.0, the smallest there; b01's
     # lower bound in dimension 1, 0.75, is the largest there.
     rng = np.random.default_rng(48)
@@ -1048,9 +1048,7 @@ def core_gallery():
     uppers = rng.uniform(1.0, 3.0, size=(n, dim)) * scale
     lowers[0, 0], uppers[0, 0] = -5.0, -0.0
     lowers[1, 1] = 0.75
-    index = BoxIndex([f"b{i:02d}" for i in range(n)], lowers, uppers)
-    assert sorted(index.key_dims) == [0, 1, 2, 3, 4, 5]
-    return index
+    return BoxIndex([f"b{i:02d}" for i in range(n)], lowers, uppers)
 
 
 def edge_query(dim, lower=None, upper=None):

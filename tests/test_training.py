@@ -165,6 +165,15 @@ def test_train_divergence_reports_pairs():
     assert err.value.pair_ids == ["a", "b"]
 
 
+def test_train_reports_box_bounds_past_float64():
+    # The params stay finite, but i0's bounds pass the float64 range.
+    ds = PairDataset([OverlapRecord("i0", "i1", 0.6, 1.0)])
+    cfg = TrainConfig(dim=2, steps=1, batch_size=1, seed=1, lr=1.7e308)
+    with pytest.raises(TrainingDivergedError,
+                       match=r"^non-finite bounds after 1 steps \(ids: \['i0'\]\)$"):
+        train(ds, cfg)
+
+
 def test_batch_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     dim = 3
