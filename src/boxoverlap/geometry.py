@@ -274,12 +274,9 @@ def _match_brute(src_points, dst_points, radius):
     return within, idx
 
 
-def _weighted_sum(src, dst, rows, nn, weighted: bool, reach=None):
-    """Sum of the match weights from src into dst, where src row rows[k]
-    matched dst row nn[k]. Given `reach`, a mask over a set of points whose
-    points in reach src holds, each weight is first placed at its point's
-    position in a zero array over the set, so the sum adds the same terms in
-    the same order as over the whole set."""
+def _weights(src, dst, rows, nn, weighted: bool) -> np.ndarray:
+    """Per src point, its match weight into dst (0 where it matched none),
+    where src row rows[k] matched dst row nn[k]."""
     w = np.zeros(len(src.points))
     if weighted:
         # Normalizing by sqrt(|n_i|^2 |n_j|^2) makes the cosine of a normal
@@ -292,10 +289,7 @@ def _weighted_sum(src, dst, rows, nn, weighted: bool, reach=None):
         w[rows] = np.clip(dot / np.sqrt(nrm_i * nrm_j), 0.0, 1.0)
     else:
         w[rows] = 1.0
-    if reach is not None:
-        w, in_reach = np.zeros(len(reach)), w
-        w[reach] = in_reach
-    return float(np.sum(w))
+    return w
 
 
 def overlap_count_brute(
@@ -308,7 +302,7 @@ def overlap_count_brute(
         return 0.0
     within, idx = _match_brute(src.points, dst.points, radius)
     rows = np.flatnonzero(within)
-    return _weighted_sum(src, dst, rows, idx[rows], weighted)
+    return float(np.sum(_weights(src, dst, rows, idx[rows], weighted)))
 
 
 class OracleMismatchError(Exception):
@@ -334,18 +328,22 @@ _NEIGHBOUR_SAMPLE = 64
 
 @dataclass(frozen=True)
 class _Reached:
-    """The points in reach of a set of surfels, in set order: only they can
-    match, and the set's other points weigh 0 in a directed sum."""
+    """The points in reach of a set of surfels, in set order, and their mask
+    over the set: only they can match, and the set's other points weigh 0
+    in a directed sum."""
 
     points: np.ndarray
     normals: np.ndarray | None  # None when unweighted
-    reach: np.ndarray | None  # mask of the set's points in reach; None when all are
+    reach: np.ndarray  # mask of the set's points in reach, all True when all are
 
     def nso(self, dst: _Reached, rows, nn, weighted: bool) -> float:
         """Directed NSO of the set into dst, where its point rows[k] matched
-        dst point nn[k]."""
-        size = len(self.points if self.reach is None else self.reach)
-        return _weighted_sum(self, dst, rows, nn, weighted, self.reach) / size
+        dst point nn[k]. Each weight is placed at its point's position in a
+        zero array over the set, so the sum adds the same terms in the same
+        order as over the whole set."""
+        w = np.zeros(len(self.reach))
+        w[self.reach] = _weights(self, dst, rows, nn, weighted)
+        return float(np.sum(w)) / len(self.reach)
 
 
 @dataclass(frozen=True)
@@ -359,37 +357,33 @@ class _IndexedCloud:
     neighbours: float  # mean own points within the radius, over a strided sample
 
 
-def _reached_cloud(points, near, normals, cfg: NSOConfig) -> _Reached:
-    """A view's surfel `points` in reach of one of the view bounds in `near`,
-    sharing their array when all are. When cfg.weighted, their normals are
-    sliced from `normals`, the normals of `points`, or fitted from it when it
-    is the view whose `surfel_mask` pixels `points` holds. A point out of
-    reach can match nothing, so nothing is kept for it."""
+def _reached_cloud(points, near, source, cfg: NSOConfig) -> _Reached:
+    """The surfel `points` of `source`, a `SurfelCloud` or a `CameraView`,
+    in reach of one of the view bounds in `near`, with their mask. When
+    cfg.weighted, their normals are sliced from the cloud's or fitted from
+    the view's `surfel_mask` pixels. A point out of reach can match nothing,
+    so nothing is kept for it."""
     reach = _in_reach(points, near, cfg.radius)
-    whole = reach.all()
     if not cfg.weighted:
         normals = None
-    elif isinstance(normals, CameraView):
-        fit = np.zeros_like(normals.surfel_mask)
-        fit[normals.surfel_mask] = reach
-        normals = _fit_normals(normals, fit) if reach.any() else np.empty((0, 3))
-    elif not whole:
-        normals = normals[reach]
-    return _Reached(points, normals, None) if whole else _Reached(points[reach], normals, reach)
+    elif isinstance(source, CameraView):
+        fit = np.zeros_like(source.surfel_mask)
+        fit[source.surfel_mask] = reach
+        normals = _fit_normals(source, fit) if reach.any() else np.empty((0, 3))
+    else:
+        normals = source.normals[reach]
+    return _Reached(points[reach], normals, reach)
 
 
 def _index_cloud(cloud: _Reached, cfg: NSOConfig) -> _IndexedCloud:
     """Prepare a view's points in reach for its pairs, sharing their arrays."""
     from scipy.spatial import cKDTree
     sub = cloud
-    size = len(cloud.points if cloud.reach is None else cloud.reach)
-    if size > cfg.n_sub:
+    if len(cloud.reach) > cfg.n_sub:
         # The subsample of all kept surfels, reduced to those in reach.
-        picked = _subsample_rows(size, cfg.n_sub, cfg.seed)
-        sub_reach = None
-        if cloud.reach is not None:
-            sub_reach = cloud.reach[picked]
-            picked = np.searchsorted(np.flatnonzero(cloud.reach), picked[sub_reach])
+        picked = _subsample_rows(len(cloud.reach), cfg.n_sub, cfg.seed)
+        sub_reach = cloud.reach[picked]
+        picked = np.searchsorted(np.flatnonzero(cloud.reach), picked[sub_reach])
         sub = _Reached(cloud.points[picked],
                        None if cloud.normals is None else cloud.normals[picked], sub_reach)
     tree = cKDTree(cloud.points)
@@ -492,21 +486,25 @@ def _pair_nso(a: _IndexedCloud, b: _IndexedCloud, cfg: NSOConfig,
     return _join_nso(a, b, i, j, dist, cfg.weighted), _join_nso(b, a, j, i, dist, cfg.weighted)
 
 
-def _nso_pairs(points, normals, pairs, cfg: NSOConfig, workers: int) -> list:
+def _nso_pairs(sources, pairs, cfg: NSOConfig, workers: int) -> list:
     """Directed NSO (x into y, y into x) of each (x, y) pair of keys, in
     order: the engine of every NSO entry point but the brute-force route.
 
-    `points` maps each key the pairs name to its surfel points, and is
-    emptied; `normals` maps it to their normals or to their view, as
-    `_reached_cloud` takes them. A pair whose bounds, padded by the radius,
-    are disjoint is (0.0, 0.0) without a search. Each key in a live pair is
-    prepared over its points in reach of a live partner only, for no other
-    point can match, with one k-d tree shared by its pairs. A live pair is
-    one radius join of its two trees when neither view is subsampled and the
-    sparser one has few neighbours per point within the radius; else one
-    nearest-neighbour query per subsampled source point in reach, split over
-    `workers` query workers. The result does not depend on the route.
+    `sources` maps each key the pairs name to its `SurfelCloud` or its
+    `CameraView`, whose surfel points are taken or backprojected here and
+    whose normals `_reached_cloud` slices or fits for the points in reach.
+    A pair whose bounds, padded by the radius, are disjoint is (0.0, 0.0)
+    without a search. Each key in a live pair is prepared over its points in
+    reach of a live partner only, for no other point can match, with one k-d
+    tree shared by its pairs. A live pair is one radius join of its two trees
+    when neither view is subsampled and the sparser one has few neighbours
+    per point within the radius; else one nearest-neighbour query per
+    subsampled source point in reach, split over `workers` query workers.
+    The result does not depend on the route.
     """
+    points = {key: sources[key].points if isinstance(sources[key], SurfelCloud)
+              else _surfel_points(sources[key])
+              for key in dict.fromkeys(key for pair in pairs for key in pair)}
     bounds = {key: _bounds(p) for key, p in points.items()}
     live = _cull(pairs, bounds, cfg.radius)
     partners = {key: [] for key in points}
@@ -516,9 +514,9 @@ def _nso_pairs(points, normals, pairs, cfg: NSOConfig, workers: int) -> list:
             partners[y].append(bounds[x])
     # Each full array is dropped once its points in reach are taken, and every
     # normal is fitted before the first tree is built.
-    reached = {key: _reached_cloud(points.pop(key), near, normals[key], cfg)
+    reached = {key: _reached_cloud(points.pop(key), near, sources[key], cfg)
                for key, near in partners.items() if near}
-    points.clear()
+    del points
     indexed = {key: _index_cloud(cloud, cfg) for key, cloud in reached.items()}
     return [_pair_nso(indexed[x], indexed[y], cfg, workers) if searched else (0.0, 0.0)
             for (x, y), searched in zip(pairs, live)]
@@ -534,8 +532,7 @@ def nso_from_clouds(cloud_x: SurfelCloud, cloud_y: SurfelCloud, id_x: str, id_y:
     compares every point pair and never culls.
     """
     if not brute_force:
-        [nso] = _nso_pairs({0: cloud_x.points, 1: cloud_y.points},
-                           {0: cloud_x.normals, 1: cloud_y.normals}, [(0, 1)], cfg, 1)
+        [nso] = _nso_pairs({0: cloud_x, 1: cloud_y}, [(0, 1)], cfg, 1)
         return OverlapRecord(id_x, id_y, *nso)
     sub_x = subsample(cloud_x, cfg.n_sub, cfg.seed)
     sub_y = subsample(cloud_y, cfg.n_sub, cfg.seed)
@@ -564,9 +561,7 @@ def pairs_nso(views, pairs, cfg: NSOConfig, oracle: bool = False,
     for view in views:
         if by_id.setdefault(view.id, view) is not view:
             raise ValueError(f"two views share the id {view.id!r}")
-    named = dict.fromkeys(img_id for pair in pairs for img_id in pair)
-    nso = _nso_pairs({img_id: _surfel_points(by_id[img_id]) for img_id in named}, by_id,
-                     pairs, cfg, threads)
+    nso = _nso_pairs(by_id, pairs, cfg, threads)
     records = [OverlapRecord(id_x, id_y, *values) for (id_x, id_y), values in zip(pairs, nso)]
     first = None, None  # the oracle's first view: (id, full cloud)
     for rec in records if oracle else ():
@@ -594,6 +589,5 @@ def compute_nso(view_x: CameraView, view_y: CameraView,
     """Ground-truth normalized surface overlap between two posed depth images,
     the record of `nso_from_clouds` on their `backproject` clouds; normals
     are fitted only for the points in reach of the other view."""
-    [nso] = _nso_pairs({0: _surfel_points(view_x), 1: _surfel_points(view_y)},
-                       {0: view_x, 1: view_y}, [(0, 1)], cfg, 1)
+    [nso] = _nso_pairs({0: view_x, 1: view_y}, [(0, 1)], cfg, 1)
     return OverlapRecord(view_x.id, view_y.id, *nso)

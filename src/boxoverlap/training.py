@@ -180,7 +180,7 @@ def _box_grad(params, rows, targets, smoothing: SmoothingConfig, flat):
     d, b = params.shape[1] // 2, rows.shape[1]
     pair = rows[:2]
     out, dv, shares, d_size = boxes._nbo_grad_stacked(
-        params[:, :d].take(pair, axis=0), params[:, d:].take(pair, axis=0), smoothing)
+        params[pair, :d], params[pair, d:], smoothing)
 
     err = targets - out
     sq = np.add.reduce(err * err, axis=1)

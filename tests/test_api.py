@@ -30,6 +30,10 @@ when a call in the same files, matched by name, passes its value by keyword
 or by position. A default that no such call sets is an option nobody
 chooses: make it a constant.
 
+Every parameter of a function or method in the package, `self` and `cls`
+aside, is read in its body. A parameter nothing reads is an input nobody
+uses: delete it.
+
 `cli.main` is the one place a CLI failure becomes an exit code: no `cmd_*`
 function catches an error or silences numpy's warnings itself.
 
@@ -61,6 +65,12 @@ ALLOWED_FIELDS = dict.fromkeys(
 ALLOWED_DEFAULTS = {
     "synth.Placement.width": "larger views for a subsampled-view workload",
     "synth.Placement.height": "larger views for a subsampled-view workload",
+}
+
+# Parameters kept though their function's body never reads them.
+ALLOWED_PARAMETERS = {
+    "synth.render_script.seed": "the benchmark passes it by position; rendering draws "
+                                "no random numbers",
 }
 
 
@@ -342,6 +352,32 @@ def test_every_default_is_set_by_a_caller():
                    for attribute in ((True,) if is_method else (False, True))
                    for key in (arg, pos) if key is not None))
     assert unset == sorted(ALLOWED_DEFAULTS)
+
+
+def functions(node, prefix):
+    """(qualified name, node) of each function, method or nested function
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(child, ast.FunctionDef):
+                yield f"{prefix}.{child.name}", child
+            yield from functions(child, f"{prefix}.{child.name}")
+        else:
+            yield from functions(child, prefix)
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, func in functions(ast.parse(path.read_text()), path.stem):
+            args = func.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg)
+                      if arg is not None and arg.arg not in ("self", "cls")]
+            read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{qual}.{name}" for name in params if name not in read]
+    assert sorted(unread) == sorted(ALLOWED_PARAMETERS)
 
 
 def test_main_is_the_only_exit_path():

@@ -253,6 +253,12 @@ def test_hard_nbo_one_iff_contained(dim):
             assert (nbo(bx, by, HARD) == 1.0) == bool(contained)
 
 
+def test_box_embedding_rejects_unequal_shapes():
+    for lower, upper in (([0, 0], [1, 1, 1]), ([[0, 0]], [[1, 1]])):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            box(lower, upper)
+
+
 def test_box_embedding_rejects_inverted_bounds():
     # A NaN bound is rejected too: it compares false against anything.
     for lower, upper in (([0, 0], [1, -1]), ([np.nan, 0], [1, 1]), ([0, 0], [1, np.nan])):

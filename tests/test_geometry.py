@@ -69,6 +69,25 @@ def test_pose_rejects_reflection():
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
+def test_intrinsics_reject_principal_point_outside_image():
+    for cx, cy in ((4.0, 1.0), (-0.5, 1.0), (1.0, 3.0)):
+        with pytest.raises(ValueError, match="principal point"):
+            CameraIntrinsics(1.0, 1.0, cx, cy, width=4, height=3)
+
+
+def test_surfel_cloud_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        SurfelCloud(np.zeros((3, 3)), np.zeros((2, 3)))
+
+
+def test_subsample_and_brute_count_reject_zero():
+    cloud = SurfelCloud(np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        subsample(cloud, 0, seed=0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        overlap_count_brute(cloud, cloud, 0.0)
+
+
 def old_pose_check(rot):
     """Whether a rotation passes the reference check by np.allclose and
     np.isclose, with their default rtol of 1e-5."""
@@ -446,7 +465,7 @@ def one_matrix_match(src, dst, radius, weighted):
     within = dist[np.arange(len(src)), idx] <= radius
     rows = np.flatnonzero(within)
     return (within, np.where(within, idx, 0),
-            geometry._weighted_sum(src, dst, rows, idx[rows], weighted))
+            float(np.sum(geometry._weights(src, dst, rows, idx[rows], weighted))))
 
 
 def test_blocked_brute_match_equals_one_matrix(monkeypatch):
@@ -1027,9 +1046,28 @@ def test_point_outside_subsample_is_still_a_destination():
 
 
 def pair_route(clouds, cfg):
-    a, b = (geometry._index_cloud(geometry._Reached(cloud.points, cloud.normals, None), cfg)
+    a, b = (geometry._index_cloud(geometry._Reached(cloud.points, cloud.normals,
+                                                    np.ones(len(cloud), dtype=bool)), cfg)
             for cloud in clouds)
     return geometry._use_join(a, b)
+
+
+def test_join_drops_entries_beyond_radius():
+    # The join searches up to nextafter(radius, inf), so it lists this pair
+    # of points one step past the radius; they match nothing, as the
+    # brute-force `<=` test finds.
+    up = [0.0, 0.0, 1.0]
+    x = point_cloud([[0.0, 0.0, 0.0]], [up])
+    y = point_cloud([[np.nextafter(0.1, np.inf), 0.0, 0.0]], [up])
+    cfg = NSOConfig(radius=0.1, seed=0)
+    assert pair_route([x, y], cfg)
+    join = scipy.spatial.cKDTree(x.points).sparse_distance_matrix(
+        scipy.spatial.cKDTree(y.points), np.nextafter(cfg.radius, np.inf),
+        output_type="ndarray")
+    assert len(join) == 1 and join["v"][0] > cfg.radius
+    rec = nso_from_clouds(x, y, "x", "y", cfg)
+    assert rec == nso_from_clouds(x, y, "x", "y", cfg, brute_force=True)
+    assert (rec.nso_xy, rec.nso_yx) == (0.0, 0.0)
 
 
 def test_join_serves_only_unsubsampled_sparse_pairs():

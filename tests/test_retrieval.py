@@ -766,9 +766,9 @@ def test_blocked_scan_equals_exhaustive_scan_at_block_edges(n):
 
 def test_scan_and_build_memory_at_gallery_scale():
     # n=5000, D=32: one (D, n) float64 array is 1280000 bytes (1.25 MiB).
-    # Measured: a smoothed top-10 after its volumes are stored peaks 0.70 MB
-    # over what it started with, and the build 0.80 MB over the 5.64 MB the
-    # index keeps (its bounds, their dimension-major copies and key rows).
+    # Measured: a smoothed top-10 after its volumes are stored peaks 0.35 MB
+    # over what it started with, and the build 0.00 MB over the 5.16 MB the
+    # index keeps (its bounds and their dimension-major copies).
     table = random_table(np.random.default_rng(47), 5000, 32)
     q = random_query(np.random.default_rng(48), 32)
     one = 5000 * 32 * 8

@@ -18,6 +18,7 @@ from boxoverlap.synth import (
     default_surface,
     generate_dataset,
     grid_script,
+    look_at_pose,
     make_pair,
     render_depth,
     render_script,
@@ -329,6 +330,23 @@ def test_make_pair_bytes_pinned(pattern, params, digest):
     # surface they are rendered on fails here.
     views = [view for seed in range(3) for view in make_pair(pattern, params, seed=seed)[:2]]
     assert view_digest(views) == digest
+
+
+def test_look_at_pose_along_the_up_hint():
+    # Looking along +y, the y up-hint is swapped for x: right is z and down
+    # is x, a proper rotation.
+    pose = look_at_pose((1.0, 2.0, 3.0), (1.0, 7.0, 3.0))
+    assert np.array_equal(pose.rotation, np.column_stack([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                                          (0.0, 1.0, 0.0)]))
+    assert np.allclose(pose.rotation.T @ pose.rotation, np.eye(3))
+    assert np.linalg.det(pose.rotation) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="equals its look-at target"):
+        look_at_pose((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+
+
+def test_grid_script_rejects_empty_grid():
+    with pytest.raises(ValueError, match="grid size must be >= 1"):
+        grid_script(0)
 
 
 def test_zoom_factor_validation():
